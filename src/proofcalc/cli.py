@@ -28,7 +28,7 @@ from .core import (
     decide,
     verdict_error_profile,
 )
-from .freqtree import LARGEST_REMAINDER, ROUNDING_POLICIES, build_tree
+from .freqtree import LARGEST_REMAINDER, ROUNDING_POLICIES, FrequencyTree, build_tree
 from .oracle import monte_carlo_posterior
 from .render import render_proportion_bars_svg, render_tree_svg, render_tree_text
 from .scenario_io import (
@@ -99,12 +99,18 @@ def _resolve_threshold(flag: Optional[str], document: ScenarioDocument) -> Proba
     return PREPONDERANCE
 
 
-def _resolve_population(flag: Optional[int], document: ScenarioDocument) -> int:
-    if flag is not None:
-        return flag
-    if document.population is not None:
-        return document.population
-    return 100
+def _tree_options(parser: argparse.ArgumentParser, scope: str = "") -> None:
+    parser.add_argument("--population", metavar="N", type=int, help=f"tree population (default 100){scope}")
+    parser.add_argument(
+        "--rounding", choices=ROUNDING_POLICIES, default=LARGEST_REMAINDER,
+        help=f"how to make counts whole (default %(default)s){scope}",
+    )
+
+
+def _build_tree(args: argparse.Namespace, document: ScenarioDocument) -> FrequencyTree:
+    """The tree for --population (else the file's population, else 100) and --rounding."""
+    population = args.population if args.population is not None else document.population or 100
+    return build_tree(document.scenario, population=population, rounding=args.rounding)
 
 
 def _frac(value: Fraction) -> str:
@@ -160,24 +166,14 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
 
 def _cmd_tree(args: argparse.Namespace) -> int:
     document = _load_document(args)
-    tree = build_tree(
-        document.scenario,
-        population=_resolve_population(args.population, document),
-        rounding=args.rounding,
-    )
-    sys.stdout.write(render_tree_text(tree))
+    sys.stdout.write(render_tree_text(_build_tree(args, document)))
     return EXIT_OK
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
     document = _load_document(args)
     if args.format == SVG_TREE:
-        tree = build_tree(
-            document.scenario,
-            population=_resolve_population(args.population, document),
-            rounding=args.rounding,
-        )
-        payload = render_tree_svg(tree)
+        payload = render_tree_svg(_build_tree(args, document))
     else:
         payload = render_proportion_bars_svg(document.scenario)
     Path(args.out).write_bytes(payload)
@@ -231,26 +227,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("tree", help="print the natural-frequency tree as text")
     _scenario_options(p)
-    p.add_argument("--population", metavar="N", type=int, help="tree population (default 100)")
-    p.add_argument(
-        "--rounding",
-        choices=ROUNDING_POLICIES,
-        default=LARGEST_REMAINDER,
-        help="how to make counts whole (default %(default)s)",
-    )
+    _tree_options(p)
     p.set_defaults(func=_cmd_tree)
 
     p = sub.add_parser("render", help="write an SVG diagram")
     _scenario_options(p)
     p.add_argument("--format", choices=(SVG_TREE, SVG_BARS), required=True)
     p.add_argument("--out", metavar="PATH", required=True, help="output file")
-    p.add_argument(
-        "--population", metavar="N", type=int, help=f"tree population, {SVG_TREE} only"
-    )
-    p.add_argument(
-        "--rounding", choices=ROUNDING_POLICIES, default=LARGEST_REMAINDER,
-        help=f"rounding policy, {SVG_TREE} only",
-    )
+    _tree_options(p, f"; {SVG_TREE} only")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("sweep", help="vary one rate over a grid, write posteriors as CSV")

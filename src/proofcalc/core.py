@@ -1,7 +1,9 @@
 """Exact Bayesian updating for the three-rate evidence model.
 
-Everything here is computed with rational arithmetic (`fractions.Fraction`),
-so posteriors like 32/38 stay exact until somebody formats them for display.
+Everything here is computed with rational arithmetic, so posteriors like
+32/38 stay exact until somebody formats them for display. One kernel,
+`leaf_joints`, derives the four leaf joints as integers over a common
+denominator; `compute_posterior` and the trees of `freqtree` build on it.
 All types are immutable values and all operations are pure functions; they
 are safe to call from any number of threads.
 """
@@ -9,9 +11,10 @@ are safe to call from any number of threads.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
+from typing import Tuple, Union
 
 RateLike = Union["Probability", Fraction, int, float, str]
 
@@ -32,11 +35,15 @@ class Probability(Fraction):
     __slots__ = ()
 
     def __new__(cls, value: RateLike = 0, denominator=None):
-        if denominator is None and isinstance(value, float):
-            value = Fraction(str(value))
-        self = super().__new__(cls, value, denominator)
-        if not 0 <= self <= 1:
-            raise ValueError(f"probability must be in [0, 1], got {self.numerator}/{self.denominator}")
+        if denominator is None:
+            if type(value) is cls:  # immutable and already checked
+                return value
+            if isinstance(value, float):
+                value = Fraction(str(value))
+        self = Fraction.__new__(cls, value, denominator)
+        # Fraction's slots, not its properties, on this hot path; the denominator is normalised positive.
+        if not 0 <= self._numerator <= self._denominator:
+            raise ValueError(f"probability must be in [0, 1], got {self._numerator}/{self._denominator}")
         return self
 
 
@@ -81,10 +88,17 @@ class PosteriorBreakdown:
 
     def __post_init__(self) -> None:
         for name in ("joint_hit", "joint_false_alarm", "evidence_marginal", "posterior"):
-            object.__setattr__(self, name, Probability(getattr(self, name)))
-        if self.evidence_marginal != self.joint_hit + self.joint_false_alarm:
+            value = getattr(self, name)
+            if type(value) is not Probability:
+                object.__setattr__(self, name, Probability(value))
+        # The two identities of the docstring, cross-multiplied in integers.
+        h, dh = self.joint_hit._numerator, self.joint_hit._denominator
+        a, da = self.joint_false_alarm._numerator, self.joint_false_alarm._denominator
+        m, dm = self.evidence_marginal._numerator, self.evidence_marginal._denominator
+        p, dp = self.posterior._numerator, self.posterior._denominator
+        if m * dh * da != dm * (h * da + a * dh):
             raise ValueError("evidence_marginal must equal joint_hit + joint_false_alarm")
-        if self.posterior * self.evidence_marginal != self.joint_hit:
+        if p * m * dh != h * dp * dm:
             raise ValueError("posterior * evidence_marginal must equal joint_hit")
 
 
@@ -117,6 +131,30 @@ class ErrorProfile:
     error_kind: ErrorKind
 
 
+def leaf_joints(scenario: Scenario) -> Tuple[int, int, int, int, int]:
+    """The whole three-rate model, in integers.
+
+    Returns the numerators of p(H and E), p(H and not E), p(not H and E) and
+    p(not H and not E) over D = d_base * d_hit * d_alarm, then D itself. The
+    four numerators sum to D; neither they nor D are reduced.
+    """
+    b, d_base = scenario.base_rate._numerator, scenario.base_rate._denominator
+    h, d_hit = scenario.hit_rate._numerator, scenario.hit_rate._denominator
+    a, d_alarm = scenario.false_alarm_rate._numerator, scenario.false_alarm_rate._denominator
+    hyp, comp = b * d_alarm, (d_base - b) * d_hit
+    return hyp * h, hyp * (d_hit - h), comp * a, comp * (d_alarm - a), d_base * d_hit * d_alarm
+
+
+def _reduced(numerator: int, denominator: int) -> Probability:
+    """numerator/denominator as a Probability, for kernel results (0 <= numerator <= denominator):
+    no range check, no argument dispatch; Fraction's two slots are filled as its own arithmetic does."""
+    divisor = math.gcd(numerator, denominator)
+    value = object.__new__(Probability)
+    value._numerator = numerator // divisor
+    value._denominator = denominator // divisor
+    return value
+
+
 def compute_posterior(scenario: Scenario) -> PosteriorBreakdown:
     """Update the base rate on the evidence, exactly.
 
@@ -124,18 +162,17 @@ def compute_posterior(scenario: Scenario) -> PosteriorBreakdown:
     probability (for instance hit_rate = false_alarm_rate = 0), because
     conditioning on an impossible event is undefined rather than 0 or NaN.
     """
-    joint_hit = scenario.base_rate * scenario.hit_rate
-    joint_false_alarm = (1 - scenario.base_rate) * scenario.false_alarm_rate
+    joint_hit, _, joint_false_alarm, _, denominator = leaf_joints(scenario)
     marginal = joint_hit + joint_false_alarm
     if marginal == 0:
         raise DegenerateEvidence(
             "evidence has zero probability under this scenario; the posterior is undefined"
         )
     return PosteriorBreakdown(
-        joint_hit=Probability(joint_hit),
-        joint_false_alarm=Probability(joint_false_alarm),
-        evidence_marginal=Probability(marginal),
-        posterior=Probability(joint_hit / marginal),
+        joint_hit=_reduced(joint_hit, denominator),
+        joint_false_alarm=_reduced(joint_false_alarm, denominator),
+        evidence_marginal=_reduced(marginal, denominator),
+        posterior=_reduced(joint_hit, marginal),
     )
 
 

@@ -3,7 +3,8 @@
 A tree restates the scenario as absolute counts ("32 of 100 buses...") in
 three rows: the population, the hypothesis/complement split, and the four
 evidence leaves. Its defining property is conservation: every row sums
-exactly to its parent, whatever rounding was applied.
+exactly to its parent, whatever rounding was applied. The expected counts
+are population x the leaf joints of `core.leaf_joints`.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence, Tuple, Union
 
-from .core import DegenerateEvidence, Probability, Scenario
+from .core import DegenerateEvidence, Probability, Scenario, leaf_joints
 
 Count = Union[int, Fraction]
 
@@ -75,8 +76,9 @@ class FrequencyTree:
         return (self.hits, self.quiet_hypothesis, self.false_alarms, self.quiet_complement)
 
 
-def _as_count(value: Fraction) -> Count:
-    return int(value) if value.denominator == 1 else value
+def _as_count(numerator: int, denominator: int) -> Count:
+    whole, remainder = divmod(numerator, denominator)
+    return Fraction(numerator, denominator) if remainder else whole
 
 
 def apportion_largest_remainder(total: int, quotas: Sequence[Fraction]) -> list:
@@ -112,52 +114,29 @@ def build_tree(
     if rounding not in ROUNDING_POLICIES:
         raise ValueError(f"unknown rounding policy {rounding!r}; expected one of {ROUNDING_POLICIES}")
 
-    base = scenario.base_rate
-    hit = scenario.hit_rate
-    alarm = scenario.false_alarm_rate
-    expected = (
-        population * base * hit,
-        population * base * (1 - hit),
-        population * (1 - base) * alarm,
-        population * (1 - base) * (1 - alarm),
-    )
-    exact = all(leaf.denominator == 1 for leaf in expected)
-    labels = dict(
+    *joints, denominator = leaf_joints(scenario)
+    expected = [population * joint for joint in joints]
+    exact = all(count % denominator == 0 for count in expected)
+    if exact or rounding == EXACT_RATIONAL:
+        hits, quiet_hyp, alarms, quiet_comp = expected
+        row2 = [_as_count(hits + quiet_hyp, denominator), _as_count(alarms + quiet_comp, denominator)]
+        leaves = [_as_count(count, denominator) for count in expected]
+        residuals = (Fraction(0),) * 4
+    else:
+        base, hit, alarm = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
+        row2 = apportion_largest_remainder(population, [population * base, population * (1 - base)])
+        hyp, comp = row2
+        leaves = apportion_largest_remainder(hyp, [hyp * hit, hyp * (1 - hit)])
+        leaves += apportion_largest_remainder(comp, [comp * alarm, comp * (1 - alarm)])
+        residuals = tuple(Fraction(a * denominator - e, denominator) for a, e in zip(leaves, expected))
+    return FrequencyTree(
+        population,
+        *row2,
+        *leaves,
+        counts_exact=exact,
+        rounding_residuals=residuals,
         hypothesis_label=scenario.hypothesis_label,
         evidence_label=scenario.evidence_label,
-    )
-
-    if exact or rounding == EXACT_RATIONAL:
-        hypothesis_quota = population * base
-        return FrequencyTree(
-            population=population,
-            hypothesis_count=_as_count(hypothesis_quota),
-            complement_count=_as_count(population - hypothesis_quota),
-            hits=_as_count(expected[0]),
-            quiet_hypothesis=_as_count(expected[1]),
-            false_alarms=_as_count(expected[2]),
-            quiet_complement=_as_count(expected[3]),
-            counts_exact=exact,
-            **labels,
-        )
-
-    hyp, comp = apportion_largest_remainder(
-        population, [population * base, population * (1 - base)]
-    )
-    hits, quiet_hyp = apportion_largest_remainder(hyp, [hyp * hit, hyp * (1 - hit)])
-    alarms, quiet_comp = apportion_largest_remainder(comp, [comp * alarm, comp * (1 - alarm)])
-    actual = (hits, quiet_hyp, alarms, quiet_comp)
-    return FrequencyTree(
-        population=population,
-        hypothesis_count=hyp,
-        complement_count=comp,
-        hits=hits,
-        quiet_hypothesis=quiet_hyp,
-        false_alarms=alarms,
-        quiet_complement=quiet_comp,
-        counts_exact=False,
-        rounding_residuals=tuple(Fraction(a) - e for a, e in zip(actual, expected)),
-        **labels,
     )
 
 
@@ -178,14 +157,6 @@ def minimal_integral_population(scenario: Scenario, cap: int) -> Optional[int]:
     """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    base = scenario.base_rate
-    hit = scenario.hit_rate
-    alarm = scenario.false_alarm_rate
-    joints = (
-        base * hit,
-        base * (1 - hit),
-        (1 - base) * alarm,
-        (1 - base) * (1 - alarm),
-    )
-    needed = math.lcm(*(joint.denominator for joint in joints))
+    *joints, denominator = leaf_joints(scenario)
+    needed = math.lcm(*(denominator // math.gcd(joint, denominator) for joint in joints))
     return needed if needed <= cap else None

@@ -95,6 +95,7 @@ def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
     """
     if population < 1:
         raise ValueError("population must be a positive integer")
+    # Derived here, not by core.leaf_joints: an oracle sharing code with what it checks checks nothing.
     base = scenario.base_rate
     hit = scenario.hit_rate
     alarm = scenario.false_alarm_rate

@@ -78,10 +78,10 @@ def parse_rate(text: str) -> Fraction:
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
-    """Parse a scenario document, validating every value at its line."""
+    """Parse a scenario document, validating every value at its line; a leading BOM is ignored."""
     values = {}
     lines = {}
-    for number, raw in enumerate(text.splitlines(), 1):
+    for number, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue

@@ -144,6 +144,19 @@ def test_scenario_file_supplies_rates_population_and_threshold(capsys, tmp_path)
     assert code == 0 and out.splitlines()[0].split() == ["50"]
 
 
+def test_scenario_file_with_a_byte_order_mark(capsys, tmp_path):
+    text = "version = 1\nbase_rate = 0.4\nhit_rate = 80%\nfalse_alarm_rate = 1/10\n"
+    plain = tmp_path / "plain.scenario"
+    plain.write_text(text, encoding="utf-8")
+    marked = tmp_path / "marked.scenario"
+    marked.write_text(text, encoding="utf-8-sig")
+    assert marked.read_bytes() == b"\xef\xbb\xbf" + plain.read_bytes()
+    for command in ("posterior", "verdict", "tree"):
+        expected = run(capsys, command, "--scenario", str(plain))
+        assert expected[0] == 0
+        assert run(capsys, command, "--scenario", str(marked)) == expected
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "posterior", "--base-rate", "0.4")
     assert code == 2 and "error:" in err

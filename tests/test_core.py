@@ -1,19 +1,25 @@
 """Posterior arithmetic, threshold verdicts, and verdict error profiles."""
 
+import math
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from proofcalc import (
+    EXACT_RATIONAL,
     DegenerateEvidence,
     ErrorKind,
     Outcome,
     PosteriorBreakdown,
     Probability,
     Scenario,
+    build_tree,
     compute_posterior,
     decide,
+    minimal_integral_population,
     verdict_error_profile,
 )
 
@@ -51,6 +57,23 @@ def test_probability_rejects_out_of_range(bad):
         Probability(bad)
 
 
+def test_probability_range_check_sees_the_normalised_sign():
+    with pytest.raises(ValueError):
+        Probability(1, -2)
+    with pytest.raises(ValueError):
+        Probability(3, 2)
+    assert Probability(-1, -2) == Fraction(1, 2)
+    assert Probability(0, -7) == 0
+    assert Probability(-4, -4) == 1
+
+
+def test_rewrapping_a_probability_keeps_its_value():
+    value = Probability(2, 6)
+    assert Probability(value) is value  # immutable and already checked, so not rebuilt
+    assert Probability(value) == Fraction(1, 3)
+    assert Probability(Fraction(1, 3)) == value
+
+
 def test_scenario_coerces_rates_to_probabilities():
     scenario = Scenario(0.4, "0.8", Fraction(1, 10))
     assert isinstance(scenario.base_rate, Probability)
@@ -86,6 +109,14 @@ def test_breakdown_rejects_inconsistent_fields():
         PosteriorBreakdown(Fraction(1, 4), Fraction(1, 4), Fraction(3, 4), Fraction(1, 2))
     with pytest.raises(ValueError):
         PosteriorBreakdown(Fraction(1, 4), Fraction(1, 4), Fraction(1, 2), Fraction(1, 3))
+
+
+def test_breakdown_checks_each_identity_on_its_own():
+    with pytest.raises(ValueError, match="evidence_marginal must equal"):
+        PosteriorBreakdown(Fraction(1, 4), Fraction(1, 8), Fraction(1, 2), Fraction(1, 2))
+    with pytest.raises(ValueError, match="posterior \\* evidence_marginal"):
+        PosteriorBreakdown(Fraction(1, 4), Fraction(1, 8), Fraction(3, 8), Fraction(1, 2))
+    assert PosteriorBreakdown(Fraction(1, 4), Fraction(1, 8), Fraction(3, 8), Fraction(2, 3)).posterior == Fraction(2, 3)
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
@@ -152,3 +183,60 @@ def test_labels_never_affect_computation():
     plain = Scenario(0.4, 0.8, 0.1)
     labeled = Scenario(0.4, 0.8, 0.1, hypothesis_label="owns a dog", evidence_label="barks")
     assert compute_posterior(plain) == compute_posterior(labeled)
+
+
+# Rates with denominators up to 10^12, and the endpoints 0 and 1.
+RATES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(1, 10**12).flatmap(lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))),
+)
+
+
+def naive_leaf_joints(scenario):
+    """p(H,E), p(H,not E), p(not H,E), p(not H,not E) by plain Fraction products."""
+    base = Fraction(scenario.base_rate)
+    hit = Fraction(scenario.hit_rate)
+    alarm = Fraction(scenario.false_alarm_rate)
+    return (base * hit, base * (1 - hit), (1 - base) * alarm, (1 - base) * (1 - alarm))
+
+
+@settings(deadline=None)
+@given(RATES, RATES, RATES)
+def test_compute_posterior_matches_a_naive_derivation(base, hit, alarm):
+    scenario = Scenario(base, hit, alarm)
+    joint_hit, _, joint_false_alarm, _ = naive_leaf_joints(scenario)
+    marginal = joint_hit + joint_false_alarm
+    if marginal == 0:
+        with pytest.raises(DegenerateEvidence):
+            compute_posterior(scenario)
+        return
+    breakdown = compute_posterior(scenario)
+    assert breakdown.joint_hit == joint_hit
+    assert breakdown.joint_false_alarm == joint_false_alarm
+    assert breakdown.evidence_marginal == marginal
+    assert breakdown.posterior == joint_hit / marginal
+    assert all(type(value) is Probability for value in vars(breakdown).values())
+
+
+@settings(deadline=None)
+@given(RATES, RATES, RATES, st.integers(1, 10**6))
+def test_tree_counts_and_minimal_population_match_a_naive_derivation(base, hit, alarm, population):
+    scenario = Scenario(base, hit, alarm)
+    joints = naive_leaf_joints(scenario)
+    expected = tuple(population * joint for joint in joints)
+
+    tree = build_tree(scenario, population, rounding=EXACT_RATIONAL)
+    assert tree.leaves == expected
+    assert tree.hypothesis_count == population * base
+    assert tree.complement_count == population * (1 - base)
+    assert tree.counts_exact == all(count.denominator == 1 for count in expected)
+    for count in (tree.hypothesis_count, tree.complement_count, *tree.leaves):
+        assert isinstance(count, int) or count.denominator != 1
+
+    rounded = build_tree(scenario, population)
+    assert rounded.rounding_residuals == tuple(a - e for a, e in zip(rounded.leaves, expected))
+
+    needed = math.lcm(*(joint.denominator for joint in joints))
+    assert minimal_integral_population(scenario, cap=needed) == needed
+    if needed > 1:
+        assert minimal_integral_population(scenario, cap=needed - 1) is None

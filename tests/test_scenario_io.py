@@ -54,6 +54,16 @@ def test_optional_keys_round_into_the_document():
     assert document.scenario.evidence_label == "barks"
 
 
+def test_a_leading_byte_order_mark_is_ignored():
+    assert parse_scenario("\ufeff" + STANDARD) == parse_scenario(STANDARD)
+    keyed_first = "base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\n"
+    assert parse_scenario("\ufeff" + keyed_first) == parse_scenario(keyed_first)
+    with pytest.raises(ScenarioSyntaxError, match="line 2: unknown key 'colour'"):
+        parse_scenario("\ufeff# comment\ncolour = blue\n")
+    with pytest.raises(ScenarioSyntaxError, match=r"line 1: unknown key '\\ufeffversion'"):
+        parse_scenario("\ufeff\ufeffversion = 1\n")  # only one mark is stripped
+
+
 def test_version_defaults_to_one_and_rejects_others():
     assert parse_scenario("base_rate=0.4\nhit_rate=0.8\nfalse_alarm_rate=0.1\n").format_version == 1
     with pytest.raises(RangeError):
