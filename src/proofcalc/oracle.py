@@ -10,10 +10,16 @@ Two routes that never touch the conditional-probability formula:
 
 The random source is SplitMix64 used as a counter-based generator: draw
 `i` for seed `s` is mix64(s + (i+1) * 0x9E3779B97F4A7C15), and a uniform
-is the top 53 bits scaled by 2^-53. Sample j consumes draws 2j (hypothesis
-attribute) and 2j+1 (evidence attribute), with the rates compared as IEEE
-doubles. That mapping is the reproducibility contract: results depend only
-on (scenario, samples, seed), on every platform, regardless of block size.
+is the top 53 bits k of that draw scaled by 2^-53. Sample j consumes draws
+2j (hypothesis attribute) and 2j+1 (evidence attribute); an attribute is
+present when its uniform lies below the rate read as an IEEE double p.
+The kernel never forms the uniform: it compares the integer k with
+ceil(p * 2^53), which selects exactly the same draws, because p * 2^53 is
+exact for every double in [0, 1] and an integer lies below a real number
+exactly when it lies below that number's ceiling. That mapping is the
+reproducibility contract: results depend only on (scenario, samples,
+seed), on every platform, regardless of block size. NumPy is imported
+only when a simulation runs.
 """
 
 from __future__ import annotations
@@ -21,17 +27,22 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .core import DegenerateEvidence, Probability, Scenario
+
+if TYPE_CHECKING:
+    import numpy as np
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
 _MIX_2 = 0x94D049BB133111EB
 _MASK_64 = (1 << 64) - 1
 
-_BLOCK_SAMPLES = 1 << 18
+# Samples per block, small enough that a block's buffers (about 50 bytes a
+# sample) stay in a core's L2 cache between the passes over them.
+_BLOCK_SAMPLES = 1 << 14
+_MAX_SAMPLES = 10**9
 
 
 class NonIntegralCounts(ValueError):
@@ -55,15 +66,40 @@ def uniform53(seed: int, index: int) -> float:
     return (splitmix64(seed, index) >> 11) * 2.0**-53
 
 
+def _threshold53(rate: float) -> int:
+    """The integer T such that k * 2^-53 < rate exactly when k < T, for k in [0, 2^53)."""
+    return math.ceil(rate * 2**53)
+
+
+def _mix53(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Replace each SplitMix64 state in z by the top 53 bits of its output, in place.
+
+    Wraparound mod 2^64 is the algorithm; callers run this under
+    np.errstate(over="ignore").
+    """
+    import numpy as np
+
+    np.right_shift(z, np.uint64(30), out=scratch)
+    z ^= scratch
+    z *= np.uint64(_MIX_1)
+    np.right_shift(z, np.uint64(27), out=scratch)
+    z ^= scratch
+    z *= np.uint64(_MIX_2)
+    np.right_shift(z, np.uint64(31), out=scratch)
+    z ^= scratch
+    z >>= np.uint64(11)
+
+
 def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
     """uniform53(seed, start), ..., uniform53(seed, start + count - 1), vectorized."""
-    indices = np.arange(start + 1, start + count + 1, dtype=np.uint64)
-    with np.errstate(over="ignore"):  # wraparound mod 2^64 is the algorithm
-        z = np.uint64(seed & _MASK_64) + indices * np.uint64(GOLDEN_GAMMA)
-        z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_1)
-        z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_2)
-        z = z ^ (z >> np.uint64(31))
-    return (z >> np.uint64(11)).astype(np.float64) * 2.0**-53
+    import numpy as np
+
+    z = np.arange(count, dtype=np.uint64)
+    with np.errstate(over="ignore"):
+        z *= np.uint64(GOLDEN_GAMMA)
+        z += np.uint64((seed + (start + 1) * GOLDEN_GAMMA) & _MASK_64)
+        _mix53(z, np.empty_like(z))
+    return z.astype(np.float64) * 2.0**-53
 
 
 @dataclass(frozen=True)
@@ -127,26 +163,53 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
     hypothesis; the standard error is the binomial sqrt(p(1-p)/n) over the
     conditioned draws.
 
-    Raises NoConditionedSamples when no draw satisfied the evidence.
+    Raises NoConditionedSamples when no draw satisfied the evidence, and
+    ValueError when samples is below 1 or above 10^9.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
-    base = float(scenario.base_rate)
-    hit = float(scenario.hit_rate)
-    alarm = float(scenario.false_alarm_rate)
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {_MAX_SAMPLES}")
+    import numpy as np
+
+    base = np.uint64(_threshold53(float(scenario.base_rate)))
+    hit = np.uint64(_threshold53(float(scenario.hit_rate)))
+    alarm = np.uint64(_threshold53(float(scenario.false_alarm_rate)))
+
+    # Sample j mixes counter 2j+1 (hypothesis) and 2j+2 (evidence): within a
+    # block each stream advances by 2*GOLDEN_GAMMA a sample, and the
+    # evidence stream runs GOLDEN_GAMMA ahead of the hypothesis stream.
+    size = min(_BLOCK_SAMPLES, samples)
+    steps = np.arange(size, dtype=np.uint64) * np.uint64(2 * GOLDEN_GAMMA & _MASK_64)
+    draws = np.empty(2 * size, dtype=np.uint64)
+    scratch = np.empty_like(draws)
+    limits = np.empty(size, dtype=np.uint64)
+    has_hypothesis = np.empty(size, dtype=bool)
+    has_evidence = np.empty(size, dtype=bool)
 
     conditioned = hypothesis_hits = 0
     done = 0
-    while done < samples:
-        block = min(_BLOCK_SAMPLES, samples - done)
-        uniforms = _uniform_block(seed, 2 * done, 2 * block)
-        u_hypothesis = uniforms[0::2]
-        u_evidence = uniforms[1::2]
-        has_hypothesis = u_hypothesis < base
-        has_evidence = u_evidence < np.where(has_hypothesis, hit, alarm)
-        conditioned += int(np.count_nonzero(has_evidence))
-        hypothesis_hits += int(np.count_nonzero(has_evidence & has_hypothesis))
-        done += block
+    with np.errstate(over="ignore"):
+        while done < samples:
+            block = min(size, samples - done)
+            start = seed + (2 * done + 1) * GOLDEN_GAMMA
+            k_hypothesis = draws[:block]
+            k_evidence = draws[block : 2 * block]
+            np.add(steps[:block], np.uint64(start & _MASK_64), out=k_hypothesis)
+            np.add(steps[:block], np.uint64((start + GOLDEN_GAMMA) & _MASK_64), out=k_evidence)
+            _mix53(draws[: 2 * block], scratch[: 2 * block])
+
+            hypothesis = has_hypothesis[:block]
+            evidence = has_evidence[:block]
+            limit = limits[:block]
+            np.less(k_hypothesis, base, out=hypothesis)
+            limit.fill(alarm)
+            np.copyto(limit, hit, where=hypothesis)
+            np.less(k_evidence, limit, out=evidence)
+            conditioned += int(np.count_nonzero(evidence))
+            evidence &= hypothesis
+            hypothesis_hits += int(np.count_nonzero(evidence))
+            done += block
 
     if conditioned == 0:
         raise NoConditionedSamples(

@@ -117,6 +117,18 @@ def test_simulate_is_deterministic_given_the_seed(capsys):
     assert other_seed != first
 
 
+def test_simulate_rejects_more_than_a_billion_samples(capsys, monkeypatch):
+    import proofcalc.oracle as oracle
+
+    def never_simulate(*_):
+        raise AssertionError("the sample cap let a simulation start")
+
+    monkeypatch.setattr(oracle, "_mix53", never_simulate)
+    code, out, err = run(capsys, "simulate", *RATES, "--samples", "1000000001")
+    assert code == 2 and out == ""
+    assert err == "error: samples must be at most 1000000000\n"
+
+
 def test_scenario_file_supplies_rates_population_and_threshold(capsys, tmp_path):
     path = tmp_path / "case.scenario"
     path.write_text(
@@ -210,6 +222,23 @@ def test_usage_errors_from_argparse_exit_2(capsys):
         main([])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+def test_numpy_is_imported_only_to_simulate():
+    script = (
+        "import sys\n"
+        "import proofcalc\n"
+        "from proofcalc.cli import main\n"
+        "assert 'numpy' not in sys.modules, 'import proofcalc'\n"
+        "assert main(['posterior', *sys.argv[1:]]) == 0\n"
+        "assert 'numpy' not in sys.modules, 'posterior'\n"
+        "assert main(['simulate', *sys.argv[1:], '--samples', '10']) == 0\n"
+        "assert 'numpy' in sys.modules, 'simulate'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, *RATES], capture_output=True, text=True, check=False
+    )
+    assert result.returncode == 0, result.stderr
 
 
 def test_module_entry_point_round_trip():

@@ -5,6 +5,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proofcalc import (
     DegenerateEvidence,
@@ -16,7 +18,7 @@ from proofcalc import (
     enumerate_posterior,
     monte_carlo_posterior,
 )
-from proofcalc.oracle import _uniform_block, splitmix64, uniform53
+from proofcalc.oracle import _threshold53, _uniform_block, splitmix64, uniform53
 
 from cases import CASE_IDS, CASES
 
@@ -46,6 +48,22 @@ def test_vectorized_block_matches_the_scalar_definition():
     scalar = np.array([uniform53(987654321, 13 + i) for i in range(256)])
     assert block.dtype == np.float64
     assert (block == scalar).all()
+
+
+@settings(deadline=None)
+@given(st.floats(0, 1))
+@example(0.0)
+@example(5e-324)
+@example(2.0**-53)
+@example(0.5)
+@example(math.nextafter(1.0, 0.0))
+@example(1.0)
+def test_integer_threshold_selects_the_same_draws_as_the_uniform(rate):
+    threshold = _threshold53(rate)
+    assert 0 <= threshold <= 2**53
+    for k in (threshold - 1, threshold, threshold + 1):
+        if 0 <= k < 2**53:
+            assert (k * 2.0**-53 < rate) == (k < threshold)
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
@@ -100,6 +118,46 @@ def test_monte_carlo_matches_a_scalar_replay():
     assert result.samples_total == 500
     assert result.samples_conditioned == conditioned
     assert result.estimate == Fraction(hypothesis_hits, conditioned)
+
+
+EDGE_RATES = [0.0, 1.0, 2.0**-53, 1 - 2.0**-53, 1e-300, 1 / 3]
+EDGE_SEED = 11
+EDGE_SAMPLES = (1 << 14) + 3
+
+
+@pytest.fixture(scope="module")
+def edge_uniforms():
+    return [uniform53(EDGE_SEED, i) for i in range(2 * EDGE_SAMPLES)]
+
+
+@pytest.mark.parametrize("block", [64, None], ids=["block-64", "default-block"])
+@pytest.mark.parametrize("samples", [1, EDGE_SAMPLES])
+@pytest.mark.parametrize("rate", EDGE_RATES, ids=[repr(rate) for rate in EDGE_RATES])
+def test_monte_carlo_matches_a_scalar_replay_at_edge_rates(monkeypatch, edge_uniforms, rate, samples, block):
+    import proofcalc.oracle as oracle
+
+    if block is not None:
+        monkeypatch.setattr(oracle, "_BLOCK_SAMPLES", block)
+    for scenario in (Scenario(rate, rate, rate), Scenario(rate, 0.75, 0.25), Scenario(0.5, rate, 1 - rate)):
+        base, hit, alarm = (
+            float(scenario.base_rate),
+            float(scenario.hit_rate),
+            float(scenario.false_alarm_rate),
+        )
+        conditioned = hypothesis_hits = 0
+        for j in range(samples):
+            has_hypothesis = edge_uniforms[2 * j] < base
+            has_evidence = edge_uniforms[2 * j + 1] < (hit if has_hypothesis else alarm)
+            conditioned += has_evidence
+            hypothesis_hits += has_evidence and has_hypothesis
+
+        if conditioned == 0:
+            with pytest.raises(NoConditionedSamples):
+                monte_carlo_posterior(scenario, samples, seed=EDGE_SEED)
+            continue
+        result = monte_carlo_posterior(scenario, samples, seed=EDGE_SEED)
+        assert result.samples_conditioned == conditioned
+        assert result.estimate == Fraction(hypothesis_hits, conditioned)
 
 
 def test_monte_carlo_spans_block_boundaries_consistently():
