@@ -27,7 +27,6 @@ from .freqtree import (
     LARGEST_REMAINDER,
     ROUNDING_POLICIES,
     FrequencyTree,
-    apportion_largest_remainder,
     build_tree,
     minimal_integral_population,
     posterior_from_tree,
@@ -87,7 +86,6 @@ __all__ = [
     "LARGEST_REMAINDER",
     "ROUNDING_POLICIES",
     "FrequencyTree",
-    "apportion_largest_remainder",
     "build_tree",
     "minimal_integral_population",
     "posterior_from_tree",

@@ -4,7 +4,9 @@ A tree restates the scenario as absolute counts ("32 of 100 buses...") in
 three rows: the population, the hypothesis/complement split, and the four
 evidence leaves. Its defining property is conservation: every row sums
 exactly to its parent, whatever rounding was applied. The expected counts
-are population x the leaf joints of `core.leaf_joints`.
+are population x the leaf joints of `core.leaf_joints`. Largest-remainder
+rounding splits each parent between its two children by rounding the first
+child's expected count half up, so ties go to the first branch.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence, Tuple, Union
+from typing import Optional, Tuple, Union
 
 from .core import DegenerateEvidence, Probability, Scenario, leaf_joints
 
@@ -23,9 +25,6 @@ LARGEST_REMAINDER = "largest-remainder"
 #: Keep non-integral expected counts as exact fractions.
 EXACT_RATIONAL = "exact-rational"
 ROUNDING_POLICIES = (LARGEST_REMAINDER, EXACT_RATIONAL)
-
-#: Branch order of the four leaves, left to right.
-LEAF_NAMES = ("hits", "quiet_hypothesis", "false_alarms", "quiet_complement")
 
 
 @dataclass(frozen=True)
@@ -81,19 +80,9 @@ def _as_count(numerator: int, denominator: int) -> Count:
     return Fraction(numerator, denominator) if remainder else whole
 
 
-def apportion_largest_remainder(total: int, quotas: Sequence[Fraction]) -> list:
-    """Split integer `total` into integers proportional to `quotas`.
-
-    `quotas` must be nonnegative and sum exactly to `total`. Each quota is
-    floored and the leftover units go to the largest fractional parts, ties
-    to the earlier position.
-    """
-    floors = [int(q) for q in quotas]
-    leftover = total - sum(floors)
-    by_remainder = sorted(range(len(quotas)), key=lambda i: (floors[i] - quotas[i], i))
-    for i in by_remainder[:leftover]:
-        floors[i] += 1
-    return floors
+def _half_up(numerator: int, denominator: int) -> int:
+    """numerator/denominator rounded to the nearest integer, halves up."""
+    return (2 * numerator + denominator) // (2 * denominator)
 
 
 def build_tree(
@@ -105,9 +94,9 @@ def build_tree(
 
     Expected counts are population x the joint probabilities. When all six
     are integral the tree is exact under either policy. Otherwise
-    largest-remainder apportions each parent's count between its two
-    children (so conservation never breaks), while exact-rational keeps the
-    counts as fractions.
+    largest-remainder rounds the first child of each parent half up and
+    gives the second the rest (the largest-remainder rule for two children,
+    so conservation never breaks), while exact-rational keeps fractions.
     """
     if population < 1:
         raise ValueError("population must be a positive integer")
@@ -117,17 +106,19 @@ def build_tree(
     *joints, denominator = leaf_joints(scenario)
     expected = [population * joint for joint in joints]
     exact = all(count % denominator == 0 for count in expected)
-    if exact or rounding == EXACT_RATIONAL:
+    if rounding == EXACT_RATIONAL:
         hits, quiet_hyp, alarms, quiet_comp = expected
         row2 = [_as_count(hits + quiet_hyp, denominator), _as_count(alarms + quiet_comp, denominator)]
         leaves = [_as_count(count, denominator) for count in expected]
         residuals = (Fraction(0),) * 4
     else:
         base, hit, alarm = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
-        row2 = apportion_largest_remainder(population, [population * base, population * (1 - base)])
-        hyp, comp = row2
-        leaves = apportion_largest_remainder(hyp, [hyp * hit, hyp * (1 - hit)])
-        leaves += apportion_largest_remainder(comp, [comp * alarm, comp * (1 - alarm)])
+        hyp = _half_up(population * base.numerator, base.denominator)
+        comp = population - hyp
+        hits = _half_up(hyp * hit.numerator, hit.denominator)
+        alarms = _half_up(comp * alarm.numerator, alarm.denominator)
+        row2 = [hyp, comp]
+        leaves = [hits, hyp - hits, alarms, comp - alarms]
         residuals = tuple(Fraction(a * denominator - e, denominator) for a, e in zip(leaves, expected))
     return FrequencyTree(
         population,
@@ -145,7 +136,7 @@ def posterior_from_tree(tree: FrequencyTree) -> Probability:
     total = tree.hits + tree.false_alarms
     if total == 0:
         raise DegenerateEvidence("tree has no hits and no false alarms")
-    return Probability(Fraction(tree.hits) / Fraction(total))
+    return Probability(tree.hits, total)
 
 
 def minimal_integral_population(scenario: Scenario, cap: int) -> Optional[int]:

@@ -90,18 +90,6 @@ def _mix53(z: np.ndarray, scratch: np.ndarray) -> None:
     z >>= np.uint64(11)
 
 
-def _uniform_block(seed: int, start: int, count: int) -> np.ndarray:
-    """uniform53(seed, start), ..., uniform53(seed, start + count - 1), vectorized."""
-    import numpy as np
-
-    z = np.arange(count, dtype=np.uint64)
-    with np.errstate(over="ignore"):
-        z *= np.uint64(GOLDEN_GAMMA)
-        z += np.uint64((seed + (start + 1) * GOLDEN_GAMMA) & _MASK_64)
-        _mix53(z, np.empty_like(z))
-    return z.astype(np.float64) * 2.0**-53
-
-
 @dataclass(frozen=True)
 class SimResult:
     """Monte Carlo estimate of the posterior plus its sampling uncertainty."""

@@ -18,7 +18,7 @@ from typing import List, Sequence, Tuple
 from xml.sax.saxutils import escape
 
 from .core import Scenario, compute_posterior
-from .freqtree import Count, FrequencyTree
+from .freqtree import FrequencyTree
 
 _HEX_COLOR = re.compile(r"#[0-9a-fA-F]{6}\Z")
 
@@ -65,10 +65,6 @@ def _pct(value: Fraction) -> str:
     return f"{whole}.{tenth}%"
 
 
-def _count_str(count: Count) -> str:
-    return str(count)
-
-
 def _signed(value: Fraction) -> str:
     return f"+{value}" if value > 0 else str(value)
 
@@ -92,10 +88,10 @@ def render_tree_text(tree: FrequencyTree) -> str:
     counts, row 3 the four leaves with their role labels. When counts were
     rounded, a footer reports the per-leaf residuals.
     """
-    pop = _count_str(tree.population)
-    row2 = (_count_str(tree.hypothesis_count), _count_str(tree.complement_count))
+    pop = str(tree.population)
+    row2 = (str(tree.hypothesis_count), str(tree.complement_count))
     row2_labels = (tree.hypothesis_label, f"not ({tree.hypothesis_label})")
-    leaf_cells = tuple(_count_str(leaf) for leaf in tree.leaves)
+    leaf_cells = tuple(str(leaf) for leaf in tree.leaves)
 
     def ceil_div(a: int, b: int) -> int:
         return -(-a // b)
@@ -197,14 +193,14 @@ def render_tree_svg(tree: FrequencyTree, style: RenderStyle = RenderStyle()) -> 
     for i, x in enumerate(leaf_x):
         parts.append(_svg_line(row2_x[i // 2], row2_y + pad, x, leaf_y - pad, "#666666"))
 
-    parts.append(_svg_text(pop_xy[0], pop_xy[1], _count_str(tree.population), style.font_size, "#000000"))
+    parts.append(_svg_text(pop_xy[0], pop_xy[1], str(tree.population), style.font_size, "#000000"))
     row2_counts = (tree.hypothesis_count, tree.complement_count)
     row2_labels = (tree.hypothesis_label, f"not ({tree.hypothesis_label})")
     for i, x in enumerate(row2_x):
-        parts.append(_svg_text(x, row2_y, _count_str(row2_counts[i]), style.font_size, side_colors[i]))
+        parts.append(_svg_text(x, row2_y, str(row2_counts[i]), style.font_size, side_colors[i]))
         parts.append(_svg_text(x, h * 7 / 16, row2_labels[i], label_size, "#444444"))
     for i, x in enumerate(leaf_x):
-        parts.append(_svg_text(x, leaf_y, _count_str(tree.leaves[i]), style.font_size, leaf_colors[i]))
+        parts.append(_svg_text(x, leaf_y, str(tree.leaves[i]), style.font_size, leaf_colors[i]))
         parts.append(_svg_text(x, h * 25 / 32, ROLE_LABELS[i], label_size, "#444444"))
         if style.show_residuals and tree.rounding_residuals[i] != 0:
             parts.append(

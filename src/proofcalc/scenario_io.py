@@ -3,7 +3,9 @@
 The format is a minimal `key = value` file: one pair per line, `#` starts
 a comment, blank lines are ignored. Rates accept decimals ("0.4"),
 percentages ("40%") and fractions ("2/5"), all converted exactly to
-rationals so the end-to-end arithmetic stays rational.
+rationals so the end-to-end arithmetic stays rational. A rate's numerator
+and denominator may have 1,000 digits each, so printed figures stay below
+Python's 4,300-digit int-to-str limit.
 
 Recognized keys: version, base_rate, hit_rate, false_alarm_rate,
 population, threshold, hypothesis_label, evidence_label. The three rates
@@ -20,6 +22,11 @@ from typing import Optional
 from .core import Probability, Scenario
 
 FORMAT_VERSION = 1
+
+#: Digits a rate's reduced numerator and denominator may each have.
+MAX_RATE_DIGITS = 1000
+_RATE_LIMIT = 10**MAX_RATE_DIGITS
+_RATE_TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
 
 _RATE_KEYS = ("base_rate", "hit_rate", "false_alarm_rate")
 _KEYS = ("version",) + _RATE_KEYS + ("population", "threshold", "hypothesis_label", "evidence_label")
@@ -66,15 +73,26 @@ class ScenarioDocument:
 def parse_rate(text: str) -> Fraction:
     """Convert '0.4', '40%' or '2/5' to an exact Fraction.
 
-    Raises ValueError on anything else (including 'inf'/'nan').
+    Raises ValueError on anything else (including 'inf'/'nan'), and
+    RangeError when the reduced numerator or denominator has more than
+    MAX_RATE_DIGITS digits. Texts with more than four times that many digits
+    or an exponent past it ('1e-20000') are refused before a number is built:
+    int() reads that many, and format_exact never writes more for a rate.
     """
     text = text.strip()
     try:
-        if text.endswith("%"):
-            return Fraction(text[:-1].strip()) / 100
-        return Fraction(text)
+        scale = abs(int(text.removesuffix("%").lower().partition("e")[2] or 0))
+    except ValueError:  # no integer exponent (Fraction rejects the text) or too long a one
+        scale = 0
+    if max(scale, sum(char.isdigit() for char in text)) > 4 * MAX_RATE_DIGITS:
+        raise RangeError(_RATE_TOO_LARGE)
+    try:
+        rate = Fraction(text[:-1].strip()) / 100 if text.endswith("%") else Fraction(text)
     except ZeroDivisionError:
         raise ValueError(f"zero denominator in rate {text!r}") from None
+    if abs(rate.numerator) >= _RATE_LIMIT or rate.denominator >= _RATE_LIMIT:
+        raise RangeError(_RATE_TOO_LARGE)
+    return rate
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -102,6 +120,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
     def rate_at(key: str, value: str) -> Probability:
         try:
             rate = parse_rate(value)
+        except RangeError as exc:
+            raise RangeError(f"{key}: {exc}", lines[key]) from None
         except (ValueError, ZeroDivisionError):
             raise ScenarioSyntaxError(f"cannot parse {value!r} as a rate", lines[key]) from None
         if not 0 <= rate <= 1:

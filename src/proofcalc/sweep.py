@@ -21,6 +21,7 @@ from .core import (
 from .scenario_io import format_exact, format_sig
 
 SWEEPABLE_PARAMETERS = ("base_rate", "hit_rate", "false_alarm_rate")
+MAX_STEPS = 10**5
 
 #: CSV cell markers for grid points where the evidence has zero mass.
 DEGENERATE_MARKER = "degenerate"
@@ -86,9 +87,11 @@ def sweep(
 
 
 def evenly_spaced_grid(start: Fraction, stop: Fraction, steps: int) -> list:
-    """`steps` exact rationals from start to stop inclusive (one value if steps == 1)."""
+    """`steps` (1 to MAX_STEPS) exact rationals from start to stop inclusive."""
     if steps < 1:
         raise ValueError("steps must be >= 1")
+    if steps > MAX_STEPS:
+        raise ValueError(f"steps must be at most {MAX_STEPS}")
     if steps == 1:
         return [Fraction(start)]
     step = (Fraction(stop) - Fraction(start)) / (steps - 1)

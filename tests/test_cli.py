@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output shapes, written files, exit codes."""
 
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,10 @@ from conftest import check_golden
 RATES = ["--base-rate", "0.4", "--hit-rate", "0.8", "--false-alarm-rate", "0.1"]
 LOW_PRIOR = ["--base-rate", "0.1", "--hit-rate", "0.8", "--false-alarm-rate", "0.1"]
 DEGENERATE = ["--base-rate", "0.4", "--hit-rate", "0", "--false-alarm-rate", "0"]
+# Every rate at the size cap: denominators of exactly 1000 digits, pairwise coprime.
+D3, D7 = 3**2095, 7**1183
+AT_CAP = ["--base-rate", "1e-999", "--hit-rate", f"{D3 - 1}/{D3}", "--false-alarm-rate", f"1/{D7}"]
+TOO_LARGE = "a rate may have at most 1000 digits in numerator and denominator"
 
 
 def run(capsys, *argv):
@@ -127,6 +132,69 @@ def test_simulate_rejects_more_than_a_billion_samples(capsys, monkeypatch):
     code, out, err = run(capsys, "simulate", *RATES, "--samples", "1000000001")
     assert code == 2 and out == ""
     assert err == "error: samples must be at most 1000000000\n"
+
+
+@pytest.mark.parametrize("rate", ["1e-20000", "1e-3000000"])
+def test_oversized_rates_exit_2_before_a_number_is_built(capsys, monkeypatch, rate):
+    import proofcalc.scenario_io as scenario_io
+
+    real_fraction = scenario_io.Fraction
+
+    def fraction(value=0, *rest):
+        if value == rate:
+            raise AssertionError("the rate cap let an oversized rate reach Fraction")
+        return real_fraction(value, *rest)
+
+    monkeypatch.setattr(scenario_io, "Fraction", fraction)
+    code, out, err = run(capsys, "posterior", "--base-rate", "0.4", "--hit-rate", rate, "--false-alarm-rate", "0.1")
+    assert code == 2 and out == ""
+    assert err == f"error: {TOO_LARGE}\n"
+
+
+def test_oversized_rate_in_a_scenario_file_names_its_line(capsys, tmp_path):
+    path = tmp_path / "big.scenario"
+    path.write_text("base_rate = 0.4\nhit_rate = 1e-20000\nfalse_alarm_rate = 0.1\n")
+    code, out, err = run(capsys, "posterior", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err == f"error: line 2: hit_rate: {TOO_LARGE}\n"
+
+
+def test_rates_at_the_cap_run_and_print_below_the_int_str_limit(capsys, tmp_path):
+    assert len(str(D3)) == len(str(D7)) == 1000
+    code, out, err = run(capsys, "posterior", *AT_CAP)
+    assert code == 0 and err == ""
+    assert 2000 < max(len(digits) for digits in re.findall(r"\d+", out)) < 4300
+
+    csv_path = tmp_path / "sweep.csv"
+    code, out, err = run(
+        capsys, "sweep", *AT_CAP, "--param", "hit_rate", "--from", "1e-999", "--to", f"{D7 - 1}/{D7}",
+        "--steps", "25", "--out", str(csv_path),
+    )
+    assert code == 0 and (out, err) == ("", "")
+    text = csv_path.read_text()
+    assert len(text.splitlines()) == 26
+    assert max(len(digits) for digits in re.findall(r"\d+", text)) < 4300
+
+    code, _, err = run(capsys, "posterior", *AT_CAP[:-1], f"1/{10 * D7}")
+    assert code == 2 and err == f"error: {TOO_LARGE}\n"
+
+
+def test_sweep_rejects_more_steps_than_the_cap(capsys, monkeypatch, tmp_path):
+    sweep_module = sys.modules["proofcalc.sweep"]  # the package exports a function of that name
+
+    def never_build(*_):
+        raise AssertionError("the step cap let a grid be built")
+
+    monkeypatch.setattr(sweep_module, "Fraction", never_build)
+    out_path = tmp_path / "sweep.csv"
+    for steps in ("100001", str(10**12)):
+        code, out, err = run(
+            capsys, "sweep", *RATES, "--param", "base_rate", "--from", "0", "--to", "1",
+            "--steps", steps, "--out", str(out_path),
+        )
+        assert code == 2 and out == ""
+        assert err == "error: steps must be at most 100000\n"
+    assert not out_path.exists()
 
 
 def test_scenario_file_supplies_rates_population_and_threshold(capsys, tmp_path):

@@ -4,13 +4,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proofcalc import (
     EXACT_RATIONAL,
     DegenerateEvidence,
     FrequencyTree,
     Scenario,
-    apportion_largest_remainder,
     build_tree,
     compute_posterior,
     minimal_integral_population,
@@ -125,20 +126,48 @@ def test_tree_invariants_are_enforced():
         )
 
 
-def test_apportionment_totals_and_tie_break():
-    assert apportion_largest_remainder(7, [Fraction(7, 2), Fraction(7, 2)]) == [4, 3]
-    assert apportion_largest_remainder(10, [Fraction(19, 5), Fraction(1, 5), Fraction(6, 1)]) == [4, 0, 6]
+def apportion_largest_remainder(total, quotas):
+    """Reference: floor each quota, give the leftover units to the largest
+    fractional parts, ties to the earlier position."""
+    floors = [int(q) for q in quotas]
+    leftover = total - sum(floors)
+    by_remainder = sorted(range(len(quotas)), key=lambda i: (floors[i] - quotas[i], i))
+    for i in by_remainder[:leftover]:
+        floors[i] += 1
+    return floors
 
-    rng = random.Random(4021)
-    for _ in range(200):
-        total = rng.randint(1, 500)
-        cuts = sorted(rng.randint(0, 1000) for _ in range(3))
-        weights = [cuts[0], cuts[1] - cuts[0], cuts[2] - cuts[1], 1000 - cuts[2]]
-        quotas = [Fraction(total * w, 1000) for w in weights]
-        counts = apportion_largest_remainder(total, quotas)
-        assert sum(counts) == total
-        assert all(count >= 0 for count in counts)
-        assert all(abs(count - quota) < 1 for count, quota in zip(counts, quotas))
+
+def reference_tree(scenario, population):
+    """Largest-remainder tree from Fraction quotas on the rates."""
+    base, hit, alarm = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
+    hyp, comp = apportion_largest_remainder(population, [population * base, population * (1 - base)])
+    leaves = apportion_largest_remainder(hyp, [hyp * hit, hyp * (1 - hit)])
+    leaves += apportion_largest_remainder(comp, [comp * alarm, comp * (1 - alarm)])
+    return hyp, comp, leaves
+
+
+# Rates 0, 1, small even denominators (their quotas often end in exactly
+# .5, a tie), and denominators up to 10^12.
+TREE_RATES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1), Fraction(1, 2)]),
+    st.integers(1, 50).flatmap(lambda m: st.builds(Fraction, st.integers(0, 2 * m), st.just(2 * m))),
+    st.integers(1, 10**12).flatmap(lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))),
+)
+
+
+@settings(deadline=None)
+@given(TREE_RATES, TREE_RATES, TREE_RATES, st.integers(1, 10**6))
+@example(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), 7)
+@example(Fraction(1, 2), Fraction(1, 4), Fraction(3, 4), 6)
+@example(Fraction(5, 6), Fraction(3, 10), Fraction(1, 2), 3)
+def test_largest_remainder_matches_the_fraction_quota_apportioner(base, hit, alarm, population):
+    scenario = Scenario(base, hit, alarm)
+    hyp, comp, leaves = reference_tree(scenario, population)
+    tree = build_tree(scenario, population)
+    assert (tree.hypothesis_count, tree.complement_count) == (hyp, comp)
+    assert tree.leaves == tuple(leaves)
+    for count in (tree.hypothesis_count, tree.complement_count, *tree.leaves):
+        assert type(count) is int
 
 
 def test_minimal_integral_population_frozen_values():

@@ -3,7 +3,6 @@
 import math
 from fractions import Fraction
 
-import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,7 +17,7 @@ from proofcalc import (
     enumerate_posterior,
     monte_carlo_posterior,
 )
-from proofcalc.oracle import _threshold53, _uniform_block, splitmix64, uniform53
+from proofcalc.oracle import _threshold53, splitmix64, uniform53
 
 from cases import CASE_IDS, CASES
 
@@ -41,13 +40,6 @@ def test_uniforms_live_in_the_unit_interval():
     values = [uniform53(123, i) for i in range(1000)]
     assert all(0 <= v < 1 for v in values)
     assert 0.4 < sum(values) / len(values) < 0.6
-
-
-def test_vectorized_block_matches_the_scalar_definition():
-    block = _uniform_block(987654321, start=13, count=256)
-    scalar = np.array([uniform53(987654321, 13 + i) for i in range(256)])
-    assert block.dtype == np.float64
-    assert (block == scalar).all()
 
 
 @settings(deadline=None)

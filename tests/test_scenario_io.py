@@ -162,6 +162,22 @@ def test_parse_rate_grammar():
             parse_rate(bad)
 
 
+def test_rate_size_cap():
+    assert parse_rate("1e-999").denominator == 10**999  # 1000 digits: at the cap
+    assert parse_rate("1e-997%").denominator == 10**999
+    assert parse_rate(f"{2**3321 - 1}/{2**3321}").denominator == 2**3321
+    for over in ("1e-1000", "1e-998%", "1" * 1001, f"1/{10**1000}", "1e-20000", "1e-3000000", "0e99999"):
+        with pytest.raises(RangeError, match="at most 1000 digits"):
+            parse_rate(over)
+
+    # The longest decimal format_exact writes for a rate within the cap.
+    at_cap = Fraction(1, 2**3321)
+    assert len(format_exact(at_cap)) == 3323
+    assert parse_rate(format_exact(at_cap)) == at_cap
+    document = ScenarioDocument(Scenario(at_cap, 1 - at_cap, Fraction(1, 3**2095)), threshold=Probability(at_cap))
+    assert parse_scenario(serialize_scenario(document)) == document
+
+
 def test_format_exact_prefers_terminating_decimals():
     assert format_exact(Fraction(2, 5)) == "0.4"
     assert format_exact(Fraction(19, 20)) == "0.95"

@@ -18,6 +18,7 @@ from proofcalc import (
     sweep,
     write_sweep_csv,
 )
+from proofcalc.sweep import MAX_STEPS
 
 from cases import CASES
 
@@ -77,6 +78,14 @@ def test_grid_validation():
         sweep(STANDARD, "threshold", [Fraction(1, 2)])
     with pytest.raises(ValueError):
         sweep(STANDARD, "base_rate", [Fraction(-1, 2), Fraction(1, 2)])
+
+
+def test_grid_size_cap():
+    grid = evenly_spaced_grid(Fraction(0), Fraction(1), MAX_STEPS)
+    assert MAX_STEPS == 10**5
+    assert len(grid) == MAX_STEPS and grid[-1] == 1
+    with pytest.raises(ValueError, match="at most 100000"):
+        evenly_spaced_grid(Fraction(0), Fraction(1), MAX_STEPS + 1)
 
 
 def test_threshold_changes_the_verdict_column():
