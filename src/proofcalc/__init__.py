@@ -39,7 +39,6 @@ from .oracle import (
     monte_carlo_posterior,
 )
 from .render import (
-    RenderStyle,
     render_proportion_bars_svg,
     render_tree_svg,
     render_tree_text,
@@ -94,7 +93,6 @@ __all__ = [
     "SimResult",
     "enumerate_posterior",
     "monte_carlo_posterior",
-    "RenderStyle",
     "render_proportion_bars_svg",
     "render_tree_svg",
     "render_tree_text",

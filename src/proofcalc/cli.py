@@ -33,6 +33,7 @@ from .oracle import monte_carlo_posterior
 from .render import render_proportion_bars_svg, render_tree_svg, render_tree_text
 from .scenario_io import (
     ScenarioDocument,
+    check_probability,
     format_sig,
     parse_rate,
     parse_scenario,
@@ -63,6 +64,11 @@ def _scenario_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--evidence-label", metavar="TEXT", help="display label for E")
 
 
+def _rate(flag: str, text: str) -> Probability:
+    """The rate a flag gives; out of [0, 1] it is an error that names the flag."""
+    return check_probability(flag, text, parse_rate(text))
+
+
 def _load_document(args: argparse.Namespace) -> ScenarioDocument:
     inline = (args.base_rate, args.hit_rate, args.false_alarm_rate)
     if args.scenario is not None:
@@ -76,9 +82,9 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
             )
         document = ScenarioDocument(
             scenario=Scenario(
-                base_rate=parse_rate(args.base_rate),
-                hit_rate=parse_rate(args.hit_rate),
-                false_alarm_rate=parse_rate(args.false_alarm_rate),
+                base_rate=_rate("--base-rate", args.base_rate),
+                hit_rate=_rate("--hit-rate", args.hit_rate),
+                false_alarm_rate=_rate("--false-alarm-rate", args.false_alarm_rate),
             )
         )
     labels = {}
@@ -93,7 +99,7 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
 
 def _resolve_threshold(flag: Optional[str], document: ScenarioDocument) -> Probability:
     if flag is not None:
-        return Probability(parse_rate(flag))
+        return _rate("--threshold", flag)
     if document.threshold is not None:
         return document.threshold
     return PREPONDERANCE
@@ -182,7 +188,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     document = _load_document(args)
-    grid = evenly_spaced_grid(parse_rate(args.start), parse_rate(args.stop), args.steps)
+    grid = evenly_spaced_grid(_rate("--from", args.start), _rate("--to", args.stop), args.steps)
     table = sweep(
         document.scenario, args.param, grid, threshold=_resolve_threshold(None, document)
     )

@@ -26,6 +26,12 @@ LARGEST_REMAINDER = "largest-remainder"
 EXACT_RATIONAL = "exact-rational"
 ROUNDING_POLICIES = (LARGEST_REMAINDER, EXACT_RATIONAL)
 
+#: Digits a tree's population may have, as many as a rate's numerator or
+#: denominator: with every rate at that cap, no count or residual numerator
+#: passes 4,000 digits, below Python's 4,300-digit int-to-str limit.
+MAX_POPULATION_DIGITS = 1000
+_POPULATION_LIMIT = 10**MAX_POPULATION_DIGITS
+
 
 @dataclass(frozen=True)
 class FrequencyTree:
@@ -97,9 +103,12 @@ def build_tree(
     largest-remainder rounds the first child of each parent half up and
     gives the second the rest (the largest-remainder rule for two children,
     so conservation never breaks), while exact-rational keeps fractions.
+    The population must be a positive integer of at most MAX_POPULATION_DIGITS digits.
     """
     if population < 1:
         raise ValueError("population must be a positive integer")
+    if population >= _POPULATION_LIMIT:
+        raise ValueError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
     if rounding not in ROUNDING_POLICIES:
         raise ValueError(f"unknown rounding policy {rounding!r}; expected one of {ROUNDING_POLICIES}")
 

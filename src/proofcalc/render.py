@@ -2,67 +2,33 @@
 
 Every renderer is a pure function of its inputs and emits byte-identical
 output across runs and platforms. Geometry is computed in exact fractions
-of the style's width and height and only quantized (2 decimal places,
+of the fixed canvas width and height and only quantized (2 decimal places,
 ties to even) at serialization, which keeps golden files stable.
-
-The tree SVG snaps x positions to an eighth-of-width grid, so doubling a
-width that is divisible by 8 scales every x coordinate exactly by 2.
 """
 
 from __future__ import annotations
 
-import re
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import List, Sequence, Tuple
+from typing import List, Sequence
 from xml.sax.saxutils import escape
 
 from .core import Scenario, compute_posterior
 from .freqtree import FrequencyTree
-
-_HEX_COLOR = re.compile(r"#[0-9a-fA-F]{6}\Z")
+from .scenario_io import format_fixed
 
 ROLE_LABELS = ("hits", "quiet hypothesis", "false alarms", "quiet complement")
 
-
-@dataclass(frozen=True)
-class RenderStyle:
-    """Canvas dimensions, typography and colors for the SVG renderers."""
-
-    width: int = 640
-    height: int = 400
-    font_size: int = 14
-    hypothesis_color: str = "#1f77b4"
-    complement_color: str = "#d97706"
-    show_residuals: bool = False
-
-    def __post_init__(self) -> None:
-        if self.width <= 0 or self.height <= 0:
-            raise ValueError("width and height must be positive")
-        if self.font_size <= 0:
-            raise ValueError("font_size must be positive")
-        for color in (self.hypothesis_color, self.complement_color):
-            if not _HEX_COLOR.match(color):
-                raise ValueError(f"not a 6-digit hex color literal: {color!r}")
+#: SVG canvas in pixels, count and label font sizes, and the hypothesis and complement colours.
+WIDTH, HEIGHT = 640, 400
+FONT_SIZE = 14
+LABEL_SIZE = 10
+HYPOTHESIS_COLOR = "#1f77b4"
+COMPLEMENT_COLOR = "#d97706"
 
 
-def _coord(value) -> str:
-    """Quantize a coordinate to 2 decimal places, trimming trailing zeros."""
-    scaled = round(Fraction(value) * 100)
-    sign = "-" if scaled < 0 else ""
-    whole, cents = divmod(abs(scaled), 100)
-    if cents == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}." + f"{cents:02d}".rstrip("0")
-
-
-def _pct(value: Fraction) -> str:
-    """Percentage with one decimal place, e.g. 99/166 -> '59.6%'."""
-    tenths = round(Fraction(value) * 1000)
-    whole, tenth = divmod(tenths, 10)
-    if tenth == 0:
-        return f"{whole}%"
-    return f"{whole}.{tenth}%"
+def _coord(value: Fraction) -> str:
+    """Quantize a coordinate to 2 decimal places (ties to even), trimming trailing zeros."""
+    return format_fixed(round(value * 100), 2)
 
 
 def _signed(value: Fraction) -> str:
@@ -137,12 +103,12 @@ def render_tree_text(tree: FrequencyTree) -> str:
 _FONT = "Helvetica, Arial, sans-serif"
 
 
-def _svg_open(style: RenderStyle) -> List[str]:
+def _svg_open() -> List[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{style.width}" '
-        f'height="{style.height}" viewBox="0 0 {style.width} {style.height}">',
-        f'<rect x="0" y="0" width="{style.width}" height="{style.height}" fill="#ffffff"/>',
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
+        f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
+        f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
     ]
 
 
@@ -170,12 +136,10 @@ def _svg_rect(elem_id: str, x, y, w, h, fill: str) -> str:
 # --- SVG tree --------------------------------------------------------------
 
 
-def render_tree_svg(tree: FrequencyTree, style: RenderStyle = RenderStyle()) -> bytes:
-    """SVG drawing of a frequency tree; node positions are pure functions
-    of (tree, style)."""
-    w = Fraction(style.width)
-    h = Fraction(style.height)
-    label_size = max(6, style.font_size - 4)
+def render_tree_svg(tree: FrequencyTree) -> bytes:
+    """SVG drawing of a frequency tree on the fixed canvas."""
+    w = Fraction(WIDTH)
+    h = Fraction(HEIGHT)
 
     pop_xy = (w / 2, h * 2 / 16)
     row2_x = (w * 2 / 8, w * 6 / 8)
@@ -184,28 +148,24 @@ def render_tree_svg(tree: FrequencyTree, style: RenderStyle = RenderStyle()) -> 
     leaf_y = h * 11 / 16
     pad = h / 32
 
-    side_colors = (style.hypothesis_color, style.complement_color)
+    side_colors = (HYPOTHESIS_COLOR, COMPLEMENT_COLOR)
     leaf_colors = (side_colors[0], side_colors[0], side_colors[1], side_colors[1])
 
-    parts = _svg_open(style)
+    parts = _svg_open()
     for x in row2_x:
         parts.append(_svg_line(pop_xy[0], pop_xy[1] + pad, x, row2_y - pad, "#666666"))
     for i, x in enumerate(leaf_x):
         parts.append(_svg_line(row2_x[i // 2], row2_y + pad, x, leaf_y - pad, "#666666"))
 
-    parts.append(_svg_text(pop_xy[0], pop_xy[1], str(tree.population), style.font_size, "#000000"))
+    parts.append(_svg_text(pop_xy[0], pop_xy[1], str(tree.population), FONT_SIZE, "#000000"))
     row2_counts = (tree.hypothesis_count, tree.complement_count)
     row2_labels = (tree.hypothesis_label, f"not ({tree.hypothesis_label})")
     for i, x in enumerate(row2_x):
-        parts.append(_svg_text(x, row2_y, str(row2_counts[i]), style.font_size, side_colors[i]))
-        parts.append(_svg_text(x, h * 7 / 16, row2_labels[i], label_size, "#444444"))
+        parts.append(_svg_text(x, row2_y, str(row2_counts[i]), FONT_SIZE, side_colors[i]))
+        parts.append(_svg_text(x, h * 7 / 16, row2_labels[i], LABEL_SIZE, "#444444"))
     for i, x in enumerate(leaf_x):
-        parts.append(_svg_text(x, leaf_y, str(tree.leaves[i]), style.font_size, leaf_colors[i]))
-        parts.append(_svg_text(x, h * 25 / 32, ROLE_LABELS[i], label_size, "#444444"))
-        if style.show_residuals and tree.rounding_residuals[i] != 0:
-            parts.append(
-                _svg_text(x, h * 27 / 32, _signed(tree.rounding_residuals[i]), label_size, "#888888")
-            )
+        parts.append(_svg_text(x, leaf_y, str(tree.leaves[i]), FONT_SIZE, leaf_colors[i]))
+        parts.append(_svg_text(x, h * 25 / 32, ROLE_LABELS[i], LABEL_SIZE, "#444444"))
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")
 
@@ -213,7 +173,7 @@ def render_tree_svg(tree: FrequencyTree, style: RenderStyle = RenderStyle()) -> 
 # --- SVG proportion bars ---------------------------------------------------
 
 
-def render_proportion_bars_svg(scenario: Scenario, style: RenderStyle = RenderStyle()) -> bytes:
+def render_proportion_bars_svg(scenario: Scenario) -> bytes:
     """Two-bar diagram of one Bayesian update.
 
     The top bar spans the whole population and is split at the base rate.
@@ -232,27 +192,26 @@ def render_proportion_bars_svg(scenario: Scenario, style: RenderStyle = RenderSt
     marginal = breakdown.evidence_marginal
     posterior = breakdown.posterior
 
-    w = Fraction(style.width)
-    h = Fraction(style.height)
+    w = Fraction(WIDTH)
+    h = Fraction(HEIGHT)
     x0 = w / 16
     bar_w = w * 7 / 8
     bar_h = h / 8
     top_y = h * 3 / 16
     bottom_y = h * 11 / 16
-    label_size = max(6, style.font_size - 4)
 
     top_split = x0 + base * bar_w
     bottom_split = x0 + posterior * bar_w
     bottom_left = bottom_split - posterior * marginal * bar_w
     bottom_right = bottom_split + (1 - posterior) * marginal * bar_w
 
-    parts = _svg_open(style)
-    parts.append(_svg_rect("top-hypothesis", x0, top_y, top_split - x0, bar_h, style.hypothesis_color))
+    parts = _svg_open()
+    parts.append(_svg_rect("top-hypothesis", x0, top_y, top_split - x0, bar_h, HYPOTHESIS_COLOR))
     parts.append(
-        _svg_rect("top-complement", top_split, top_y, x0 + bar_w - top_split, bar_h, style.complement_color)
+        _svg_rect("top-complement", top_split, top_y, x0 + bar_w - top_split, bar_h, COMPLEMENT_COLOR)
     )
     parts.append(
-        _svg_rect("bottom-hit", bottom_left, bottom_y, bottom_split - bottom_left, bar_h, style.hypothesis_color)
+        _svg_rect("bottom-hit", bottom_left, bottom_y, bottom_split - bottom_left, bar_h, HYPOTHESIS_COLOR)
     )
     parts.append(
         _svg_rect(
@@ -261,7 +220,7 @@ def render_proportion_bars_svg(scenario: Scenario, style: RenderStyle = RenderSt
             bottom_y,
             bottom_right - bottom_split,
             bar_h,
-            style.complement_color,
+            COMPLEMENT_COLOR,
         )
     )
     parts.append(
@@ -269,15 +228,15 @@ def render_proportion_bars_svg(scenario: Scenario, style: RenderStyle = RenderSt
         f'x2="{_coord(bottom_split)}" y2="{_coord(bottom_y)}" stroke="#333333" stroke-width="1.5"/>'
     )
 
-    parts.append(_svg_text(x0, h * 2 / 16, scenario.hypothesis_label, label_size, style.hypothesis_color, "start"))
+    parts.append(_svg_text(x0, h * 2 / 16, scenario.hypothesis_label, LABEL_SIZE, HYPOTHESIS_COLOR, "start"))
     parts.append(
-        _svg_text(x0 + bar_w, h * 2 / 16, f"not ({scenario.hypothesis_label})", label_size, style.complement_color, "end")
+        _svg_text(x0 + bar_w, h * 2 / 16, f"not ({scenario.hypothesis_label})", LABEL_SIZE, COMPLEMENT_COLOR, "end")
     )
-    parts.append(_svg_text(top_split, top_y + bar_h + h / 32, _pct(base), label_size, "#000000"))
-    parts.append(_svg_text(bottom_split, bottom_y - h / 32, _pct(posterior), label_size, "#000000"))
+    for x, y, share in ((top_split, top_y + bar_h + h / 32, base), (bottom_split, bottom_y - h / 32, posterior)):
+        parts.append(_svg_text(x, y, format_fixed(round(share * 1000), 1) + "%", LABEL_SIZE, "#000000"))
     parts.append(
-        _svg_text(x0, h * 29 / 32, f"hits ({scenario.evidence_label})", label_size, style.hypothesis_color, "start")
+        _svg_text(x0, h * 29 / 32, f"hits ({scenario.evidence_label})", LABEL_SIZE, HYPOTHESIS_COLOR, "start")
     )
-    parts.append(_svg_text(x0 + bar_w, h * 29 / 32, "false alarms", label_size, style.complement_color, "end"))
+    parts.append(_svg_text(x0 + bar_w, h * 29 / 32, "false alarms", LABEL_SIZE, COMPLEMENT_COLOR, "end"))
     parts.append("</svg>")
     return ("\n".join(parts) + "\n").encode("utf-8")

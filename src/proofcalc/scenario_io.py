@@ -20,6 +20,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Probability, Scenario
+from .freqtree import MAX_POPULATION_DIGITS
 
 FORMAT_VERSION = 1
 
@@ -27,6 +28,7 @@ FORMAT_VERSION = 1
 MAX_RATE_DIGITS = 1000
 _RATE_LIMIT = 10**MAX_RATE_DIGITS
 _RATE_TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
+_POPULATION_LIMIT = 10**MAX_POPULATION_DIGITS
 
 _RATE_KEYS = ("base_rate", "hit_rate", "false_alarm_rate")
 _KEYS = ("version",) + _RATE_KEYS + ("population", "threshold", "hypothesis_label", "evidence_label")
@@ -95,6 +97,17 @@ def parse_rate(text: str) -> Fraction:
     return rate
 
 
+def check_probability(name: str, text: str, rate: Fraction, line: Optional[int] = None) -> Probability:
+    """`rate`, read from `text` for key or flag `name`, as a Probability.
+
+    Raises RangeError naming `name` and `text` (and `line`, when given) if
+    the rate lies outside [0, 1].
+    """
+    if not 0 <= rate <= 1:
+        raise RangeError(f"{name} must be in [0, 1], got {text}", line)
+    return Probability(rate)
+
+
 def parse_scenario(text: str) -> ScenarioDocument:
     """Parse a scenario document, validating every value at its line; a leading BOM is ignored."""
     values = {}
@@ -124,9 +137,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
             raise RangeError(f"{key}: {exc}", lines[key]) from None
         except (ValueError, ZeroDivisionError):
             raise ScenarioSyntaxError(f"cannot parse {value!r} as a rate", lines[key]) from None
-        if not 0 <= rate <= 1:
-            raise RangeError(f"{key} must be in [0, 1], got {value}", lines[key])
-        return Probability(rate)
+        return check_probability(key, value, rate, lines[key])
 
     def int_at(key: str, value: str) -> int:
         try:
@@ -152,6 +163,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
         population = int_at("population", values["population"])
         if population < 1:
             raise RangeError(f"population must be >= 1, got {population}", lines["population"])
+        if population >= _POPULATION_LIMIT:
+            raise RangeError(f"population may have at most {MAX_POPULATION_DIGITS} digits", lines["population"])
 
     threshold = rate_at("threshold", values["threshold"]) if "threshold" in values else None
 
@@ -184,32 +197,35 @@ def serialize_scenario(document: ScenarioDocument) -> str:
     return "\n".join(lines) + "\n"
 
 
+def format_fixed(scaled: int, places: int) -> str:
+    """scaled / 10**places as decimal text, without trailing zeros after the point."""
+    sign = "-" if scaled < 0 else ""
+    whole, frac = divmod(abs(scaled), 10**places)
+    if frac == 0:
+        return f"{sign}{whole}"
+    return f"{sign}{whole}." + str(frac).zfill(places).rstrip("0")
+
+
 def format_exact(value: Fraction) -> str:
     """Lossless text form: a terminating decimal when one exists, else 'p/q'."""
-    reduced = value.denominator
-    twos = fives = 0
-    while reduced % 2 == 0:
-        reduced //= 2
-        twos += 1
+    denominator = value.denominator
+    twos = (denominator & -denominator).bit_length() - 1
+    reduced = denominator >> twos
+    fives = 0
     while reduced % 5 == 0:
         reduced //= 5
         fives += 1
     if reduced != 1:
-        return f"{value.numerator}/{value.denominator}"
+        return f"{value.numerator}/{denominator}"
     places = max(twos, fives)
-    scaled = value.numerator * 10**places // value.denominator
-    sign = "-" if scaled < 0 else ""
-    if places == 0:
-        return f"{sign}{abs(scaled)}"
-    whole, frac = divmod(abs(scaled), 10**places)
-    return f"{sign}{whole}.{str(frac).zfill(places)}"
+    return format_fixed(value.numerator * 10**places // denominator, places)
 
 
-def format_sig(value: Fraction, digits: int = 6) -> str:
-    """Decimal form rounded to `digits` significant figures, exactly."""
+def format_sig(value: Fraction) -> str:
+    """Decimal form rounded to 6 significant figures (ties to even), exactly."""
     if value == 0:
         return "0"
     with localcontext() as ctx:
-        ctx.prec = digits
+        ctx.prec = 6
         quotient = Decimal(value.numerator) / Decimal(value.denominator)
     return format(quotient.normalize(), "f")

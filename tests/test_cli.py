@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from proofcalc import build_tree, render_proportion_bars_svg, render_tree_svg, render_tree_text
+from proofcalc import ROUNDING_POLICIES, build_tree, render_proportion_bars_svg, render_tree_svg, render_tree_text
 from proofcalc.cli import main
 
 from cases import CASES
@@ -177,6 +177,57 @@ def test_rates_at_the_cap_run_and_print_below_the_int_str_limit(capsys, tmp_path
 
     code, _, err = run(capsys, "posterior", *AT_CAP[:-1], f"1/{10 * D7}")
     assert code == 2 and err == f"error: {TOO_LARGE}\n"
+
+
+POPULATION_RATES = ["--base-rate", "1/3", "--hit-rate", "1/7", "--false-alarm-rate", "1/11"]
+
+
+def test_population_digit_cap(capsys, tmp_path):
+    argv = ["tree", *POPULATION_RATES, "--rounding", "exact-rational", "--population"]
+    code, out, err = run(capsys, *argv, "9" * 4300)
+    assert code == 2 and out == ""
+    assert err == "error: population may have at most 1000 digits\n"
+
+    code, out, err = run(capsys, *argv, "9" * 1000)
+    assert code == 0 and err == ""
+    assert out.splitlines()[0].split() == ["9" * 1000]
+
+    # Every rate and the population at their caps: printed integers stay below the int-to-str limit.
+    for rounding in ROUNDING_POLICIES:
+        code, out, err = run(capsys, "tree", *AT_CAP, "--rounding", rounding, "--population", "9" * 1000)
+        assert code == 0 and err == ""
+        assert max(len(digits) for digits in re.findall(r"\d+", out)) <= 4000
+    svg_path = tmp_path / "tree.svg"
+    code, _, err = run(capsys, "render", *AT_CAP, "--format", "svg-tree", "--out", str(svg_path),
+                       "--rounding", "exact-rational", "--population", "9" * 1000)
+    assert code == 0 and err == ""
+    assert max(len(digits) for digits in re.findall(r"\d+", svg_path.read_text())) <= 4000
+
+
+@pytest.mark.parametrize(
+    "flag, text",
+    [
+        ("--base-rate", "1.5"),
+        ("--hit-rate", "150%"),
+        ("--false-alarm-rate", "3/2"),
+        ("--threshold", "2"),
+        ("--from", "1.5"),
+        ("--to", "101%"),
+    ],
+)
+def test_an_out_of_range_rate_flag_is_named(capsys, tmp_path, flag, text):
+    if flag in RATES:
+        command = ["posterior", *RATES]
+        command[command.index(flag) + 1] = text
+    elif flag == "--threshold":
+        command = ["verdict", *RATES, flag, text]
+    else:
+        grid = {"--from": "0.1", "--to": "0.8", flag: text}
+        command = ["sweep", *RATES, "--param", "base_rate", *(item for pair in grid.items() for item in pair),
+                   "--steps", "3", "--out", str(tmp_path / "out.csv")]
+    code, out, err = run(capsys, *command)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be in [0, 1], got {text}\n"
 
 
 def test_sweep_rejects_more_steps_than_the_cap(capsys, monkeypatch, tmp_path):

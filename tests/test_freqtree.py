@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from proofcalc import (
     EXACT_RATIONAL,
+    ROUNDING_POLICIES,
     DegenerateEvidence,
     FrequencyTree,
     Scenario,
@@ -17,6 +18,8 @@ from proofcalc import (
     minimal_integral_population,
     posterior_from_tree,
 )
+
+import proofcalc.freqtree as freqtree
 
 from cases import CASE_IDS, CASES
 
@@ -105,11 +108,22 @@ def test_exact_scenarios_are_unaffected_by_the_policy_choice():
         assert build_tree(case.scenario, 100) == build_tree(case.scenario, 100, EXACT_RATIONAL)
 
 
-def test_build_tree_rejects_bad_arguments():
+def test_build_tree_rejects_bad_arguments(monkeypatch):
     with pytest.raises(ValueError):
         build_tree(CASES[0].scenario, population=0)
     with pytest.raises(ValueError):
         build_tree(CASES[0].scenario, population=100, rounding="stochastic")
+
+    at_cap = 10**1000 - 1
+    assert build_tree(CASES[0].scenario, population=at_cap).population == at_cap
+
+    def never_count(*_):
+        raise AssertionError("the population cap let a count be computed")
+
+    monkeypatch.setattr(freqtree, "leaf_joints", never_count)
+    for rounding in ROUNDING_POLICIES:
+        with pytest.raises(ValueError, match="population may have at most 1000 digits"):
+            build_tree(CASES[0].scenario, population=at_cap + 1, rounding=rounding)
 
 
 def test_tree_invariants_are_enforced():

@@ -7,7 +7,6 @@ import pytest
 
 from proofcalc import (
     DegenerateEvidence,
-    RenderStyle,
     Scenario,
     build_tree,
     compute_posterior,
@@ -109,26 +108,10 @@ def test_svg_tree_is_well_formed_with_counts_as_text():
     assert "64" in texts and "2" in texts and "100" in texts
 
 
-def test_svg_tree_doubling_width_scales_x_exactly():
-    tree = build_tree(CASES[0].scenario, 100)
-    narrow = ET.fromstring(render_tree_svg(tree, RenderStyle(width=640)))
-    wide = ET.fromstring(render_tree_svg(tree, RenderStyle(width=1280)))
-    pairs = list(zip(narrow.iter(), wide.iter()))
-    assert len(pairs) > 10
-    for a, b in pairs:
-        for key in ("x", "x1", "x2"):
-            if a.get(key) is not None:
-                assert float(b.get(key)) == 2 * float(a.get(key))
-        if a.get("y") is not None:  # height untouched, so y must not move
-            assert b.get("y") == a.get("y")
-
-
 def test_svg_tree_residual_annotations_are_opt_in():
     tree = build_tree(Scenario(0.4, 0.95, 0.1), 10)
     plain = render_tree_svg(tree)
-    annotated = render_tree_svg(tree, RenderStyle(show_residuals=True))
-    assert "+1/5" not in plain.decode() and "+1/5" in _texts(annotated)
-    assert "-2/5" in _texts(annotated)
+    assert "+1/5" not in plain.decode()
 
 
 # ------------------------------------------------------------------ bar SVGs
@@ -206,7 +189,7 @@ def test_bars_degenerate_evidence_raises():
         render_proportion_bars_svg(Scenario(0.4, 0, 0))
 
 
-# -------------------------------------------------------------------- styles
+# ---------------------------------------------------------------- well-formed
 
 
 def test_all_fixture_svgs_parse_as_single_rooted_xml():
@@ -216,19 +199,3 @@ def test_all_fixture_svgs_parse_as_single_rooted_xml():
     root = ET.fromstring(render_proportion_bars_svg(BARS_SCENARIO))
     assert root.tag == "{http://www.w3.org/2000/svg}svg"
 
-
-def test_style_validation():
-    with pytest.raises(ValueError):
-        RenderStyle(width=0)
-    with pytest.raises(ValueError):
-        RenderStyle(height=-5)
-    with pytest.raises(ValueError):
-        RenderStyle(hypothesis_color="blue")
-    with pytest.raises(ValueError):
-        RenderStyle(complement_color="#12345")
-
-
-def test_custom_colors_flow_into_the_svg():
-    style = RenderStyle(hypothesis_color="#112233", complement_color="#445566")
-    svg = render_proportion_bars_svg(CASES[0].scenario, style).decode()
-    assert "#112233" in svg and "#445566" in svg

@@ -1,9 +1,12 @@
 """Scenario documents: grammar, error reporting, serialization, formatting."""
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proofcalc import (
     DuplicateKeyError,
@@ -20,6 +23,7 @@ from proofcalc import (
     parse_scenario,
     serialize_scenario,
 )
+from proofcalc.scenario_io import format_fixed
 
 STANDARD = """\
 # the standard bus scenario
@@ -114,6 +118,14 @@ def test_population_must_be_positive():
     assert excinfo.value.line_number == 6
 
 
+def test_population_digit_cap():
+    at_cap = 10**1000 - 1
+    assert parse_scenario(STANDARD + f"population = {at_cap}\n").population == at_cap
+    with pytest.raises(RangeError, match="^line 6: population may have at most 1000 digits$") as excinfo:
+        parse_scenario(STANDARD + f"population = {at_cap + 1}\n")
+    assert excinfo.value.line_number == 6
+
+
 def test_every_parse_error_is_a_value_error():
     for exc in (ScenarioSyntaxError, DuplicateKeyError, RangeError, MissingKeyError):
         assert issubclass(exc, ScenarioParseError) and issubclass(exc, ValueError)
@@ -189,6 +201,23 @@ def test_format_exact_prefers_terminating_decimals():
     assert format_exact(Fraction(99, 166)) == "99/166"
 
 
+@settings(deadline=None)
+@given(
+    st.integers(0, 3400),
+    st.integers(0, 3400),
+    st.one_of(st.just(1), st.integers(3, 10**12).filter(lambda m: m % 2 and m % 5)),
+    st.integers(-(10**12), 10**12),
+)
+@example(3337, 0, 1, 1)
+@example(3321, 999, 1, 1)
+@example(3400, 3400, 1, -(10**12))
+def test_format_exact_of_power_of_ten_factors_and_the_rest(twos, fives, rest, numerator):
+    value = Fraction(numerator, 2**twos * 5**fives * rest)
+    text = format_exact(value)
+    assert Fraction(text) == value
+    assert ("/" in text) == (rest // math.gcd(numerator, rest) > 1)  # the part of rest left after reducing
+
+
 def test_format_exact_is_lossless_under_parse_rate():
     rng = random.Random(77)
     for _ in range(500):
@@ -206,4 +235,16 @@ def test_format_sig_rounds_to_significant_digits():
     assert format_sig(Fraction(0)) == "0"
     assert format_sig(Fraction(1)) == "1"
     assert format_sig(Fraction(1, 1_000_000)) == "0.000001"
-    assert format_sig(Fraction(16, 19), digits=3) == "0.842"
+
+
+@given(st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**60), 10**60)), st.integers(0, 4))
+@example(0, 0)
+@example(0, 4)
+@example(-5, 1)
+@example(10**40, 3)
+@example(-120, 2)
+def test_format_fixed_writes_the_scaled_value_without_trailing_zeros(scaled, places):
+    text = format_fixed(scaled, places)
+    assert Fraction(text) == Fraction(scaled, 10**places)
+    if "." in text:
+        assert not text.endswith(("0", "."))
