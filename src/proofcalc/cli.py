@@ -33,6 +33,7 @@ from .oracle import monte_carlo_posterior
 from .render import render_proportion_bars_svg, render_tree_svg, render_tree_text
 from .scenario_io import (
     ScenarioDocument,
+    check_label,
     check_probability,
     format_sig,
     parse_rate,
@@ -46,6 +47,11 @@ EXIT_DEGENERATE = 3
 
 SVG_TREE = "svg-tree"
 SVG_BARS = "svg-bars"
+
+#: Digits an integer flag may have: past Python's default int-from-text limit, int() refuses it.
+MAX_FLAG_DIGITS = 4300
+#: Integer flags, read as text and converted by `_integer_flags` after parsing.
+_INTEGER_FLAGS = ("population", "steps", "samples", "seed")
 
 
 class CLIError(ValueError):
@@ -69,6 +75,21 @@ def _rate(flag: str, text: str) -> Probability:
     return check_probability(flag, text, parse_rate(text))
 
 
+def _integer_flags(args: argparse.Namespace) -> None:
+    """Turn each integer flag's text into an int, refusing non-integers and over-long texts by name."""
+    for dest in _INTEGER_FLAGS:
+        text = getattr(args, dest, None)
+        if text is None:
+            continue
+        flag = f"--{dest}"
+        if sum(char.isdigit() for char in text) > MAX_FLAG_DIGITS:
+            raise CLIError(f"{flag} may have at most {MAX_FLAG_DIGITS} digits")
+        try:
+            setattr(args, dest, int(text))
+        except ValueError:
+            raise CLIError(f"{flag} must be an integer, got {text!r}") from None
+
+
 def _load_document(args: argparse.Namespace) -> ScenarioDocument:
     inline = (args.base_rate, args.hit_rate, args.false_alarm_rate)
     if args.scenario is not None:
@@ -89,9 +110,9 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
         )
     labels = {}
     if args.hypothesis_label is not None:
-        labels["hypothesis_label"] = args.hypothesis_label
+        labels["hypothesis_label"] = check_label("--hypothesis-label", args.hypothesis_label)
     if args.evidence_label is not None:
-        labels["evidence_label"] = args.evidence_label
+        labels["evidence_label"] = check_label("--evidence-label", args.evidence_label)
     if labels:
         document = replace(document, scenario=replace(document.scenario, **labels))
     return document
@@ -106,7 +127,7 @@ def _resolve_threshold(flag: Optional[str], document: ScenarioDocument) -> Proba
 
 
 def _tree_options(parser: argparse.ArgumentParser, scope: str = "") -> None:
-    parser.add_argument("--population", metavar="N", type=int, help=f"tree population (default 100){scope}")
+    parser.add_argument("--population", metavar="N", help=f"tree population (default 100){scope}")
     parser.add_argument(
         "--rounding", choices=ROUNDING_POLICIES, default=LARGEST_REMAINDER,
         help=f"how to make counts whole (default %(default)s){scope}",
@@ -248,14 +269,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--param", choices=SWEEPABLE_PARAMETERS, required=True)
     p.add_argument("--from", dest="start", metavar="A", required=True, help="first grid value")
     p.add_argument("--to", dest="stop", metavar="B", required=True, help="last grid value")
-    p.add_argument("--steps", metavar="K", type=int, required=True, help="number of grid values")
+    p.add_argument("--steps", metavar="K", required=True, help="number of grid values")
     p.add_argument("--out", metavar="PATH.csv", required=True, help="output CSV file")
     p.set_defaults(func=_cmd_sweep)
 
     p = sub.add_parser("simulate", help="estimate the posterior by seeded Monte Carlo")
     _scenario_options(p)
-    p.add_argument("--samples", metavar="K", type=int, default=100_000)
-    p.add_argument("--seed", metavar="S", type=int, default=0)
+    p.add_argument("--samples", metavar="K", default="100000")
+    p.add_argument("--seed", metavar="S", default="0")
     p.set_defaults(func=_cmd_simulate)
 
     return parser
@@ -264,6 +285,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        _integer_flags(args)
         return args.func(args)
     except DegenerateEvidence as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -9,8 +9,8 @@ ties to even) at serialization, which keeps golden files stable.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from typing import List, Sequence
-from xml.sax.saxutils import escape
 
 from .core import Scenario, compute_posterior
 from .freqtree import FrequencyTree
@@ -29,6 +29,11 @@ COMPLEMENT_COLOR = "#d97706"
 def _coord(value: Fraction) -> str:
     """Quantize a coordinate to 2 decimal places (ties to even), trimming trailing zeros."""
     return format_fixed(round(value * 100), 2)
+
+
+def _escape(text: str) -> str:
+    """`text` as XML character data: `&`, `<` and `>` become entities, `&` first."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
 def _signed(value: Fraction) -> str:
@@ -122,7 +127,7 @@ def _svg_line(x1, y1, x2, y2, stroke: str, width: str = "1") -> str:
 def _svg_text(x, y, content: str, size: int, fill: str, anchor: str = "middle") -> str:
     return (
         f'<text x="{_coord(x)}" y="{_coord(y)}" font-family="{_FONT}" '
-        f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{escape(content)}</text>'
+        f'font-size="{size}" text-anchor="{anchor}" fill="{fill}">{_escape(content)}</text>'
     )
 
 
@@ -136,38 +141,38 @@ def _svg_rect(elem_id: str, x, y, w, h, fill: str) -> str:
 # --- SVG tree --------------------------------------------------------------
 
 
-def render_tree_svg(tree: FrequencyTree) -> bytes:
-    """SVG drawing of a frequency tree on the fixed canvas."""
-    w = Fraction(WIDTH)
-    h = Fraction(HEIGHT)
-
-    pop_xy = (w / 2, h * 2 / 16)
+@cache
+def _tree_svg_template() -> str:
+    """The SVG tree with a `{}` for each count and label, built once: its geometry is the canvas's."""
+    w, h = Fraction(WIDTH), Fraction(HEIGHT)
+    pop_x, pop_y = w / 2, h * 2 / 16
     row2_x = (w * 2 / 8, w * 6 / 8)
-    row2_y = h * 6 / 16
     leaf_x = tuple(w * (2 * i + 1) / 8 for i in range(4))
-    leaf_y = h * 11 / 16
-    pad = h / 32
-
-    side_colors = (HYPOTHESIS_COLOR, COMPLEMENT_COLOR)
-    leaf_colors = (side_colors[0], side_colors[0], side_colors[1], side_colors[1])
+    row2_y, leaf_y, pad = h * 6 / 16, h * 11 / 16, h / 32
+    colors = (HYPOTHESIS_COLOR, COMPLEMENT_COLOR)
 
     parts = _svg_open()
     for x in row2_x:
-        parts.append(_svg_line(pop_xy[0], pop_xy[1] + pad, x, row2_y - pad, "#666666"))
+        parts.append(_svg_line(pop_x, pop_y + pad, x, row2_y - pad, "#666666"))
     for i, x in enumerate(leaf_x):
         parts.append(_svg_line(row2_x[i // 2], row2_y + pad, x, leaf_y - pad, "#666666"))
 
-    parts.append(_svg_text(pop_xy[0], pop_xy[1], str(tree.population), FONT_SIZE, "#000000"))
-    row2_counts = (tree.hypothesis_count, tree.complement_count)
-    row2_labels = (tree.hypothesis_label, f"not ({tree.hypothesis_label})")
-    for i, x in enumerate(row2_x):
-        parts.append(_svg_text(x, row2_y, str(row2_counts[i]), FONT_SIZE, side_colors[i]))
-        parts.append(_svg_text(x, h * 7 / 16, row2_labels[i], LABEL_SIZE, "#444444"))
+    parts.append(_svg_text(pop_x, pop_y, "{}", FONT_SIZE, "#000000"))
+    for x, color in zip(row2_x, colors):
+        parts.append(_svg_text(x, row2_y, "{}", FONT_SIZE, color))
+        parts.append(_svg_text(x, h * 7 / 16, "{}", LABEL_SIZE, "#444444"))
     for i, x in enumerate(leaf_x):
-        parts.append(_svg_text(x, leaf_y, str(tree.leaves[i]), FONT_SIZE, leaf_colors[i]))
+        parts.append(_svg_text(x, leaf_y, "{}", FONT_SIZE, colors[i // 2]))
         parts.append(_svg_text(x, h * 25 / 32, ROLE_LABELS[i], LABEL_SIZE, "#444444"))
     parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    return "\n".join(parts) + "\n"
+
+
+def render_tree_svg(tree: FrequencyTree) -> bytes:
+    """SVG drawing of a frequency tree on the fixed canvas."""
+    label = _escape(tree.hypothesis_label)
+    counts = (tree.population, tree.hypothesis_count, label, tree.complement_count, f"not ({label})")
+    return _tree_svg_template().format(*map(str, counts + tree.leaves)).encode("utf-8")
 
 
 # --- SVG proportion bars ---------------------------------------------------
@@ -206,23 +211,13 @@ def render_proportion_bars_svg(scenario: Scenario) -> bytes:
     bottom_right = bottom_split + (1 - posterior) * marginal * bar_w
 
     parts = _svg_open()
-    parts.append(_svg_rect("top-hypothesis", x0, top_y, top_split - x0, bar_h, HYPOTHESIS_COLOR))
-    parts.append(
-        _svg_rect("top-complement", top_split, top_y, x0 + bar_w - top_split, bar_h, COMPLEMENT_COLOR)
+    rects = (
+        ("top-hypothesis", x0, top_y, top_split - x0, HYPOTHESIS_COLOR),
+        ("top-complement", top_split, top_y, x0 + bar_w - top_split, COMPLEMENT_COLOR),
+        ("bottom-hit", bottom_left, bottom_y, bottom_split - bottom_left, HYPOTHESIS_COLOR),
+        ("bottom-false-alarm", bottom_split, bottom_y, bottom_right - bottom_split, COMPLEMENT_COLOR),
     )
-    parts.append(
-        _svg_rect("bottom-hit", bottom_left, bottom_y, bottom_split - bottom_left, bar_h, HYPOTHESIS_COLOR)
-    )
-    parts.append(
-        _svg_rect(
-            "bottom-false-alarm",
-            bottom_split,
-            bottom_y,
-            bottom_right - bottom_split,
-            bar_h,
-            COMPLEMENT_COLOR,
-        )
-    )
+    parts.extend(_svg_rect(elem_id, x, y, width, bar_h, fill) for elem_id, x, y, width, fill in rects)
     parts.append(
         f'<line id="split-connector" x1="{_coord(top_split)}" y1="{_coord(top_y + bar_h)}" '
         f'x2="{_coord(bottom_split)}" y2="{_coord(bottom_y)}" stroke="#333333" stroke-width="1.5"/>'

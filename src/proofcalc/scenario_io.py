@@ -14,6 +14,7 @@ are required; everything else is optional (version defaults to 1).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from decimal import Decimal, localcontext
 from fractions import Fraction
@@ -29,6 +30,7 @@ MAX_RATE_DIGITS = 1000
 _RATE_LIMIT = 10**MAX_RATE_DIGITS
 _RATE_TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
 _POPULATION_LIMIT = 10**MAX_POPULATION_DIGITS
+_BITS_PER_FIVE = math.log2(5)
 
 _RATE_KEYS = ("base_rate", "hit_rate", "false_alarm_rate")
 _KEYS = ("version",) + _RATE_KEYS + ("population", "threshold", "hypothesis_label", "evidence_label")
@@ -108,6 +110,19 @@ def check_probability(name: str, text: str, rate: Fraction, line: Optional[int] 
     return Probability(rate)
 
 
+def check_label(name: str, text: str, line: Optional[int] = None) -> str:
+    """`text`, given for label key or flag `name`, if it holds no C0 control other than tab.
+
+    XML 1.0 cannot carry most of them in an SVG, and a line break would
+    split the label's line in a scenario file.
+    Raises ScenarioSyntaxError naming `name` (and `line`, when given) otherwise.
+    """
+    for char in text:
+        if char < " " and char != "\t":
+            raise ScenarioSyntaxError(f"{name} may not contain the control character {char!r}", line)
+    return text
+
+
 def parse_scenario(text: str) -> ScenarioDocument:
     """Parse a scenario document, validating every value at its line; a leading BOM is ignored."""
     values = {}
@@ -168,11 +183,11 @@ def parse_scenario(text: str) -> ScenarioDocument:
 
     threshold = rate_at("threshold", values["threshold"]) if "threshold" in values else None
 
-    scenario_kwargs = {}
-    if "hypothesis_label" in values:
-        scenario_kwargs["hypothesis_label"] = values["hypothesis_label"]
-    if "evidence_label" in values:
-        scenario_kwargs["evidence_label"] = values["evidence_label"]
+    scenario_kwargs = {
+        key: check_label(key, values[key], lines[key])
+        for key in ("hypothesis_label", "evidence_label")
+        if key in values
+    }
 
     return ScenarioDocument(
         scenario=Scenario(**rates, **scenario_kwargs),
@@ -211,11 +226,9 @@ def format_exact(value: Fraction) -> str:
     denominator = value.denominator
     twos = (denominator & -denominator).bit_length() - 1
     reduced = denominator >> twos
-    fives = 0
-    while reduced % 5 == 0:
-        reduced //= 5
-        fives += 1
-    if reduced != 1:
+    # 5^e has floor(e·log2(5)) + 1 bits, so the only power of five `reduced` can be is this one.
+    fives = round(reduced.bit_length() / _BITS_PER_FIVE) if reduced % 5 == 0 else 0
+    if reduced != 5**fives:
         return f"{value.numerator}/{denominator}"
     places = max(twos, fives)
     return format_fixed(value.numerator * 10**places // denominator, places)

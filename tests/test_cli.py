@@ -3,6 +3,7 @@
 import re
 import subprocess
 import sys
+import xml.dom.minidom
 
 import pytest
 
@@ -248,6 +249,63 @@ def test_sweep_rejects_more_steps_than_the_cap(capsys, monkeypatch, tmp_path):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("flag", ["--population", "--steps", "--samples", "--seed"])
+def test_integer_flags_refuse_oversized_and_non_integer_text_in_one_line(capsys, tmp_path, flag):
+    command = {
+        "--population": ["tree", *RATES],
+        "--steps": ["sweep", *RATES, "--param", "base_rate", "--from", "0", "--to", "1",
+                    "--out", str(tmp_path / "out.csv")],
+        "--samples": ["simulate", *RATES],
+        "--seed": ["simulate", *RATES, "--samples", "100"],
+    }[flag]
+    code, out, err = run(capsys, *command, flag, "9" * 4301)
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} may have at most 4300 digits\n"
+    code, out, err = run(capsys, *command, flag, "ten")
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be an integer, got 'ten'\n"
+
+
+def test_integer_flags_keep_int_spellings(capsys):
+    _, reference, _ = run(capsys, "simulate", *RATES, "--samples", "1000", "--seed", "12")
+    code, spelled, err = run(capsys, "simulate", *RATES, "--samples", " +1_000 ", "--seed", "1_2")
+    assert code == 0 and err == "" and spelled == reference
+    code, _, err = run(capsys, "simulate", *RATES, "--samples", "100", "--seed", "9" * 4300)
+    assert code == 0 and err == ""
+
+
+@pytest.mark.parametrize("flag", ["--hypothesis-label", "--evidence-label"])
+@pytest.mark.parametrize("char", ["\x01", "\n", "\r", "\x1f"])
+def test_a_label_flag_with_a_control_character_is_refused(capsys, tmp_path, flag, char):
+    out_path = tmp_path / "tree.svg"
+    code, out, err = run(
+        capsys, "render", *RATES, "--format", "svg-tree", "--out", str(out_path), flag, f"a{char}b"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} may not contain the control character {char!r}\n"
+    assert not out_path.exists()
+
+
+def test_a_scenario_label_with_a_control_character_names_key_and_line(capsys, tmp_path):
+    path = tmp_path / "label.scenario"
+    path.write_text("base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\nevidence_label = is\x07blue\n")
+    code, out, err = run(capsys, "posterior", "--scenario", str(path))
+    assert code == 2 and out == ""
+    assert err == "error: line 4: evidence_label may not contain the control character '\\x07'\n"
+
+
+@pytest.mark.parametrize("image", ["svg-tree", "svg-bars"])
+def test_svgs_for_accepted_labels_parse_with_minidom(capsys, tmp_path, image):
+    labels = ["tab\there", "&amp; <b> \"q\" 'a' {0} %s", "]]>", "naïve — ünïcode ✓", "\x7f"]
+    for i, label in enumerate(labels):
+        out_path = tmp_path / f"{i}.svg"
+        code, _, err = run(capsys, "render", *RATES, "--format", image, "--out", str(out_path),
+                           "--hypothesis-label", label, "--evidence-label", label)
+        assert code == 0 and err == ""
+        document = xml.dom.minidom.parse(str(out_path))
+        assert label in [node.firstChild.data for node in document.getElementsByTagName("text")]
+
+
 def test_scenario_file_supplies_rates_population_and_threshold(capsys, tmp_path):
     path = tmp_path / "case.scenario"
     path.write_text(
@@ -356,6 +414,24 @@ def test_numpy_is_imported_only_to_simulate():
     )
     result = subprocess.run(
         [sys.executable, "-c", script, *RATES], capture_output=True, text=True, check=False
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_no_network_or_xml_module_is_imported(tmp_path):
+    script = (
+        "import sys\n"
+        "import proofcalc\n"
+        "from proofcalc.cli import main\n"
+        "assert main(['posterior', *sys.argv[2:]]) == 0\n"
+        "assert main(['render', *sys.argv[2:], '--format', 'svg-tree', '--out', sys.argv[1]]) == 0\n"
+        "loaded = [name for name in ('xml.sax', 'urllib.request', 'http.client', 'email', 'ssl')\n"
+        "          if name in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "tree.svg"), *RATES],
+        capture_output=True, text=True, check=False,
     )
     assert result.returncode == 0, result.stderr
 

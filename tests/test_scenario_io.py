@@ -126,6 +126,15 @@ def test_population_digit_cap():
     assert excinfo.value.line_number == 6
 
 
+@pytest.mark.parametrize("char", ["\x00", "\x01", "\x1b", "\x1f"])
+def test_a_label_with_a_control_character_names_its_line(char):
+    with pytest.raises(ScenarioSyntaxError, match="^line 6: hypothesis_label may not contain") as excinfo:
+        parse_scenario(STANDARD + f"hypothesis_label = a{char}b\n")
+    assert excinfo.value.line_number == 6
+    tabbed = parse_scenario(STANDARD + "hypothesis_label = a\tb\n")
+    assert tabbed.scenario.hypothesis_label == "a\tb"
+
+
 def test_every_parse_error_is_a_value_error():
     for exc in (ScenarioSyntaxError, DuplicateKeyError, RangeError, MissingKeyError):
         assert issubclass(exc, ScenarioParseError) and issubclass(exc, ValueError)
