@@ -62,8 +62,11 @@ from .sweep import (
     SweepRow,
     SweepTable,
     evenly_spaced_grid,
+    grid_points,
     sweep,
+    sweep_rows,
     write_sweep_csv,
+    write_sweep_rows,
 )
 
 __version__ = "0.1.0"
@@ -112,7 +115,10 @@ __all__ = [
     "SweepRow",
     "SweepTable",
     "evenly_spaced_grid",
+    "grid_points",
     "sweep",
+    "sweep_rows",
     "write_sweep_csv",
+    "write_sweep_rows",
     "__version__",
 ]

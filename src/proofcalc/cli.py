@@ -32,6 +32,7 @@ from .freqtree import LARGEST_REMAINDER, ROUNDING_POLICIES, FrequencyTree, build
 from .oracle import monte_carlo_posterior
 from .render import render_proportion_bars_svg, render_tree_svg, render_tree_text
 from .scenario_io import (
+    MAX_INTEGER_DIGITS,
     ScenarioDocument,
     check_label,
     check_probability,
@@ -39,7 +40,7 @@ from .scenario_io import (
     parse_rate,
     parse_scenario,
 )
-from .sweep import SWEEPABLE_PARAMETERS, evenly_spaced_grid, sweep, write_sweep_csv
+from .sweep import SWEEPABLE_PARAMETERS, grid_points, sweep_rows, write_sweep_rows
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -48,8 +49,6 @@ EXIT_DEGENERATE = 3
 SVG_TREE = "svg-tree"
 SVG_BARS = "svg-bars"
 
-#: Digits an integer flag may have: past Python's default int-from-text limit, int() refuses it.
-MAX_FLAG_DIGITS = 4300
 #: Integer flags, read as text and converted by `_integer_flags` after parsing.
 _INTEGER_FLAGS = ("population", "steps", "samples", "seed")
 
@@ -82,8 +81,8 @@ def _integer_flags(args: argparse.Namespace) -> None:
         if text is None:
             continue
         flag = f"--{dest}"
-        if sum(char.isdigit() for char in text) > MAX_FLAG_DIGITS:
-            raise CLIError(f"{flag} may have at most {MAX_FLAG_DIGITS} digits")
+        if sum(char.isdigit() for char in text) > MAX_INTEGER_DIGITS:
+            raise CLIError(f"{flag} may have at most {MAX_INTEGER_DIGITS} digits")
         try:
             setattr(args, dest, int(text))
         except ValueError:
@@ -209,12 +208,11 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
     document = _load_document(args)
-    grid = evenly_spaced_grid(_rate("--from", args.start), _rate("--to", args.stop), args.steps)
-    table = sweep(
-        document.scenario, args.param, grid, threshold=_resolve_threshold(None, document)
-    )
+    # Every check runs before the file is opened: the grid is strictly increasing and inside [0, 1].
+    grid = grid_points(_rate("--from", args.start), _rate("--to", args.stop), args.steps)
+    rows = sweep_rows(document.scenario, args.param, grid, threshold=_resolve_threshold(None, document))
     with open(args.out, "w", encoding="utf-8", newline="") as stream:
-        write_sweep_csv(table, stream)
+        write_sweep_rows(args.param, rows, stream)
     return EXIT_OK
 
 

@@ -2,8 +2,8 @@
 
 Everything here is computed with rational arithmetic, so posteriors like
 32/38 stay exact until somebody formats them for display. One kernel,
-`leaf_joints`, derives the four leaf joints as integers over a common
-denominator; `compute_posterior` and the trees of `freqtree` build on it.
+`leaf_joints_of`, derives the four leaf joints as integers from the rates'
+numerators and denominators; `compute_posterior`, `freqtree` and `sweep` build on it.
 All types are immutable values and all operations are pure functions; they
 are safe to call from any number of threads.
 """
@@ -35,12 +35,15 @@ class Probability(Fraction):
     __slots__ = ()
 
     def __new__(cls, value: RateLike = 0, denominator=None):
-        if denominator is None:
-            if type(value) is cls:  # immutable and already checked
-                return value
+        if denominator is None and type(value) is cls:  # immutable and already checked
+            return value
+        if denominator is None and type(value) is Fraction:  # already normalised: copy its slots
+            self = object.__new__(cls)
+            self._numerator, self._denominator = value._numerator, value._denominator
+        else:
             if isinstance(value, float):
                 value = Fraction(str(value))
-        self = Fraction.__new__(cls, value, denominator)
+            self = Fraction.__new__(cls, value, denominator)
         # Fraction's slots, not its properties, on this hot path; the denominator is normalised positive.
         if not 0 <= self._numerator <= self._denominator:
             raise ValueError(f"probability must be in [0, 1], got {self._numerator}/{self._denominator}")
@@ -131,18 +134,21 @@ class ErrorProfile:
     error_kind: ErrorKind
 
 
-def leaf_joints(scenario: Scenario) -> Tuple[int, int, int, int, int]:
-    """The whole three-rate model, in integers.
+def leaf_joints_of(b: int, d_base: int, h: int, d_hit: int, a: int, d_alarm: int) -> Tuple[int, ...]:
+    """The whole three-rate model in integers, from rates b/d_base, h/d_hit and a/d_alarm in [0, 1].
 
     Returns the numerators of p(H and E), p(H and not E), p(not H and E) and
     p(not H and not E) over D = d_base * d_hit * d_alarm, then D itself. The
     four numerators sum to D; neither they nor D are reduced.
     """
-    b, d_base = scenario.base_rate._numerator, scenario.base_rate._denominator
-    h, d_hit = scenario.hit_rate._numerator, scenario.hit_rate._denominator
-    a, d_alarm = scenario.false_alarm_rate._numerator, scenario.false_alarm_rate._denominator
     hyp, comp = b * d_alarm, (d_base - b) * d_hit
     return hyp * h, hyp * (d_hit - h), comp * a, comp * (d_alarm - a), d_base * d_hit * d_alarm
+
+
+def leaf_joints(scenario: Scenario) -> Tuple[int, ...]:
+    """`leaf_joints_of` on a scenario's three rates, read from Fraction's slots."""
+    b, h, a = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
+    return leaf_joints_of(b._numerator, b._denominator, h._numerator, h._denominator, a._numerator, a._denominator)
 
 
 def _reduced(numerator: int, denominator: int) -> Probability:

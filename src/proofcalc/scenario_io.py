@@ -30,6 +30,8 @@ MAX_RATE_DIGITS = 1000
 _RATE_LIMIT = 10**MAX_RATE_DIGITS
 _RATE_TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
 _POPULATION_LIMIT = 10**MAX_POPULATION_DIGITS
+#: Digits an integer may have: past Python's default int-from-text limit, int() refuses it.
+MAX_INTEGER_DIGITS = 4300
 _BITS_PER_FIVE = math.log2(5)
 
 _RATE_KEYS = ("base_rate", "hit_rate", "false_alarm_rate")
@@ -111,23 +113,30 @@ def check_probability(name: str, text: str, rate: Fraction, line: Optional[int] 
 
 
 def check_label(name: str, text: str, line: Optional[int] = None) -> str:
-    """`text`, given for label key or flag `name`, if it holds no C0 control other than tab.
+    """`text`, given for label key or flag `name`, if every character is one an SVG can carry.
 
-    XML 1.0 cannot carry most of them in an SVG, and a line break would
-    split the label's line in a scenario file.
+    That is XML 1.0's Char production without its line breaks, which would
+    split the label's line in a scenario file: tab, U+0020-U+D7FF,
+    U+E000-U+FFFD and U+10000 up. Lone surrogates, such as argv bytes that
+    are not UTF-8, and U+FFFE/U+FFFF are refused with the C0 controls.
     Raises ScenarioSyntaxError naming `name` (and `line`, when given) otherwise.
     """
     for char in text:
         if char < " " and char != "\t":
             raise ScenarioSyntaxError(f"{name} may not contain the control character {char!r}", line)
+        if "\ud800" <= char <= "\udfff" or "\ufffe" <= char <= "\uffff":
+            raise ScenarioSyntaxError(f"{name} may not contain {char!r}, which XML 1.0 cannot carry", line)
     return text
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
-    """Parse a scenario document, validating every value at its line; a leading BOM is ignored."""
+    """Parse a scenario document, validating every value at its line; a leading BOM is ignored.
+
+    Only "\n" ends a line (a "\r" before it is stripped), so line numbers are an editor's.
+    """
     values = {}
     lines = {}
-    for number, raw in enumerate(text.removeprefix("\ufeff").splitlines(), 1):
+    for number, raw in enumerate(text.removeprefix("\ufeff").split("\n"), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -155,6 +164,8 @@ def parse_scenario(text: str) -> ScenarioDocument:
         return check_probability(key, value, rate, lines[key])
 
     def int_at(key: str, value: str) -> int:
+        if sum(char.isdigit() for char in value) > MAX_INTEGER_DIGITS:
+            raise RangeError(f"{key} may have at most {MAX_INTEGER_DIGITS} digits", lines[key])
         try:
             return int(value)
         except ValueError:

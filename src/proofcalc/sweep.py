@@ -1,23 +1,13 @@
-"""Sensitivity sweeps: vary one rate over a grid and tabulate the outcome."""
+"""Sensitivity sweeps: vary one rate over a grid and tabulate the outcome, one row at a time."""
 
 from __future__ import annotations
 
 import csv
-import dataclasses
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Tuple
+from typing import Iterable, Iterator, Optional, Tuple
 
-from .core import (
-    PREPONDERANCE,
-    DegenerateEvidence,
-    Probability,
-    RateLike,
-    Scenario,
-    Verdict,
-    compute_posterior,
-    decide,
-)
+from .core import PREPONDERANCE, Outcome, Probability, RateLike, Scenario, Verdict, _reduced, leaf_joints_of
 from .scenario_io import format_exact, format_sig
 
 SWEEPABLE_PARAMETERS = ("base_rate", "hit_rate", "false_alarm_rate")
@@ -48,73 +38,91 @@ class SweepTable:
     rows: Tuple[SweepRow, ...]
 
 
-def sweep(
-    scenario: Scenario,
-    parameter: str,
-    grid: Iterable[RateLike],
-    threshold: RateLike = PREPONDERANCE,
-) -> SweepTable:
-    """Recompute the posterior and verdict at each grid value of `parameter`.
+def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
+               threshold: RateLike = PREPONDERANCE) -> Iterator[SweepRow]:
+    """The posterior and verdict at each grid value of `parameter`, yielded as the grid is read.
 
-    The grid must be nonempty and strictly increasing. Grid points with
-    zero evidence mass are marked, not fatal.
+    The two fixed rates stay integers; each grid value's numerator and
+    denominator take the swept rate's place in `core.leaf_joints_of`, so a
+    row costs one gcd and no Scenario. Arguments are checked as the rows are
+    read: the grid must be nonempty and strictly increasing (EmptyGridError,
+    ValueError). Grid points with zero evidence mass are marked, not fatal.
     """
     if parameter not in SWEEPABLE_PARAMETERS:
         raise ValueError(f"cannot sweep {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
-    values = [Probability(v) for v in grid]
-    if not values:
-        raise EmptyGridError("sweep grid is empty")
-    if any(b <= a for a, b in zip(values, values[1:])):
-        raise ValueError("sweep grid values must be strictly increasing")
+    slot = 2 * SWEEPABLE_PARAMETERS.index(parameter)
     threshold = Probability(threshold)
-
-    rows = []
-    for value in values:
-        variant = dataclasses.replace(scenario, **{parameter: value})
-        try:
-            breakdown = compute_posterior(variant)
-        except DegenerateEvidence:
-            rows.append(SweepRow(value=value, posterior=None, verdict=None))
+    t, d_t = threshold.as_integer_ratio()
+    rates = [x for name in SWEEPABLE_PARAMETERS for x in getattr(scenario, name).as_integer_ratio()]
+    previous = None
+    for value in grid:
+        value = Probability(value)
+        n, d = value._numerator, value._denominator
+        if previous is not None and n * previous._denominator <= previous._numerator * d:
+            raise ValueError("sweep grid values must be strictly increasing")
+        previous, rates[slot], rates[slot + 1] = value, n, d
+        joint_hit, _, joint_false_alarm, _, _ = leaf_joints_of(*rates)
+        marginal = joint_hit + joint_false_alarm
+        if marginal == 0:
+            yield SweepRow(value, None, None)
             continue
-        rows.append(
-            SweepRow(
-                value=value,
-                posterior=breakdown.posterior,
-                verdict=decide(breakdown, threshold),
-            )
-        )
-    return SweepTable(swept_parameter=parameter, threshold=threshold, rows=tuple(rows))
+        posterior = _reduced(joint_hit, marginal)
+        if posterior._numerator * marginal != joint_hit * posterior._denominator:
+            raise ValueError("posterior * evidence_marginal must equal joint_hit")
+        # posterior > threshold, cross-multiplied: "more likely than not" is strict.
+        outcome = Outcome.FOR_MOVING_PARTY if joint_hit * d_t > t * marginal else Outcome.FOR_DEFENDANT
+        yield SweepRow(value, posterior, Verdict(outcome, threshold, posterior))
+    if previous is None:
+        raise EmptyGridError("sweep grid is empty")
 
 
-def evenly_spaced_grid(start: Fraction, stop: Fraction, steps: int) -> list:
-    """`steps` (1 to MAX_STEPS) exact rationals from start to stop inclusive."""
+def sweep(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
+          threshold: RateLike = PREPONDERANCE) -> SweepTable:
+    """All rows of `sweep_rows` as one table, for the library API."""
+    threshold = Probability(threshold)
+    # Through a list: a tuple grown from the generator left exact-batch's peak RSS about 1 MB higher.
+    return SweepTable(parameter, threshold, tuple(list(sweep_rows(scenario, parameter, grid, threshold))))
+
+
+def grid_points(start: Fraction, stop: Fraction, steps: int) -> Iterator[Fraction]:
+    """`steps` (1 to MAX_STEPS) exact rationals from start to stop inclusive, made as they are read.
+
+    A step count out of range, or two or more steps with stop not above
+    start, raises ValueError at the call, before any point is made.
+    """
     if steps < 1:
         raise ValueError("steps must be >= 1")
     if steps > MAX_STEPS:
         raise ValueError(f"steps must be at most {MAX_STEPS}")
-    if steps == 1:
-        return [Fraction(start)]
-    step = (Fraction(stop) - Fraction(start)) / (steps - 1)
-    return [Fraction(start) + i * step for i in range(steps)]
+    start, stop = Fraction(start), Fraction(stop)
+    if steps > 1 and not start < stop:
+        raise ValueError("sweep grid values must be strictly increasing")
+    # Point k is (p·s·(K - k) + r·q·k) / (q·s·K) for start p/q, stop r/s and K = steps - 1 intervals.
+    (p, q), (r, s), intervals = start.as_integer_ratio(), stop.as_integer_ratio(), max(steps - 1, 1)
+    first, rise, denominator = p * s * intervals, r * q - p * s, q * s * intervals
+    return (Fraction(first + k * rise, denominator) for k in range(steps))
 
 
-def write_sweep_csv(table: SweepTable, stream) -> None:
-    """CSV with header param,value,posterior,verdict.
+def evenly_spaced_grid(start: Fraction, stop: Fraction, steps: int) -> list:
+    """`grid_points` as a list."""
+    return list(grid_points(start, stop, steps))
+
+
+def write_sweep_rows(parameter: str, rows: Iterable[SweepRow], stream) -> None:
+    """CSV with header param,value,posterior,verdict, each row written as it arrives.
 
     Values are written losslessly (format_exact) so re-parsing a row and
     recomputing the posterior reproduces the printed figure exactly.
     """
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(["param", "value", "posterior", "verdict"])
-    for row in table.rows:
-        if row.posterior is None:
-            writer.writerow([table.swept_parameter, format_exact(row.value), DEGENERATE_MARKER, NO_VERDICT_MARKER])
-        else:
-            writer.writerow(
-                [
-                    table.swept_parameter,
-                    format_exact(row.value),
-                    format_sig(row.posterior),
-                    row.verdict.outcome.value,
-                ]
-            )
+    writer.writerows(
+        (parameter, format_exact(row.value), DEGENERATE_MARKER, NO_VERDICT_MARKER) if row.posterior is None
+        else (parameter, format_exact(row.value), format_sig(row.posterior), row.verdict.outcome.value)
+        for row in rows
+    )
+
+
+def write_sweep_csv(table: SweepTable, stream) -> None:
+    """`write_sweep_rows` for a whole table."""
+    write_sweep_rows(table.swept_parameter, table.rows, stream)

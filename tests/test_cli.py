@@ -112,6 +112,64 @@ def test_sweep_writes_the_expected_csv(capsys, tmp_path):
     )
 
 
+@pytest.mark.parametrize(
+    "golden, scenario, sweep_flags",
+    [
+        # p(E) = 0 at a zero hit rate, and a posterior of 1 that does not beat a threshold of 1.
+        ("cli_sweep.csv", "base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0\nthreshold = 1\n",
+         ["--param", "hit_rate", "--from", "0", "--to", "1", "--steps", "11"]),
+        # Both verdicts, and grid values written as p/q.
+        ("cli_sweep_verdicts.csv", "base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\nthreshold = 0.9\n",
+         ["--param", "base_rate", "--from", "0", "--to", "1", "--steps", "8"]),
+    ],
+)
+def test_sweep_csv_bytes(capsys, tmp_path, golden, scenario, sweep_flags):
+    path = tmp_path / "case.scenario"
+    path.write_text(scenario, encoding="utf-8")
+    target = tmp_path / "out.csv"
+    code, out, err = run(capsys, "sweep", "--scenario", str(path), *sweep_flags, "--out", str(target))
+    assert (code, out, err) == (0, "", "")
+    check_golden(golden, target.read_bytes())
+
+
+def test_a_decreasing_grid_exits_2_before_the_file_is_opened(capsys, tmp_path):
+    target = tmp_path / "out.csv"
+    for start, stop in (("0.8", "0.1"), ("0.5", "0.5")):
+        code, out, err = run(capsys, "sweep", *RATES, "--param", "base_rate", "--from", start, "--to", stop,
+                             "--steps", "3", "--out", str(target))
+        assert (code, out, err) == (2, "", "error: sweep grid values must be strictly increasing\n")
+        assert not target.exists()
+    target.write_text("kept\n")
+    assert run(capsys, "sweep", *RATES, "--param", "base_rate", "--from", "0.8", "--to", "0.1",
+               "--steps", "2", "--out", str(target))[0] == 2
+    assert target.read_text() == "kept\n"
+    code, _, _ = run(capsys, "sweep", *RATES, "--param", "base_rate", "--from", "0.8", "--to", "0.1",
+                     "--steps", "1", "--out", str(target))
+    assert code == 0 and target.read_text() == "param,value,posterior,verdict\nbase_rate,0.8,0.969697,for-moving-party\n"
+
+
+def test_sweep_memory_does_not_grow_with_the_step_count(tmp_path):
+    # A child's ru_maxrss starts at its parent's peak (Linux keeps it across exec), and this test
+    # process may be large: a small launcher starts each sweep and reads its peak as RUSAGE_CHILDREN.
+    launcher = (
+        "import resource, subprocess, sys\n"
+        "subprocess.run([sys.executable, '-m', 'proofcalc', 'sweep', *sys.argv[1:]], check=True)\n"
+        "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)\n"  # KiB on Linux
+    )
+    peaks = {}
+    for steps in (10, 100_000):
+        target = tmp_path / f"{steps}.csv"
+        result = subprocess.run(
+            [sys.executable, "-c", launcher, *RATES, "--param", "hit_rate", "--from", "0", "--to", "1",
+             "--steps", str(steps), "--out", str(target)],
+            capture_output=True, text=True, check=False,
+        )
+        assert result.returncode == 0, result.stderr
+        assert target.read_text().count("\n") == steps + 1
+        peaks[steps] = int(result.stdout) / 1024
+    assert peaks[100_000] - peaks[10] < 10, peaks
+
+
 def test_simulate_is_deterministic_given_the_seed(capsys):
     code, first, _ = run(capsys, "simulate", *RATES, "--samples", "2000", "--seed", "0")
     assert code == 0
@@ -296,7 +354,8 @@ def test_a_scenario_label_with_a_control_character_names_key_and_line(capsys, tm
 
 @pytest.mark.parametrize("image", ["svg-tree", "svg-bars"])
 def test_svgs_for_accepted_labels_parse_with_minidom(capsys, tmp_path, image):
-    labels = ["tab\there", "&amp; <b> \"q\" 'a' {0} %s", "]]>", "naïve — ünïcode ✓", "\x7f"]
+    labels = ["tab\there", "&amp; <b> \"q\" 'a' {0} %s", "]]>", "naïve — ünïcode ✓", "\x7f",
+              "\x85 \xa0 \u2028 \ud7ff \ue000 \ufffd \U00010000 \U0010ffff"]
     for i, label in enumerate(labels):
         out_path = tmp_path / f"{i}.svg"
         code, _, err = run(capsys, "render", *RATES, "--format", image, "--out", str(out_path),
@@ -304,6 +363,30 @@ def test_svgs_for_accepted_labels_parse_with_minidom(capsys, tmp_path, image):
         assert code == 0 and err == ""
         document = xml.dom.minidom.parse(str(out_path))
         assert label in [node.firstChild.data for node in document.getElementsByTagName("text")]
+
+
+@pytest.mark.parametrize("flag", ["--hypothesis-label", "--evidence-label"])
+@pytest.mark.parametrize("char", ["\ufffe", "\uffff", "\ud800", "\udcff"])
+def test_a_label_flag_outside_xml_characters_is_refused(capsys, tmp_path, flag, char):
+    out_path = tmp_path / "tree.svg"
+    code, out, err = run(
+        capsys, "render", *RATES, "--format", "svg-tree", "--out", str(out_path), flag, f"a{char}b"
+    )
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} may not contain {char!r}, which XML 1.0 cannot carry\n"
+    assert not out_path.exists()
+
+
+def test_a_label_from_argv_bytes_that_are_not_utf8_names_its_flag(tmp_path):
+    out_path = tmp_path / "tree.svg"
+    result = subprocess.run(
+        [sys.executable, "-m", "proofcalc", "render", *RATES, "--format", "svg-tree", "--out", str(out_path),
+         "--hypothesis-label", b"\xff"],
+        capture_output=True, check=False,
+    )
+    assert result.returncode == 2 and result.stdout == b""
+    assert result.stderr == b"error: --hypothesis-label may not contain '\\udcff', which XML 1.0 cannot carry\n"
+    assert not out_path.exists()
 
 
 def test_scenario_file_supplies_rates_population_and_threshold(capsys, tmp_path):

@@ -74,6 +74,17 @@ def test_rewrapping_a_probability_keeps_its_value():
     assert Probability(Fraction(1, 3)) == value
 
 
+def test_a_plain_fraction_is_copied_into_a_probability_and_range_checked():
+    value = Probability(Fraction(6, 8))
+    assert type(value) is Probability
+    assert (value.numerator, value.denominator) == (3, 4)
+    assert value == Fraction(3, 4) and hash(value) == hash(Fraction(3, 4))
+    for bad in (Fraction(-1, 2), Fraction(5, 4)):
+        with pytest.raises(ValueError, match="probability must be in"):
+            Probability(bad)
+    assert Probability(Fraction(0)) == 0 and Probability(Fraction(1)) == 1
+
+
 def test_scenario_coerces_rates_to_probabilities():
     scenario = Scenario(0.4, "0.8", Fraction(1, 10))
     assert isinstance(scenario.base_rate, Probability)

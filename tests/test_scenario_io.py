@@ -135,6 +135,42 @@ def test_a_label_with_a_control_character_names_its_line(char):
     assert tabbed.scenario.hypothesis_label == "a\tb"
 
 
+@pytest.mark.parametrize("char", ["\ufffe", "\uffff", "\ud800", "\udcff"])
+def test_a_label_outside_xml_characters_names_its_line(char):
+    with pytest.raises(ScenarioSyntaxError) as excinfo:
+        parse_scenario(STANDARD + f"evidence_label = a{char}b\n")
+    assert str(excinfo.value) == f"line 6: evidence_label may not contain {char!r}, which XML 1.0 cannot carry"
+
+
+def test_labels_keep_every_xml_character_but_line_breaks():
+    label = "\x7f\x80\x85\xa0\u2028\ud7ff\ue000\ufffd\U00010000\U0010ffff"
+    assert parse_scenario(STANDARD + f"hypothesis_label = a{label}b\n").scenario.hypothesis_label == f"a{label}b"
+
+
+def test_only_newlines_end_a_scenario_line():
+    # A form feed, NEL or U+2028 stays inside its line, so the error names the line an editor shows.
+    text = "base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\nhypothesis_label = a\fb\n"
+    assert text.count("\n") == 4 and len(text.splitlines()) == 5
+    with pytest.raises(ScenarioSyntaxError) as excinfo:
+        parse_scenario(text)
+    assert str(excinfo.value) == "line 4: hypothesis_label may not contain the control character '\\x0c'"
+    windows = parse_scenario("base_rate = 0.4\r\nhit_rate = 0.8\r\nfalse_alarm_rate = 0.1\r\nevidence_label = a\x85b\r\n")
+    assert windows.scenario.evidence_label == "a\x85b"
+    with pytest.raises(ScenarioSyntaxError) as excinfo:
+        parse_scenario("base_rate = 0.4\nhit_rate = 0.8\u2028\nfalse_alarm_rate = 0.1\njust words\n")
+    assert excinfo.value.line_number == 4
+
+
+@pytest.mark.parametrize("key", ["population", "version"])
+def test_integers_past_the_int_text_limit_are_refused_without_echo(key):
+    digits = "9" * 4301
+    with pytest.raises(RangeError) as excinfo:
+        parse_scenario(STANDARD.replace("version = 1\n", "") + f"{key} = {digits}\n")
+    assert str(excinfo.value) == f"line 5: {key} may have at most 4300 digits"
+    with pytest.raises(RangeError, match="^line 6: population may have at most 1000 digits$"):
+        parse_scenario(STANDARD + f"population = {digits[:4300]}\n")
+
+
 def test_every_parse_error_is_a_value_error():
     for exc in (ScenarioSyntaxError, DuplicateKeyError, RangeError, MissingKeyError):
         assert issubclass(exc, ScenarioParseError) and issubclass(exc, ValueError)

@@ -2,23 +2,33 @@
 
 import csv
 import io
+import itertools
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proofcalc import (
+    DegenerateEvidence,
     EmptyGridError,
     Outcome,
+    Probability,
     Scenario,
     compute_posterior,
+    decide,
     evenly_spaced_grid,
     format_sig,
+    grid_points,
     parse_rate,
     sweep,
+    sweep_rows,
     write_sweep_csv,
+    write_sweep_rows,
 )
-from proofcalc.sweep import MAX_STEPS
+from proofcalc.sweep import MAX_STEPS, SWEEPABLE_PARAMETERS
 
 from cases import CASES
 
@@ -139,3 +149,80 @@ def test_csv_rows_reparse_to_the_printed_posterior():
         assert format_sig(recomputed) == record["posterior"]
         expected = "for-moving-party" if recomputed > Fraction(1, 2) else "for-defendant"
         assert record["verdict"] == expected
+
+
+# Rates with denominators up to 10^12, and the endpoints 0 and 1.
+RATES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(1, 10**12).flatmap(lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))),
+)
+
+
+@settings(deadline=None)
+@given(
+    st.tuples(RATES, RATES, RATES),
+    st.sampled_from(SWEEPABLE_PARAMETERS),
+    st.sets(RATES, min_size=1, max_size=8).map(sorted),
+    RATES,
+)
+@example((Fraction(2, 5), Fraction(0), Fraction(0)), "base_rate", [Fraction(0), Fraction(1)], Fraction(1, 2))
+@example((Fraction(2, 5), Fraction(4, 5), Fraction(0)), "hit_rate", [Fraction(0), Fraction(1)], Fraction(1))
+def test_every_row_is_compute_posterior_and_decide_at_its_point(rates, parameter, grid, threshold):
+    scenario = Scenario(*rates)
+    table = sweep(scenario, parameter, grid, threshold)
+    assert table.threshold == threshold and len(table.rows) == len(grid)
+    for value, row in zip(grid, table.rows):
+        assert row.value == value and type(row.value) is Probability
+        variant = replace(scenario, **{parameter: value})
+        try:
+            breakdown = compute_posterior(variant)
+        except DegenerateEvidence:
+            assert row.posterior is None and row.verdict is None
+            continue
+        assert row.posterior == breakdown.posterior and type(row.posterior) is Probability
+        assert row.verdict == decide(breakdown, threshold)
+
+
+def test_rows_stream_from_an_unending_grid():
+    grid = (Fraction(k, 10**6) for k in itertools.count())
+    first, second = itertools.islice(sweep_rows(STANDARD, "base_rate", grid), 2)
+    assert (first.value, first.posterior, second.value) == (0, 0, Fraction(1, 10**6))
+    buffer = io.StringIO()
+    write_sweep_rows("base_rate", iter([first, second]), buffer)
+    table = sweep(STANDARD, "base_rate", [first.value, second.value])
+    reference = io.StringIO()
+    write_sweep_csv(table, reference)
+    assert buffer.getvalue() == reference.getvalue()
+
+
+def test_a_grid_fault_is_raised_where_the_grid_has_it():
+    rows = sweep_rows(STANDARD, "base_rate", [Fraction(1, 4), Fraction(1, 2), Fraction(1, 2)])
+    assert next(rows).value == Fraction(1, 4)
+    assert next(rows).value == Fraction(1, 2)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        next(rows)
+    # Cross-multiplied, a huge denominator does not hide an equal neighbour.
+    big = Fraction(10**40 + 1, 10**41)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        sweep(STANDARD, "base_rate", [big, Fraction(big.numerator * 3, big.denominator * 3)])
+
+
+def test_the_posterior_identity_is_checked_per_row(monkeypatch):
+    sweep_module = sys.modules["proofcalc.sweep"]  # the package exports a function of that name
+    reduced = sweep_module._reduced
+    monkeypatch.setattr(sweep_module, "_reduced", lambda n, d: reduced(n, d + 1))
+    with pytest.raises(ValueError, match="posterior \\* evidence_marginal must equal joint_hit"):
+        sweep(STANDARD, "base_rate", ["0.5"])
+
+
+def test_grid_points_are_made_lazily_and_checked_at_the_call():
+    points = grid_points(Fraction(0), Fraction(1), MAX_STEPS)
+    assert iter(points) is points
+    assert list(itertools.islice(points, 3)) == [0, Fraction(1, MAX_STEPS - 1), Fraction(2, MAX_STEPS - 1)]
+    for start, stop in ((Fraction(1, 2), Fraction(1, 4)), (Fraction(1, 3), Fraction(1, 3))):
+        with pytest.raises(ValueError, match="strictly increasing"):
+            grid_points(start, stop, 2)
+        assert list(grid_points(start, stop, 1)) == [start]
+    with pytest.raises(ValueError, match="at most 100000"):
+        grid_points(Fraction(0), Fraction(1), MAX_STEPS + 1)
+    assert list(grid_points(Fraction(1, 3), Fraction(1, 2), 3)) == [Fraction(1, 3), Fraction(5, 12), Fraction(1, 2)]
