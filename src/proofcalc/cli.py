@@ -33,6 +33,7 @@ from .oracle import monte_carlo_posterior
 from .render import render_proportion_bars_svg, render_tree_svg, render_tree_text
 from .scenario_io import (
     MAX_INTEGER_DIGITS,
+    RangeError,
     ScenarioDocument,
     check_label,
     check_probability,
@@ -70,8 +71,14 @@ def _scenario_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _rate(flag: str, text: str) -> Probability:
-    """The rate a flag gives; out of [0, 1] it is an error that names the flag."""
-    return check_probability(flag, text, parse_rate(text))
+    """The rate a flag gives; text that does not parse, is too long or is out of [0, 1] is an error naming the flag."""
+    try:
+        rate = parse_rate(text)
+    except RangeError as exc:
+        raise CLIError(f"{flag}: {exc}") from None
+    except ValueError:
+        raise CLIError(f"{flag} must be a rate such as 0.4, 40% or 2/5, got {text!r}") from None
+    return check_probability(flag, text, rate)
 
 
 def _integer_flags(args: argparse.Namespace) -> None:

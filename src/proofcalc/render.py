@@ -1,9 +1,9 @@
 """Deterministic renderers: text trees, SVG trees, SVG proportion bars.
 
 Every renderer is a pure function of its inputs and emits byte-identical
-output across runs and platforms. Geometry is computed in exact fractions
-of the fixed canvas width and height and only quantized (2 decimal places,
-ties to even) at serialization, which keeps golden files stable.
+output across runs and platforms. Each SVG fills a template built once from
+exact fractions of the canvas; bar positions and percentages are exact integer
+ratios of the rates. All are quantized ties to even, which keeps goldens stable.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ from fractions import Fraction
 from functools import cache
 from typing import List, Sequence
 
-from .core import Scenario, compute_posterior
+from .core import Scenario, compute_posterior, leaf_joints
 from .freqtree import FrequencyTree
 from .scenario_io import format_fixed
 
@@ -26,9 +26,9 @@ HYPOTHESIS_COLOR = "#1f77b4"
 COMPLEMENT_COLOR = "#d97706"
 
 
-def _coord(value: Fraction) -> str:
-    """Quantize a coordinate to 2 decimal places (ties to even), trimming trailing zeros."""
-    return format_fixed(round(value * 100), 2)
+def _coord(value: Fraction | str) -> str:
+    """Quantize a coordinate to 2 decimal places (ties to even), trimming trailing zeros; a template field stays."""
+    return value if isinstance(value, str) else format_fixed(round(value * 100), 2)
 
 
 def _escape(text: str) -> str:
@@ -131,13 +131,6 @@ def _svg_text(x, y, content: str, size: int, fill: str, anchor: str = "middle") 
     )
 
 
-def _svg_rect(elem_id: str, x, y, w, h, fill: str) -> str:
-    return (
-        f'<rect id="{elem_id}" x="{_coord(x)}" y="{_coord(y)}" width="{_coord(w)}" '
-        f'height="{_coord(h)}" fill="{fill}"/>'
-    )
-
-
 # --- SVG tree --------------------------------------------------------------
 
 
@@ -177,6 +170,43 @@ def render_tree_svg(tree: FrequencyTree) -> bytes:
 
 # --- SVG proportion bars ---------------------------------------------------
 
+#: The bars' left edge and the top bar's width, in hundredths of a pixel.
+_X0, _BAR = WIDTH * 100 // 16, WIDTH * 100 * 7 // 8
+
+
+def _fixed(numerator: int, denominator: int, places: int) -> str:
+    """numerator/denominator rounded to an integer, ties to even as `round` does, then / 10**places as text."""
+    quotient, remainder = divmod(numerator, denominator)
+    return format_fixed(quotient + (2 * remainder + (quotient & 1) > denominator), places)
+
+
+@cache
+def _bars_svg_template() -> str:
+    """The bars SVG with a named field for each split, width, share and label, built once."""
+    w, h = Fraction(WIDTH), Fraction(HEIGHT)
+    left, right, bar_h, top_y, bottom_y = w / 16, w * 15 / 16, h / 8, h * 3 / 16, h * 11 / 16
+    parts = _svg_open() + [
+        f'<rect id="{elem_id}" x="{_coord(x)}" y="{_coord(y)}" width="{{{width}}}" '
+        f'height="{_coord(bar_h)}" fill="{fill}"/>'
+        for elem_id, x, y, width, fill in (
+            ("top-hypothesis", left, top_y, "top_hit", HYPOTHESIS_COLOR),
+            ("top-complement", "{top}", top_y, "top_rest", COMPLEMENT_COLOR),
+            ("bottom-hit", "{left}", bottom_y, "hit", HYPOTHESIS_COLOR),
+            ("bottom-false-alarm", "{split}", bottom_y, "alarm", COMPLEMENT_COLOR),
+        )
+    ] + [
+        f'<line id="split-connector" x1="{{top}}" y1="{_coord(top_y + bar_h)}" '
+        f'x2="{{split}}" y2="{_coord(bottom_y)}" stroke="#333333" stroke-width="1.5"/>',
+        _svg_text(left, h * 2 / 16, "{label}", LABEL_SIZE, HYPOTHESIS_COLOR, "start"),
+        _svg_text(right, h * 2 / 16, "not ({label})", LABEL_SIZE, COMPLEMENT_COLOR, "end"),
+        _svg_text("{top}", top_y + bar_h + h / 32, "{base}%", LABEL_SIZE, "#000000"),
+        _svg_text("{split}", bottom_y - h / 32, "{posterior}%", LABEL_SIZE, "#000000"),
+        _svg_text(left, h * 29 / 32, "hits ({evidence})", LABEL_SIZE, HYPOTHESIS_COLOR, "start"),
+        _svg_text(right, h * 29 / 32, "false alarms", LABEL_SIZE, COMPLEMENT_COLOR, "end"),
+        "</svg>",
+    ]
+    return "\n".join(parts) + "\n"
+
 
 def render_proportion_bars_svg(scenario: Scenario) -> bytes:
     """Two-bar diagram of one Bayesian update.
@@ -192,46 +222,16 @@ def render_proportion_bars_svg(scenario: Scenario) -> bytes:
     Raises DegenerateEvidence when the evidence marginal is zero (there is
     no bottom bar to draw).
     """
-    breakdown = compute_posterior(scenario)
-    base = scenario.base_rate
-    marginal = breakdown.evidence_marginal
-    posterior = breakdown.posterior
-
-    w = Fraction(WIDTH)
-    h = Fraction(HEIGHT)
-    x0 = w / 16
-    bar_w = w * 7 / 8
-    bar_h = h / 8
-    top_y = h * 3 / 16
-    bottom_y = h * 11 / 16
-
-    top_split = x0 + base * bar_w
-    bottom_split = x0 + posterior * bar_w
-    bottom_left = bottom_split - posterior * marginal * bar_w
-    bottom_right = bottom_split + (1 - posterior) * marginal * bar_w
-
-    parts = _svg_open()
-    rects = (
-        ("top-hypothesis", x0, top_y, top_split - x0, HYPOTHESIS_COLOR),
-        ("top-complement", top_split, top_y, x0 + bar_w - top_split, COMPLEMENT_COLOR),
-        ("bottom-hit", bottom_left, bottom_y, bottom_split - bottom_left, HYPOTHESIS_COLOR),
-        ("bottom-false-alarm", bottom_split, bottom_y, bottom_right - bottom_split, COMPLEMENT_COLOR),
-    )
-    parts.extend(_svg_rect(elem_id, x, y, width, bar_h, fill) for elem_id, x, y, width, fill in rects)
-    parts.append(
-        f'<line id="split-connector" x1="{_coord(top_split)}" y1="{_coord(top_y + bar_h)}" '
-        f'x2="{_coord(bottom_split)}" y2="{_coord(bottom_y)}" stroke="#333333" stroke-width="1.5"/>'
-    )
-
-    parts.append(_svg_text(x0, h * 2 / 16, scenario.hypothesis_label, LABEL_SIZE, HYPOTHESIS_COLOR, "start"))
-    parts.append(
-        _svg_text(x0 + bar_w, h * 2 / 16, f"not ({scenario.hypothesis_label})", LABEL_SIZE, COMPLEMENT_COLOR, "end")
-    )
-    for x, y, share in ((top_split, top_y + bar_h + h / 32, base), (bottom_split, bottom_y - h / 32, posterior)):
-        parts.append(_svg_text(x, y, format_fixed(round(share * 1000), 1) + "%", LABEL_SIZE, "#000000"))
-    parts.append(
-        _svg_text(x0, h * 29 / 32, f"hits ({scenario.evidence_label})", LABEL_SIZE, HYPOTHESIS_COLOR, "start")
-    )
-    parts.append(_svg_text(x0 + bar_w, h * 29 / 32, "false alarms", LABEL_SIZE, COMPLEMENT_COLOR, "end"))
-    parts.append("</svg>")
-    return ("\n".join(parts) + "\n").encode("utf-8")
+    b, d = scenario.base_rate._numerator, scenario.base_rate._denominator
+    hit, _, alarm, _, total = leaf_joints(scenario)
+    marginal = hit + alarm
+    if not marginal:
+        compute_posterior(scenario)  # raises DegenerateEvidence with the kernel's message
+    # Hundredths of a pixel: the hit bar, hit/total wide, ends at the split, _X0 + _BAR·hit/marginal.
+    return _bars_svg_template().format(
+        top=_fixed(_X0 * d + _BAR * b, d, 2), top_hit=_fixed(_BAR * b, d, 2), top_rest=_fixed(_BAR * (d - b), d, 2),
+        split=_fixed(_X0 * marginal + _BAR * hit, marginal, 2), hit=_fixed(_BAR * hit, total, 2),
+        left=_fixed(_X0 * marginal * total + _BAR * hit * (total - marginal), marginal * total, 2),
+        alarm=_fixed(_BAR * alarm, total, 2), base=_fixed(1000 * b, d, 1), posterior=_fixed(1000 * hit, marginal, 1),
+        label=_escape(scenario.hypothesis_label), evidence=_escape(scenario.evidence_label),
+    ).encode("utf-8")

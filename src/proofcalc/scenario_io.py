@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from decimal import Decimal, localcontext
+from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Optional
 
@@ -33,6 +33,8 @@ _POPULATION_LIMIT = 10**MAX_POPULATION_DIGITS
 #: Digits an integer may have: past Python's default int-from-text limit, int() refuses it.
 MAX_INTEGER_DIGITS = 4300
 _BITS_PER_FIVE = math.log2(5)
+#: format_sig's arithmetic: its own context, so the caller's decimal context cannot change its text.
+_SIG_CONTEXT = Context(prec=6, rounding=ROUND_HALF_EVEN)
 
 _RATE_KEYS = ("base_rate", "hit_rate", "false_alarm_rate")
 _KEYS = ("version",) + _RATE_KEYS + ("population", "threshold", "hypothesis_label", "evidence_label")
@@ -249,7 +251,5 @@ def format_sig(value: Fraction) -> str:
     """Decimal form rounded to 6 significant figures (ties to even), exactly."""
     if value == 0:
         return "0"
-    with localcontext() as ctx:
-        ctx.prec = 6
-        quotient = Decimal(value.numerator) / Decimal(value.denominator)
-    return format(quotient.normalize(), "f")
+    quotient = _SIG_CONTEXT.divide(Decimal(value.numerator), Decimal(value.denominator))
+    return format(quotient.normalize(_SIG_CONTEXT), "f")

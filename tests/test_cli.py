@@ -207,7 +207,7 @@ def test_oversized_rates_exit_2_before_a_number_is_built(capsys, monkeypatch, ra
     monkeypatch.setattr(scenario_io, "Fraction", fraction)
     code, out, err = run(capsys, "posterior", "--base-rate", "0.4", "--hit-rate", rate, "--false-alarm-rate", "0.1")
     assert code == 2 and out == ""
-    assert err == f"error: {TOO_LARGE}\n"
+    assert err == f"error: --hit-rate: {TOO_LARGE}\n"
 
 
 def test_oversized_rate_in_a_scenario_file_names_its_line(capsys, tmp_path):
@@ -235,7 +235,7 @@ def test_rates_at_the_cap_run_and_print_below_the_int_str_limit(capsys, tmp_path
     assert max(len(digits) for digits in re.findall(r"\d+", text)) < 4300
 
     code, _, err = run(capsys, "posterior", *AT_CAP[:-1], f"1/{10 * D7}")
-    assert code == 2 and err == f"error: {TOO_LARGE}\n"
+    assert code == 2 and err == f"error: --false-alarm-rate: {TOO_LARGE}\n"
 
 
 POPULATION_RATES = ["--base-rate", "1/3", "--hit-rate", "1/7", "--false-alarm-rate", "1/11"]
@@ -275,18 +275,44 @@ def test_population_digit_cap(capsys, tmp_path):
     ],
 )
 def test_an_out_of_range_rate_flag_is_named(capsys, tmp_path, flag, text):
+    code, out, err = run(capsys, *_command_with_rate_flag(flag, text, tmp_path))
+    assert code == 2 and out == ""
+    assert err == f"error: {flag} must be in [0, 1], got {text}\n"
+
+
+def _command_with_rate_flag(flag, text, tmp_path):
+    """A command that reads rate flag `flag` as `text`, every other rate being valid."""
     if flag in RATES:
         command = ["posterior", *RATES]
         command[command.index(flag) + 1] = text
-    elif flag == "--threshold":
-        command = ["verdict", *RATES, flag, text]
-    else:
-        grid = {"--from": "0.1", "--to": "0.8", flag: text}
-        command = ["sweep", *RATES, "--param", "base_rate", *(item for pair in grid.items() for item in pair),
-                   "--steps", "3", "--out", str(tmp_path / "out.csv")]
-    code, out, err = run(capsys, *command)
+        return command
+    if flag == "--threshold":
+        return ["verdict", *RATES, flag, text]
+    grid = {"--from": "0.1", "--to": "0.8", flag: text}
+    return ["sweep", *RATES, "--param", "base_rate", *(item for pair in grid.items() for item in pair),
+            "--steps", "3", "--out", str(tmp_path / "out.csv")]
+
+
+@pytest.mark.parametrize("flag", ["--base-rate", "--hit-rate", "--false-alarm-rate", "--threshold", "--from", "--to"])
+@pytest.mark.parametrize("text", ["abc", "1/0", "1e-5000"])
+def test_a_rate_flag_that_does_not_parse_is_named(capsys, monkeypatch, tmp_path, flag, text):
+    import proofcalc.scenario_io as scenario_io
+
+    real_fraction = scenario_io.Fraction
+
+    def fraction(value=0, *rest):
+        if value == "1e-5000":
+            raise AssertionError("the rate cap let an oversized rate reach Fraction")
+        return real_fraction(value, *rest)
+
+    monkeypatch.setattr(scenario_io, "Fraction", fraction)
+    code, out, err = run(capsys, *_command_with_rate_flag(flag, text, tmp_path))
     assert code == 2 and out == ""
-    assert err == f"error: {flag} must be in [0, 1], got {text}\n"
+    if text == "1e-5000":
+        assert err == f"error: {flag}: {TOO_LARGE}\n"
+    else:
+        assert err == f"error: {flag} must be a rate such as 0.4, 40% or 2/5, got {text!r}\n"
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_sweep_rejects_more_steps_than_the_cap(capsys, monkeypatch, tmp_path):

@@ -4,6 +4,8 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from proofcalc import (
     DegenerateEvidence,
@@ -14,6 +16,7 @@ from proofcalc import (
     render_tree_svg,
     render_tree_text,
 )
+from proofcalc.scenario_io import format_fixed
 
 from cases import BARS_POSTERIOR, BARS_SCENARIO, CASE_IDS, CASES
 from conftest import check_golden
@@ -187,6 +190,110 @@ def test_bars_equal_rates_from_half_prior_are_vertical_and_centered():
 def test_bars_degenerate_evidence_raises():
     with pytest.raises(DegenerateEvidence):
         render_proportion_bars_svg(Scenario(0.4, 0, 0))
+
+
+# --------------------------------------------- bar SVGs against a frozen reference
+
+
+def _reference_bars_svg(scenario: Scenario) -> bytes:
+    """The bars renderer as it was before its template: Fraction geometry, quantized per coordinate.
+
+    Frozen here as the reference for the template renderer's bytes; it shares no helper with `render`.
+    """
+
+    def coord(value):
+        return format_fixed(round(value * 100), 2)
+
+    def text(x, y, content, fill, anchor="middle"):
+        content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+        return (
+            f'<text x="{coord(x)}" y="{coord(y)}" font-family="Helvetica, Arial, sans-serif" '
+            f'font-size="10" text-anchor="{anchor}" fill="{fill}">{content}</text>'
+        )
+
+    breakdown = compute_posterior(scenario)
+    base, marginal, posterior = scenario.base_rate, breakdown.evidence_marginal, breakdown.posterior
+    w, h = Fraction(640), Fraction(400)
+    x0, bar_w, bar_h, top_y, bottom_y = w / 16, w * 7 / 8, h / 8, h * 3 / 16, h * 11 / 16
+    blue, orange = "#1f77b4", "#d97706"
+
+    top_split = x0 + base * bar_w
+    bottom_split = x0 + posterior * bar_w
+    bottom_left = bottom_split - posterior * marginal * bar_w
+    bottom_right = bottom_split + (1 - posterior) * marginal * bar_w
+
+    parts = [
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400" viewBox="0 0 640 400">',
+        '<rect x="0" y="0" width="640" height="400" fill="#ffffff"/>',
+    ]
+    rects = (
+        ("top-hypothesis", x0, top_y, top_split - x0, blue),
+        ("top-complement", top_split, top_y, x0 + bar_w - top_split, orange),
+        ("bottom-hit", bottom_left, bottom_y, bottom_split - bottom_left, blue),
+        ("bottom-false-alarm", bottom_split, bottom_y, bottom_right - bottom_split, orange),
+    )
+    for elem_id, x, y, width, fill in rects:
+        parts.append(
+            f'<rect id="{elem_id}" x="{coord(x)}" y="{coord(y)}" width="{coord(width)}" '
+            f'height="{coord(bar_h)}" fill="{fill}"/>'
+        )
+    parts.append(
+        f'<line id="split-connector" x1="{coord(top_split)}" y1="{coord(top_y + bar_h)}" '
+        f'x2="{coord(bottom_split)}" y2="{coord(bottom_y)}" stroke="#333333" stroke-width="1.5"/>'
+    )
+    parts.append(text(x0, h * 2 / 16, scenario.hypothesis_label, blue, "start"))
+    parts.append(text(x0 + bar_w, h * 2 / 16, f"not ({scenario.hypothesis_label})", orange, "end"))
+    for x, y, share in ((top_split, top_y + bar_h + h / 32, base), (bottom_split, bottom_y - h / 32, posterior)):
+        parts.append(text(x, y, format_fixed(round(share * 1000), 1) + "%", "#000000"))
+    parts.append(text(x0, h * 29 / 32, f"hits ({scenario.evidence_label})", blue, "start"))
+    parts.append(text(x0 + bar_w, h * 29 / 32, "false alarms", orange, "end"))
+    parts.append("</svg>")
+    return ("\n".join(parts) + "\n").encode("utf-8")
+
+
+def _rates_over(denominators):
+    return denominators.flatmap(lambda d: st.builds(Fraction, st.integers(0, d), st.just(d)))
+
+
+#: Rates 0 and 1, denominators up to 10^12, denominators of about 1,000 digits, and denominators
+#: that make ties: an odd numerator over 112000 puts a split half a hundredth of a pixel off the grid.
+BAR_RATES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    _rates_over(st.integers(1, 10**12)),
+    _rates_over(st.sampled_from([3**2095, 7**1183, 10**999, 2**3300, 10**999 + 7])),
+    _rates_over(st.sampled_from([112000, 224000, 2000, 560, 280])),
+)
+#: Split, width and percentage ties: 1/112000 of the bar is half a hundredth of a pixel, 1/2000 half a tenth of a percent.
+TIES = [Fraction(1, 112000), Fraction(3, 112000), Fraction(1, 2000), Fraction(3, 2000), Fraction(1, 224000)]
+
+
+def _assert_bars_match_reference(scenario: Scenario) -> None:
+    try:
+        want = _reference_bars_svg(scenario)
+    except DegenerateEvidence as exc:
+        with pytest.raises(DegenerateEvidence) as raised:
+            render_proportion_bars_svg(scenario)
+        assert str(raised.value) == str(exc)
+        return
+    assert render_proportion_bars_svg(scenario) == want
+
+
+@settings(deadline=None)
+@given(BAR_RATES, BAR_RATES, BAR_RATES, st.text("ab &<>{}", max_size=6), st.text("ab &<>{}", max_size=6))
+@example(Fraction(2, 5), Fraction(0), Fraction(0), "a", "b")  # degenerate: zero evidence marginal
+@example(Fraction(1, 112000), Fraction(4, 5), Fraction(1, 10), "&<>", "{}")  # top split 4000.5 rounds to 4000
+def test_bars_bytes_equal_the_reference(base, hit, alarm, hypothesis_label, evidence_label):
+    _assert_bars_match_reference(Scenario(base, hit, alarm, hypothesis_label, evidence_label))
+
+
+@pytest.mark.parametrize("tie", TIES, ids=str)
+def test_bars_ties_round_to_even_as_the_reference(tie):
+    # The tie as the base rate (top split and its widths, base percentage), then as the
+    # posterior: a half prior with hit rate tie and false-alarm rate 1 - tie gives posterior tie.
+    for scenario in (Scenario(tie, Fraction(4, 5), Fraction(1, 10)), Scenario(Fraction(1, 2), tie, 1 - tie)):
+        _assert_bars_match_reference(scenario)
+    assert compute_posterior(Scenario(Fraction(1, 2), tie, 1 - tie)).posterior == tie
 
 
 # ---------------------------------------------------------------- well-formed

@@ -1,5 +1,6 @@
 """Scenario documents: grammar, error reporting, serialization, formatting."""
 
+import decimal
 import math
 import random
 from fractions import Fraction
@@ -280,6 +281,16 @@ def test_format_sig_rounds_to_significant_digits():
     assert format_sig(Fraction(0)) == "0"
     assert format_sig(Fraction(1)) == "1"
     assert format_sig(Fraction(1, 1_000_000)) == "0.000001"
+
+
+def test_format_sig_ties_to_even_whatever_the_callers_decimal_context():
+    ties = {Fraction(1234565, 10**7): "0.123456", Fraction(1234575, 10**7): "0.123458", Fraction(9999995, 10**7): "1"}
+    with decimal.localcontext() as ctx:
+        ctx.prec, ctx.rounding = 2, decimal.ROUND_DOWN
+        assert {value: format_sig(value) for value in ties} == ties
+        assert format_sig(Fraction(16, 19)) == "0.842105"
+        assert format_sig(Fraction(1, 10**2000)) == "0." + "0" * 1999 + "1"
+    assert {value: format_sig(value) for value in ties} == ties
 
 
 @given(st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**60), 10**60)), st.integers(0, 4))
