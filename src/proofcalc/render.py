@@ -1,16 +1,18 @@
 """Deterministic renderers: text trees, SVG trees, SVG proportion bars.
 
 Every renderer is a pure function of its inputs and emits byte-identical
-output across runs and platforms. Each SVG fills a template built once from
-exact fractions of the canvas; bar positions and percentages are exact integer
-ratios of the rates. All are quantized ties to even, which keeps goldens stable.
+output across runs and platforms. The text tree is built line by line, each
+count and label padded into its field. Each SVG fills a template built once
+from exact fractions of the canvas; bar positions and percentages are exact
+integer ratios of the rates. All are quantized ties to even, which keeps
+goldens stable.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import List, Sequence
+from typing import List
 
 from .core import Scenario, compute_posterior, leaf_joints
 from .freqtree import FrequencyTree
@@ -43,15 +45,6 @@ def _signed(value: Fraction) -> str:
 # --- text tree -------------------------------------------------------------
 
 
-def _place(line: List[str], start: int, text: str) -> None:
-    for offset, char in enumerate(text):
-        line[start + offset] = char
-
-
-def _centered(line: List[str], span_start: int, span_width: int, text: str) -> None:
-    _place(line, span_start + max(0, (span_width - len(text)) // 2), text)
-
-
 def render_tree_text(tree: FrequencyTree) -> str:
     """Fixed-width, three-row drawing of a frequency tree.
 
@@ -63,40 +56,30 @@ def render_tree_text(tree: FrequencyTree) -> str:
     row2 = (str(tree.hypothesis_count), str(tree.complement_count))
     row2_labels = (tree.hypothesis_label, f"not ({tree.hypothesis_label})")
     leaf_cells = tuple(str(leaf) for leaf in tree.leaves)
-
-    def ceil_div(a: int, b: int) -> int:
-        return -(-a // b)
-
+    # Every text gets at least two spare columns in its field (colw, 2·colw or 4·colw wide), so none overflows it.
     colw = max(
         10,
         max(len(s) for s in leaf_cells + ROLE_LABELS) + 2,
-        ceil_div(max(len(s) for s in row2 + row2_labels) + 2, 2),
-        ceil_div(len(pop) + 2, 4),
+        -(-(max(len(s) for s in row2 + row2_labels) + 2) // 2),
+        -(-(len(pop) + 2) // 4),
     )
-    width = 4 * colw
-    leaf_centers = tuple(i * colw + colw // 2 for i in range(4))
-    left_center, mid_center, right_center = colw, 2 * colw, 3 * colw
 
-    def draw_connector(line: List[str], points: Sequence[int]) -> None:
-        for col in range(points[0], points[-1] + 1):
-            line[col] = "-"
-        for col in points:
-            line[col] = "+"
+    def fields(width: int, *texts: str) -> str:
+        """Each text in a field `width` wide, the smaller half of its spare columns on the left."""
+        return "".join((" " * ((width - len(text)) // 2) + text).ljust(width) for text in texts)
 
-    lines = [[" "] * width for _ in range(7)]
-    _centered(lines[0], 0, width, pop)
-    draw_connector(lines[1], (left_center, mid_center, right_center))
-    _centered(lines[2], 0, 2 * colw, row2[0])
-    _centered(lines[2], 2 * colw, 2 * colw, row2[1])
-    _centered(lines[3], 0, 2 * colw, row2_labels[0])
-    _centered(lines[3], 2 * colw, 2 * colw, row2_labels[1])
-    draw_connector(lines[4], (leaf_centers[0], left_center, leaf_centers[1]))
-    draw_connector(lines[4], (leaf_centers[2], right_center, leaf_centers[3]))
-    for i in range(4):
-        _centered(lines[5], i * colw, colw, leaf_cells[i])
-        _centered(lines[6], i * colw, colw, ROLE_LABELS[i])
-
-    text_lines = ["".join(line).rstrip() for line in lines]
+    half = colw // 2
+    fork = "+" + "-" * (colw - half - 1) + "+" + "-" * (half - 1) + "+"  # a leaf pair's centers and their parent's
+    lines = [
+        fields(4 * colw, pop),
+        " " * colw + ("+" + "-" * (colw - 1)) * 2 + "+",
+        fields(2 * colw, *row2),
+        fields(2 * colw, *row2_labels),
+        " " * half + fork + " " * (colw - 1) + fork,
+        fields(colw, *leaf_cells),
+        fields(colw, *ROLE_LABELS),
+    ]
+    text_lines = [line.rstrip() for line in lines]
     if any(tree.rounding_residuals):
         residuals = ", ".join(_signed(r) for r in tree.rounding_residuals)
         text_lines.append(f"rounding residuals (count - expected): {residuals}")

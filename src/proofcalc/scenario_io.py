@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import Probability, Scenario
-from .freqtree import MAX_POPULATION_DIGITS
+from .freqtree import _POPULATION_LIMIT, MAX_POPULATION_DIGITS
 
 FORMAT_VERSION = 1
 
@@ -29,7 +29,6 @@ FORMAT_VERSION = 1
 MAX_RATE_DIGITS = 1000
 _RATE_LIMIT = 10**MAX_RATE_DIGITS
 _RATE_TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
-_POPULATION_LIMIT = 10**MAX_POPULATION_DIGITS
 #: Digits an integer may have: past Python's default int-from-text limit, int() refuses it.
 MAX_INTEGER_DIGITS = 4300
 _BITS_PER_FIVE = math.log2(5)
@@ -107,11 +106,13 @@ def check_probability(name: str, text: str, rate: Fraction, line: Optional[int] 
     """`rate`, read from `text` for key or flag `name`, as a Probability.
 
     Raises RangeError naming `name` and `text` (and `line`, when given) if
-    the rate lies outside [0, 1].
+    the rate lies outside [0, 1]. The message shows each run of whitespace
+    in `text` as one space and none at its ends, so it stays on one line.
     """
-    if not 0 <= rate <= 1:
-        raise RangeError(f"{name} must be in [0, 1], got {text}", line)
-    return Probability(rate)
+    try:
+        return Probability(rate)
+    except ValueError:
+        raise RangeError(f"{name} must be in [0, 1], got {' '.join(text.split())}", line) from None
 
 
 def check_label(name: str, text: str, line: Optional[int] = None) -> str:
@@ -211,8 +212,17 @@ def parse_scenario(text: str) -> ScenarioDocument:
 
 
 def serialize_scenario(document: ScenarioDocument) -> str:
-    """Canonical text form; parse_scenario(serialize_scenario(d)) == d."""
+    """Canonical text form; parse_scenario(serialize_scenario(d)) == d.
+
+    Raises ValueError naming the key for a label that would not read back as
+    it is: one check_label refuses, an empty one, or one with whitespace at
+    either end, which parse_scenario strips.
+    """
     scenario = document.scenario
+    for key in ("hypothesis_label", "evidence_label"):
+        label = check_label(key, getattr(scenario, key))
+        if not label or label != label.strip():
+            raise ValueError(f"{key} must be non-empty, without whitespace at either end, got {label!r}")
     lines = [f"version = {document.format_version}"]
     for key in _RATE_KEYS:
         lines.append(f"{key} = {format_exact(getattr(scenario, key))}")

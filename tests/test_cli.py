@@ -6,9 +6,12 @@ import sys
 import xml.dom.minidom
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from proofcalc import ROUNDING_POLICIES, build_tree, render_proportion_bars_svg, render_tree_svg, render_tree_text
-from proofcalc.cli import main
+from proofcalc.cli import SVG_BARS, SVG_TREE, main
+from proofcalc.sweep import SWEEPABLE_PARAMETERS
 
 from cases import CASES
 from conftest import check_golden
@@ -278,6 +281,13 @@ def test_an_out_of_range_rate_flag_is_named(capsys, tmp_path, flag, text):
     code, out, err = run(capsys, *_command_with_rate_flag(flag, text, tmp_path))
     assert code == 2 and out == ""
     assert err == f"error: {flag} must be in [0, 1], got {text}\n"
+
+
+@pytest.mark.parametrize("padding", ["\n", "\r\n", "\x85", "\u2028"])
+def test_an_out_of_range_rate_with_line_breaks_is_reported_on_one_line(capsys, padding):
+    code, out, err = run(capsys, "posterior", *RATES[:4], "--false-alarm-rate", f"{padding}150{padding}%{padding}")
+    assert code == 2 and out == ""
+    assert err == "error: --false-alarm-rate must be in [0, 1], got 150 %\n"
 
 
 def _command_with_rate_flag(flag, text, tmp_path):
@@ -554,3 +564,101 @@ def test_module_entry_point_round_trip():
     )
     assert result.returncode == 0
     assert "16/19" in result.stdout
+
+
+# ------------------------------------------------ the CLI contract over generated values
+
+def _numbers(low, high):
+    """Rate texts in each spelling parse_rate reads, for values in [low, high]."""
+    return st.one_of(
+        st.fractions(low, high, max_denominator=10**12).map(str),
+        st.decimals(low, high, places=6).map(str),
+        st.decimals(100 * low, 100 * high, places=3).map("{}%".format),
+    )
+
+
+VALID_RATES = _numbers(0, 1)
+#: Any rate text: valid, out of range, padded with whitespace that ends a line, malformed, or junk.
+RATE_TEXTS = st.one_of(
+    VALID_RATES,
+    _numbers(-2, 2),
+    st.builds("{1}{0}{1}".format, _numbers(-2, 2), st.sampled_from([" ", "\t", "\n", "\x85", "\u2028"])),
+    st.text("0123456789./%eE+-_ \t\n\u2028", max_size=30),
+    st.text(max_size=200),
+)
+#: The whole code-point range, with C0/C1 controls and lone surrogates made common.
+ANY_CHARACTER = st.one_of(st.characters(exclude_categories=()), st.characters(categories=["Cc", "Cs"]))
+LABELS = st.text(ANY_CHARACTER, max_size=200)
+
+
+def _spelled(value, plus, underscores, padding):
+    digits = f"{abs(value):_}" if underscores else str(abs(value))
+    return f"{padding}{'-' if value < 0 else '+' if plus else ''}{digits}{padding}"
+
+
+def integer_texts(low, high):
+    """Texts of integers in [low, high], with signs, underscores and padding, and texts int() refuses."""
+    return st.one_of(
+        st.builds(_spelled, st.integers(low, high), st.booleans(), st.booleans(), st.sampled_from(["", " ", "\t"])),
+        st.builds("{}{}".format, st.integers(low, high), st.sampled_from(["x", ".0", "e3", "__1", "+"])),
+        st.text(st.characters(exclude_categories=["Nd"]), max_size=20),
+    )
+
+
+POPULATIONS = integer_texts(-2, 10**60)
+
+
+def _scenario_texts(rates):
+    return st.fixed_dictionaries(
+        {key: rates for key in ("base_rate", "hit_rate", "false_alarm_rate")},
+        optional={"version": integer_texts(0, 2), "population": POPULATIONS, "threshold": RATE_TEXTS,
+                  "hypothesis_label": LABELS, "evidence_label": LABELS, "colour": LABELS},
+    ).map(lambda pairs: "".join(f"{key} = {value}\n" for key, value in pairs.items()))
+
+
+SCENARIO_TEXTS = st.one_of(_scenario_texts(VALID_RATES), _scenario_texts(RATE_TEXTS), st.text(ANY_CHARACTER, max_size=200))
+
+
+@pytest.mark.parametrize("command", ["posterior", "verdict", "tree", "render", "sweep", "simulate"])
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_generated_values_exit_0_2_or_3_with_one_error_line(capsys, tmp_path, command, data):
+    # Values are drawn inside each subcommand's argv shape and passed as --flag=value, so argparse
+    # never takes one for a flag: its own usage errors are not what this checks.
+    scenario_path, out_path = tmp_path / "drawn.scenario", tmp_path / "drawn.out"
+    out_path.unlink(missing_ok=True)
+
+    def drawn(flag, strategy):
+        return f"{flag}={data.draw(strategy, label=flag)}"
+
+    if data.draw(st.booleans(), label="from a scenario file"):
+        text = data.draw(SCENARIO_TEXTS, label="scenario text")
+        scenario_path.write_text(text, encoding="utf-8", errors="surrogatepass")
+        argv = [command, "--scenario", str(scenario_path)]
+    else:
+        rates = data.draw(st.sampled_from([VALID_RATES, RATE_TEXTS]), label="rates")
+        argv = [command] + [drawn(flag, rates) for flag in ("--base-rate", "--hit-rate", "--false-alarm-rate")]
+    for flag in ("--hypothesis-label", "--evidence-label"):
+        if data.draw(st.booleans(), label=f"with {flag}"):
+            argv.append(drawn(flag, LABELS))
+    if command in ("tree", "render"):
+        argv += [drawn("--population", POPULATIONS), drawn("--rounding", st.sampled_from(ROUNDING_POLICIES))]
+    if command == "render":
+        argv += [drawn("--format", st.sampled_from([SVG_TREE, SVG_BARS])), "--out", str(out_path)]
+    elif command == "verdict":
+        argv.append(drawn("--threshold", RATE_TEXTS))
+    elif command == "sweep":
+        argv += [drawn("--param", st.sampled_from(SWEEPABLE_PARAMETERS)), drawn("--from", RATE_TEXTS),
+                 drawn("--to", RATE_TEXTS), drawn("--steps", integer_texts(-2, 50)), "--out", str(out_path)]
+    elif command == "simulate":
+        argv += [drawn("--samples", integer_texts(-2, 10**4)), drawn("--seed", integer_texts(-(2**70), 2**70))]
+
+    code = main(argv)
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3)
+    if code:
+        assert out == "" and err.startswith("error: ") and err.endswith("\n") and len(err.splitlines()) == 1
+    else:
+        assert err == ""
+        if command == "render":
+            xml.dom.minidom.parse(str(out_path))

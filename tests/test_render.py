@@ -8,6 +8,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from proofcalc import (
+    EXACT_RATIONAL,
+    LARGEST_REMAINDER,
+    ROUNDING_POLICIES,
     DegenerateEvidence,
     Scenario,
     build_tree,
@@ -294,6 +297,88 @@ def test_bars_ties_round_to_even_as_the_reference(tie):
     for scenario in (Scenario(tie, Fraction(4, 5), Fraction(1, 10)), Scenario(Fraction(1, 2), tie, 1 - tie)):
         _assert_bars_match_reference(scenario)
     assert compute_posterior(Scenario(Fraction(1, 2), tie, 1 - tie)).posterior == tie
+
+
+# -------------------------------------------- text trees against a frozen reference
+
+
+def _reference_tree_text(tree) -> str:
+    """The text tree as it was drawn before it was built line by line: a 7 x width character grid.
+
+    Frozen here as the reference for `render_tree_text`'s bytes; it shares no helper with `render`.
+    """
+    role_labels = ("hits", "quiet hypothesis", "false alarms", "quiet complement")
+    pop = str(tree.population)
+    row2 = (str(tree.hypothesis_count), str(tree.complement_count))
+    row2_labels = (tree.hypothesis_label, f"not ({tree.hypothesis_label})")
+    leaf_cells = tuple(str(leaf) for leaf in tree.leaves)
+
+    def ceil_div(a, b):
+        return -(-a // b)
+
+    colw = max(
+        10,
+        max(len(s) for s in leaf_cells + role_labels) + 2,
+        ceil_div(max(len(s) for s in row2 + row2_labels) + 2, 2),
+        ceil_div(len(pop) + 2, 4),
+    )
+    width = 4 * colw
+    leaf_centers = tuple(i * colw + colw // 2 for i in range(4))
+    left_center, mid_center, right_center = colw, 2 * colw, 3 * colw
+
+    def place(line, start, text):
+        for offset, char in enumerate(text):
+            line[start + offset] = char
+
+    def centered(line, span_start, span_width, text):
+        place(line, span_start + max(0, (span_width - len(text)) // 2), text)
+
+    def draw_connector(line, points):
+        for col in range(points[0], points[-1] + 1):
+            line[col] = "-"
+        for col in points:
+            line[col] = "+"
+
+    lines = [[" "] * width for _ in range(7)]
+    centered(lines[0], 0, width, pop)
+    draw_connector(lines[1], (left_center, mid_center, right_center))
+    centered(lines[2], 0, 2 * colw, row2[0])
+    centered(lines[2], 2 * colw, 2 * colw, row2[1])
+    centered(lines[3], 0, 2 * colw, row2_labels[0])
+    centered(lines[3], 2 * colw, 2 * colw, row2_labels[1])
+    draw_connector(lines[4], (leaf_centers[0], left_center, leaf_centers[1]))
+    draw_connector(lines[4], (leaf_centers[2], right_center, leaf_centers[3]))
+    for i in range(4):
+        centered(lines[5], i * colw, colw, leaf_cells[i])
+        centered(lines[6], i * colw, colw, role_labels[i])
+
+    text_lines = ["".join(line).rstrip() for line in lines]
+    if any(tree.rounding_residuals):
+        residuals = ", ".join(f"+{r}" if r > 0 else str(r) for r in tree.rounding_residuals)
+        text_lines.append(f"rounding residuals (count - expected): {residuals}")
+    return "\n".join(text_lines) + "\n"
+
+
+TREE_RATES = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), _rates_over(st.integers(1, 10**12)))
+#: Labels of 0-120 characters from any code point, with tab, non-ASCII, CJK and markup characters made common.
+TREE_LABELS = st.text(st.one_of(st.sampled_from("\t é中文字&<> a"), st.characters()), max_size=120)
+TREE_POPULATIONS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**1000 - 1))
+
+
+@settings(deadline=None)
+@given(TREE_RATES, TREE_RATES, TREE_RATES, TREE_LABELS, TREE_POPULATIONS, st.sampled_from(ROUNDING_POLICIES))
+# The column width is the largest of four terms. The floor of 10 and the population term never
+# decide it: "quiet complement" alone needs 18 columns, and one of the two row-2 counts has at
+# least all but one of the population's digits, in half the population's field.
+@example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "", 1, LARGEST_REMAINDER)  # a role label, 18 columns
+@example(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), "a", 4 * 10**40, LARGEST_REMAINDER)  # a 41-digit leaf
+@example(Fraction(1, 3), Fraction(1, 7), Fraction(1, 10**12 - 1), "b", 10, EXACT_RATIONAL)  # a leaf fraction
+@example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "é中&<>\t" * 20, 100, LARGEST_REMAINDER)  # a row-2 label
+@example(Fraction(1, 10**12), Fraction(1), Fraction(0), "c", 10**1000 - 1, EXACT_RATIONAL)  # a row-2 count
+@example(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), "d", 10**999, LARGEST_REMAINDER)  # the population at its cap
+def test_text_tree_bytes_equal_the_reference(base, hit, alarm, label, population, rounding):
+    tree = build_tree(Scenario(base, hit, alarm, hypothesis_label=label), population, rounding)
+    assert render_tree_text(tree) == _reference_tree_text(tree)
 
 
 # ---------------------------------------------------------------- well-formed

@@ -209,6 +209,14 @@ def test_values_may_contain_equals_signs():
     assert parse_scenario(serialize_scenario(document)) == document
 
 
+@pytest.mark.parametrize("key", ["hypothesis_label", "evidence_label"])
+@pytest.mark.parametrize("label", ["a\nthreshold = 0.9", "", "  padded  "])
+def test_serialize_refuses_a_label_that_would_not_read_back(key, label):
+    document = ScenarioDocument(Scenario("0.4", "0.8", "0.1", **{key: label}))
+    with pytest.raises(ValueError, match=key):
+        serialize_scenario(document)
+
+
 def test_parse_rate_grammar():
     assert parse_rate("0.4") == Fraction(2, 5)
     assert parse_rate("40%") == Fraction(2, 5)
