@@ -31,16 +31,7 @@ from .core import (
 from .freqtree import LARGEST_REMAINDER, ROUNDING_POLICIES, FrequencyTree, build_tree
 from .oracle import monte_carlo_posterior
 from .render import render_proportion_bars_svg, render_tree_svg, render_tree_text
-from .scenario_io import (
-    MAX_INTEGER_DIGITS,
-    RangeError,
-    ScenarioDocument,
-    check_label,
-    check_probability,
-    format_sig,
-    parse_rate,
-    parse_scenario,
-)
+from .scenario_io import ScenarioDocument, check_label, format_sig, parse_scenario, read_integer, read_rate
 from .sweep import SWEEPABLE_PARAMETERS, grid_points, sweep_rows, write_sweep_rows
 
 EXIT_OK = 0
@@ -70,30 +61,12 @@ def _scenario_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--evidence-label", metavar="TEXT", help="display label for E")
 
 
-def _rate(flag: str, text: str) -> Probability:
-    """The rate a flag gives; text that does not parse, is too long or is out of [0, 1] is an error naming the flag."""
-    try:
-        rate = parse_rate(text)
-    except RangeError as exc:
-        raise CLIError(f"{flag}: {exc}") from None
-    except ValueError:
-        raise CLIError(f"{flag} must be a rate such as 0.4, 40% or 2/5, got {text!r}") from None
-    return check_probability(flag, text, rate)
-
-
 def _integer_flags(args: argparse.Namespace) -> None:
     """Turn each integer flag's text into an int, refusing non-integers and over-long texts by name."""
     for dest in _INTEGER_FLAGS:
         text = getattr(args, dest, None)
-        if text is None:
-            continue
-        flag = f"--{dest}"
-        if sum(char.isdigit() for char in text) > MAX_INTEGER_DIGITS:
-            raise CLIError(f"{flag} may have at most {MAX_INTEGER_DIGITS} digits")
-        try:
-            setattr(args, dest, int(text))
-        except ValueError:
-            raise CLIError(f"{flag} must be an integer, got {text!r}") from None
+        if text is not None:
+            setattr(args, dest, read_integer(f"--{dest}", text))
 
 
 def _load_document(args: argparse.Namespace) -> ScenarioDocument:
@@ -109,9 +82,9 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
             )
         document = ScenarioDocument(
             scenario=Scenario(
-                base_rate=_rate("--base-rate", args.base_rate),
-                hit_rate=_rate("--hit-rate", args.hit_rate),
-                false_alarm_rate=_rate("--false-alarm-rate", args.false_alarm_rate),
+                base_rate=read_rate("--base-rate", args.base_rate),
+                hit_rate=read_rate("--hit-rate", args.hit_rate),
+                false_alarm_rate=read_rate("--false-alarm-rate", args.false_alarm_rate),
             )
         )
     labels = {}
@@ -126,7 +99,7 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
 
 def _resolve_threshold(flag: Optional[str], document: ScenarioDocument) -> Probability:
     if flag is not None:
-        return _rate("--threshold", flag)
+        return read_rate("--threshold", flag)
     if document.threshold is not None:
         return document.threshold
     return PREPONDERANCE
@@ -216,7 +189,7 @@ def _cmd_render(args: argparse.Namespace) -> int:
 def _cmd_sweep(args: argparse.Namespace) -> int:
     document = _load_document(args)
     # Every check runs before the file is opened: the grid is strictly increasing and inside [0, 1].
-    grid = grid_points(_rate("--from", args.start), _rate("--to", args.stop), args.steps)
+    grid = grid_points(read_rate("--from", args.start), read_rate("--to", args.stop), args.steps)
     rows = sweep_rows(document.scenario, args.param, grid, threshold=_resolve_threshold(None, document))
     with open(args.out, "w", encoding="utf-8", newline="") as stream:
         write_sweep_rows(args.param, rows, stream)

@@ -16,7 +16,7 @@ from typing import List
 
 from .core import Scenario, compute_posterior, leaf_joints
 from .freqtree import FrequencyTree
-from .scenario_io import format_fixed
+from .scenario_io import check_label, format_fixed
 
 ROLE_LABELS = ("hits", "quiet hypothesis", "false alarms", "quiet complement")
 
@@ -57,11 +57,10 @@ def render_tree_text(tree: FrequencyTree) -> str:
     row2_labels = (tree.hypothesis_label, f"not ({tree.hypothesis_label})")
     leaf_cells = tuple(str(leaf) for leaf in tree.leaves)
     # Every text gets at least two spare columns in its field (colw, 2·colw or 4·colw wide), so none overflows it.
+    # The population needs no term of its own: a row-2 count has all but one of its digits, in half its field.
     colw = max(
-        10,
         max(len(s) for s in leaf_cells + ROLE_LABELS) + 2,
         -(-(max(len(s) for s in row2 + row2_labels) + 2) // 2),
-        -(-(len(pop) + 2) // 4),
     )
 
     def fields(width: int, *texts: str) -> str:
@@ -145,8 +144,8 @@ def _tree_svg_template() -> str:
 
 
 def render_tree_svg(tree: FrequencyTree) -> bytes:
-    """SVG drawing of a frequency tree on the fixed canvas."""
-    label = _escape(tree.hypothesis_label)
+    """SVG drawing of a frequency tree on the fixed canvas; raises ValueError for a label check_label refuses."""
+    label = _escape(check_label("hypothesis_label", tree.hypothesis_label))
     counts = (tree.population, tree.hypothesis_count, label, tree.complement_count, f"not ({label})")
     return _tree_svg_template().format(*map(str, counts + tree.leaves)).encode("utf-8")
 
@@ -203,7 +202,7 @@ def render_proportion_bars_svg(scenario: Scenario) -> bytes:
     vertical when they are equal, and leans left otherwise.
 
     Raises DegenerateEvidence when the evidence marginal is zero (there is
-    no bottom bar to draw).
+    no bottom bar to draw), and ValueError for a label check_label refuses.
     """
     b, d = scenario.base_rate._numerator, scenario.base_rate._denominator
     hit, _, alarm, _, total = leaf_joints(scenario)
@@ -216,5 +215,6 @@ def render_proportion_bars_svg(scenario: Scenario) -> bytes:
         split=_fixed(_X0 * marginal + _BAR * hit, marginal, 2), hit=_fixed(_BAR * hit, total, 2),
         left=_fixed(_X0 * marginal * total + _BAR * hit * (total - marginal), marginal * total, 2),
         alarm=_fixed(_BAR * alarm, total, 2), base=_fixed(1000 * b, d, 1), posterior=_fixed(1000 * hit, marginal, 1),
-        label=_escape(scenario.hypothesis_label), evidence=_escape(scenario.evidence_label),
+        label=_escape(check_label("hypothesis_label", scenario.hypothesis_label)),
+        evidence=_escape(check_label("evidence_label", scenario.evidence_label)),
     ).encode("utf-8")

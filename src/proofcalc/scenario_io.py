@@ -15,6 +15,7 @@ are required; everything else is optional (version defaults to 1).
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
@@ -34,6 +35,9 @@ MAX_INTEGER_DIGITS = 4300
 _BITS_PER_FIVE = math.log2(5)
 #: format_sig's arithmetic: its own context, so the caller's decimal context cannot change its text.
 _SIG_CONTEXT = Context(prec=6, rounding=ROUND_HALF_EVEN)
+#: A character a label may not hold: outside XML 1.0's Char production, or one of its line breaks.
+#: Spelled as the four runs it holds; the complement of Char's ranges takes ten times as long to compile.
+_NOT_LABEL_CHAR = re.compile(r"[\x00-\x08\n-\x1f\ud800-\udfff\ufffe\uffff]")
 
 _RATE_KEYS = ("base_rate", "hit_rate", "false_alarm_rate")
 _KEYS = ("version",) + _RATE_KEYS + ("population", "threshold", "hypothesis_label", "evidence_label")
@@ -102,17 +106,39 @@ def parse_rate(text: str) -> Fraction:
     return rate
 
 
-def check_probability(name: str, text: str, rate: Fraction, line: Optional[int] = None) -> Probability:
-    """`rate`, read from `text` for key or flag `name`, as a Probability.
+def read_rate(name: str, text: str, line: Optional[int] = None) -> Probability:
+    """The rate `text` gives for key or flag `name`, as a Probability.
 
-    Raises RangeError naming `name` and `text` (and `line`, when given) if
-    the rate lies outside [0, 1]. The message shows each run of whitespace
+    Raises RangeError when parse_rate finds it too long or it lies outside
+    [0, 1], and ScenarioSyntaxError when it does not parse; each names `name`
+    (and `line`, when given). The range message shows each run of whitespace
     in `text` as one space and none at its ends, so it stays on one line.
     """
+    try:
+        rate = parse_rate(text)
+    except RangeError as exc:
+        raise RangeError(f"{name}: {exc}", line) from None
+    except ValueError:
+        raise ScenarioSyntaxError(f"{name} must be a rate such as 0.4, 40% or 2/5, got {text!r}", line) from None
     try:
         return Probability(rate)
     except ValueError:
         raise RangeError(f"{name} must be in [0, 1], got {' '.join(text.split())}", line) from None
+
+
+def read_integer(name: str, text: str, line: Optional[int] = None) -> int:
+    """The integer `text` gives for key or flag `name`, in any spelling int() reads.
+
+    Raises RangeError for more than MAX_INTEGER_DIGITS digits, without echoing
+    them, and ScenarioSyntaxError for text int() refuses; each names `name`
+    (and `line`, when given).
+    """
+    if sum(char.isdigit() for char in text) > MAX_INTEGER_DIGITS:
+        raise RangeError(f"{name} may have at most {MAX_INTEGER_DIGITS} digits", line)
+    try:
+        return int(text)
+    except ValueError:
+        raise ScenarioSyntaxError(f"{name} must be an integer, got {text!r}", line) from None
 
 
 def check_label(name: str, text: str, line: Optional[int] = None) -> str:
@@ -122,14 +148,16 @@ def check_label(name: str, text: str, line: Optional[int] = None) -> str:
     split the label's line in a scenario file: tab, U+0020-U+D7FF,
     U+E000-U+FFFD and U+10000 up. Lone surrogates, such as argv bytes that
     are not UTF-8, and U+FFFE/U+FFFF are refused with the C0 controls.
-    Raises ScenarioSyntaxError naming `name` (and `line`, when given) otherwise.
+    Raises ScenarioSyntaxError naming `name` and the first such character
+    (and `line`, when given) otherwise.
     """
-    for char in text:
-        if char < " " and char != "\t":
-            raise ScenarioSyntaxError(f"{name} may not contain the control character {char!r}", line)
-        if "\ud800" <= char <= "\udfff" or "\ufffe" <= char <= "\uffff":
-            raise ScenarioSyntaxError(f"{name} may not contain {char!r}, which XML 1.0 cannot carry", line)
-    return text
+    refused = _NOT_LABEL_CHAR.search(text)
+    if refused is None:
+        return text
+    char = refused.group()
+    if char < " ":
+        raise ScenarioSyntaxError(f"{name} may not contain the control character {char!r}", line)
+    raise ScenarioSyntaxError(f"{name} may not contain {char!r}, which XML 1.0 cannot carry", line)
 
 
 def parse_scenario(text: str) -> ScenarioDocument:
@@ -157,26 +185,9 @@ def parse_scenario(text: str) -> ScenarioDocument:
         values[key] = value
         lines[key] = number
 
-    def rate_at(key: str, value: str) -> Probability:
-        try:
-            rate = parse_rate(value)
-        except RangeError as exc:
-            raise RangeError(f"{key}: {exc}", lines[key]) from None
-        except (ValueError, ZeroDivisionError):
-            raise ScenarioSyntaxError(f"cannot parse {value!r} as a rate", lines[key]) from None
-        return check_probability(key, value, rate, lines[key])
-
-    def int_at(key: str, value: str) -> int:
-        if sum(char.isdigit() for char in value) > MAX_INTEGER_DIGITS:
-            raise RangeError(f"{key} may have at most {MAX_INTEGER_DIGITS} digits", lines[key])
-        try:
-            return int(value)
-        except ValueError:
-            raise ScenarioSyntaxError(f"cannot parse {value!r} as an integer", lines[key]) from None
-
     version = FORMAT_VERSION
     if "version" in values:
-        version = int_at("version", values["version"])
+        version = read_integer("version", values["version"], lines["version"])
         if version != FORMAT_VERSION:
             raise RangeError(
                 f"unsupported format version {version}; expected {FORMAT_VERSION}", lines["version"]
@@ -185,17 +196,17 @@ def parse_scenario(text: str) -> ScenarioDocument:
     for key in _RATE_KEYS:
         if key not in values:
             raise MissingKeyError(key)
-    rates = {key: rate_at(key, values[key]) for key in _RATE_KEYS}
+    rates = {key: read_rate(key, values[key], lines[key]) for key in _RATE_KEYS}
 
     population = None
     if "population" in values:
-        population = int_at("population", values["population"])
+        population = read_integer("population", values["population"], lines["population"])
         if population < 1:
             raise RangeError(f"population must be >= 1, got {population}", lines["population"])
         if population >= _POPULATION_LIMIT:
             raise RangeError(f"population may have at most {MAX_POPULATION_DIGITS} digits", lines["population"])
 
-    threshold = rate_at("threshold", values["threshold"]) if "threshold" in values else None
+    threshold = read_rate("threshold", values["threshold"], lines["threshold"]) if "threshold" in values else None
 
     scenario_kwargs = {
         key: check_label(key, values[key], lines[key])

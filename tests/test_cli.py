@@ -537,6 +537,28 @@ def test_numpy_is_imported_only_to_simulate():
     assert result.returncode == 0, result.stderr
 
 
+@pytest.mark.parametrize(
+    "key, text",
+    [("base_rate", "abc"), ("base_rate", "1/0"), ("base_rate", "1e-5000"), ("base_rate", "1.5"),
+     ("population", "ten"), ("population", "9" * 4301)],
+    ids=["abc", "1/0", "1e-5000", "1.5", "ten", "4301-nines"],
+)
+def test_a_bad_value_reads_the_same_from_a_flag_and_from_a_file(capsys, tmp_path, key, text):
+    flag = "--" + key.replace("_", "-")
+    argv = ["tree", *RATES, "--population", "100"]
+    argv[argv.index(flag) + 1] = text
+    code, out, flag_err = run(capsys, *argv)
+    assert code == 2 and out == "" and flag_err.startswith(f"error: {flag}")
+
+    path = tmp_path / "bad.scenario"
+    values = {"base_rate": "0.4", "hit_rate": "0.8", "false_alarm_rate": "0.1", "population": "100", key: text}
+    path.write_text("".join(f"{name} = {value}\n" for name, value in values.items()), encoding="utf-8")
+    code, out, file_err = run(capsys, "tree", "--scenario", str(path))
+    line = list(values).index(key) + 1
+    assert code == 2 and out == ""
+    assert file_err == flag_err.replace(f"error: {flag}", f"error: line {line}: {key}", 1)
+
+
 def test_no_network_or_xml_module_is_imported(tmp_path):
     script = (
         "import sys\n"

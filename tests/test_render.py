@@ -367,9 +367,10 @@ TREE_POPULATIONS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**1000 - 1)
 
 @settings(deadline=None)
 @given(TREE_RATES, TREE_RATES, TREE_RATES, TREE_LABELS, TREE_POPULATIONS, st.sampled_from(ROUNDING_POLICIES))
-# The column width is the largest of four terms. The floor of 10 and the population term never
-# decide it: "quiet complement" alone needs 18 columns, and one of the two row-2 counts has at
-# least all but one of the population's digits, in half the population's field.
+# The reference's column width is the largest of four terms; render_tree_text keeps only the two that
+# can decide it. The floor of 10 and the population term never do: "quiet complement" alone needs 18
+# columns, and one of the two row-2 counts has at least all but one of the population's digits, in
+# half the population's field.
 @example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "", 1, LARGEST_REMAINDER)  # a role label, 18 columns
 @example(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), "a", 4 * 10**40, LARGEST_REMAINDER)  # a 41-digit leaf
 @example(Fraction(1, 3), Fraction(1, 7), Fraction(1, 10**12 - 1), "b", 10, EXACT_RATIONAL)  # a leaf fraction
@@ -382,6 +383,16 @@ def test_text_tree_bytes_equal_the_reference(base, hit, alarm, label, population
 
 
 # ---------------------------------------------------------------- well-formed
+
+
+@pytest.mark.parametrize("char", ["\x01", "\n", "\ufffe", "\udcff"])
+def test_svg_renderers_refuse_a_label_check_label_refuses(char):
+    label = f"a{char}b"
+    with pytest.raises(ValueError, match="^hypothesis_label may not contain "):
+        render_tree_svg(build_tree(Scenario("0.4", "0.8", "0.1", hypothesis_label=label), 100))
+    for key in ("hypothesis_label", "evidence_label"):
+        with pytest.raises(ValueError, match=f"^{key} may not contain "):
+            render_proportion_bars_svg(Scenario("0.4", "0.8", "0.1", **{key: label}))
 
 
 def test_all_fixture_svgs_parse_as_single_rooted_xml():
