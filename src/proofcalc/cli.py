@@ -21,6 +21,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from .core import (
     PREPONDERANCE,
+    RATE_NAMES,
     DegenerateEvidence,
     Probability,
     Scenario,
@@ -29,10 +30,10 @@ from .core import (
     verdict_error_profile,
 )
 from .freqtree import LARGEST_REMAINDER, ROUNDING_POLICIES, FrequencyTree, build_tree
-from .oracle import monte_carlo_posterior
-from .render import render_proportion_bars_svg, render_tree_svg, render_tree_text
 from .scenario_io import ScenarioDocument, check_label, format_sig, parse_scenario, read_integer, read_rate
-from .sweep import SWEEPABLE_PARAMETERS, grid_points, sweep_rows, write_sweep_rows
+
+# render, sweep (with csv) and oracle (with NumPy) are imported in the subcommands that use them,
+# so that the other subcommands start without loading them.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -171,12 +172,16 @@ def _cmd_verdict(args: argparse.Namespace) -> int:
 
 
 def _cmd_tree(args: argparse.Namespace) -> int:
+    from .render import render_tree_text
+
     document = _load_document(args)
     sys.stdout.write(render_tree_text(_build_tree(args, document)))
     return EXIT_OK
 
 
 def _cmd_render(args: argparse.Namespace) -> int:
+    from .render import render_proportion_bars_svg, render_tree_svg
+
     document = _load_document(args)
     if args.format == SVG_TREE:
         payload = render_tree_svg(_build_tree(args, document))
@@ -187,6 +192,8 @@ def _cmd_render(args: argparse.Namespace) -> int:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> int:
+    from .sweep import grid_points, sweep_rows, write_sweep_rows
+
     document = _load_document(args)
     # Every check runs before the file is opened: the grid is strictly increasing and inside [0, 1].
     grid = grid_points(read_rate("--from", args.start), read_rate("--to", args.stop), args.steps)
@@ -197,6 +204,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
+    from .oracle import monte_carlo_posterior
+
     document = _load_document(args)
     exact = compute_posterior(document.scenario).posterior
     result = monte_carlo_posterior(document.scenario, samples=args.samples, seed=args.seed)
@@ -244,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="vary one rate over a grid, write posteriors as CSV")
     _scenario_options(p)
-    p.add_argument("--param", choices=SWEEPABLE_PARAMETERS, required=True)
+    p.add_argument("--param", choices=RATE_NAMES, required=True)
     p.add_argument("--from", dest="start", metavar="A", required=True, help="first grid value")
     p.add_argument("--to", dest="stop", metavar="B", required=True, help="last grid value")
     p.add_argument("--steps", metavar="K", required=True, help="number of grid values")

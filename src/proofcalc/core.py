@@ -18,6 +18,15 @@ from typing import Tuple, Union
 
 RateLike = Union["Probability", Fraction, int, float, str]
 
+#: The three rates of a scenario, in the order every layer reads them.
+RATE_NAMES = ("base_rate", "hit_rate", "false_alarm_rate")
+
+#: Digits a tree's population may have, as many as a rate's numerator or
+#: denominator: with every rate at that cap, no count or residual numerator
+#: passes 4,000 digits, below Python's 4,300-digit int-to-str limit.
+MAX_POPULATION_DIGITS = 1000
+_POPULATION_LIMIT = 10**MAX_POPULATION_DIGITS
+
 
 class DegenerateEvidence(ValueError):
     """The evidence has zero probability mass, so conditioning on it is undefined."""
@@ -70,7 +79,7 @@ class Scenario:
     evidence_label: str = "is blue"
 
     def __post_init__(self) -> None:
-        for name in ("base_rate", "hit_rate", "false_alarm_rate"):
+        for name in RATE_NAMES:
             object.__setattr__(self, name, Probability(getattr(self, name)))
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .core import DegenerateEvidence, Probability, Scenario, leaf_joints
+from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, DegenerateEvidence, Probability, Scenario, leaf_joints
 
 Count = Union[int, Fraction]
 
@@ -25,12 +25,6 @@ LARGEST_REMAINDER = "largest-remainder"
 #: Keep non-integral expected counts as exact fractions.
 EXACT_RATIONAL = "exact-rational"
 ROUNDING_POLICIES = (LARGEST_REMAINDER, EXACT_RATIONAL)
-
-#: Digits a tree's population may have, as many as a rate's numerator or
-#: denominator: with every rate at that cap, no count or residual numerator
-#: passes 4,000 digits, below Python's 4,300-digit int-to-str limit.
-MAX_POPULATION_DIGITS = 1000
-_POPULATION_LIMIT = 10**MAX_POPULATION_DIGITS
 
 
 @dataclass(frozen=True)

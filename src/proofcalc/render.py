@@ -50,11 +50,13 @@ def render_tree_text(tree: FrequencyTree) -> str:
 
     Row 1 is the population, row 2 the labeled hypothesis/complement
     counts, row 3 the four leaves with their role labels. When counts were
-    rounded, a footer reports the per-leaf residuals.
+    rounded, a footer reports the per-leaf residuals. Raises ValueError for
+    a label check_label refuses, such as one that would break its line.
     """
     pop = str(tree.population)
     row2 = (str(tree.hypothesis_count), str(tree.complement_count))
-    row2_labels = (tree.hypothesis_label, f"not ({tree.hypothesis_label})")
+    label = check_label("hypothesis_label", tree.hypothesis_label)
+    row2_labels = (label, f"not ({label})")
     leaf_cells = tuple(str(leaf) for leaf in tree.leaves)
     # Every text gets at least two spare columns in its field (colw, 2·colw or 4·colw wide), so none overflows it.
     # The population needs no term of its own: a row-2 count has all but one of its digits, in half its field.

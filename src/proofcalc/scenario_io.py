@@ -21,8 +21,7 @@ from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from typing import Optional
 
-from .core import Probability, Scenario
-from .freqtree import _POPULATION_LIMIT, MAX_POPULATION_DIGITS
+from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, RATE_NAMES, Probability, Scenario
 
 FORMAT_VERSION = 1
 
@@ -39,8 +38,7 @@ _SIG_CONTEXT = Context(prec=6, rounding=ROUND_HALF_EVEN)
 #: Spelled as the four runs it holds; the complement of Char's ranges takes ten times as long to compile.
 _NOT_LABEL_CHAR = re.compile(r"[\x00-\x08\n-\x1f\ud800-\udfff\ufffe\uffff]")
 
-_RATE_KEYS = ("base_rate", "hit_rate", "false_alarm_rate")
-_KEYS = ("version",) + _RATE_KEYS + ("population", "threshold", "hypothesis_label", "evidence_label")
+_KEYS = ("version",) + RATE_NAMES + ("population", "threshold", "hypothesis_label", "evidence_label")
 
 
 class ScenarioParseError(ValueError):
@@ -193,10 +191,10 @@ def parse_scenario(text: str) -> ScenarioDocument:
                 f"unsupported format version {version}; expected {FORMAT_VERSION}", lines["version"]
             )
 
-    for key in _RATE_KEYS:
+    for key in RATE_NAMES:
         if key not in values:
             raise MissingKeyError(key)
-    rates = {key: read_rate(key, values[key], lines[key]) for key in _RATE_KEYS}
+    rates = {key: read_rate(key, values[key], lines[key]) for key in RATE_NAMES}
 
     population = None
     if "population" in values:
@@ -235,7 +233,7 @@ def serialize_scenario(document: ScenarioDocument) -> str:
         if not label or label != label.strip():
             raise ValueError(f"{key} must be non-empty, without whitespace at either end, got {label!r}")
     lines = [f"version = {document.format_version}"]
-    for key in _RATE_KEYS:
+    for key in RATE_NAMES:
         lines.append(f"{key} = {format_exact(getattr(scenario, key))}")
     if document.population is not None:
         lines.append(f"population = {document.population}")

@@ -7,10 +7,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .core import PREPONDERANCE, Outcome, Probability, RateLike, Scenario, Verdict, _reduced, leaf_joints_of
+from .core import PREPONDERANCE, RATE_NAMES, Outcome, Probability, RateLike, Scenario, Verdict, _reduced, leaf_joints_of
 from .scenario_io import format_exact, format_sig
 
-SWEEPABLE_PARAMETERS = ("base_rate", "hit_rate", "false_alarm_rate")
+SWEEPABLE_PARAMETERS = RATE_NAMES
 MAX_STEPS = 10**5
 
 #: CSV cell markers for grid points where the evidence has zero mass.

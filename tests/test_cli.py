@@ -326,7 +326,7 @@ def test_a_rate_flag_that_does_not_parse_is_named(capsys, monkeypatch, tmp_path,
 
 
 def test_sweep_rejects_more_steps_than_the_cap(capsys, monkeypatch, tmp_path):
-    sweep_module = sys.modules["proofcalc.sweep"]  # the package exports a function of that name
+    import proofcalc.sweep as sweep_module
 
     def never_build(*_):
         raise AssertionError("the step cap let a grid be built")
@@ -526,13 +526,49 @@ def test_numpy_is_imported_only_to_simulate():
         "import proofcalc\n"
         "from proofcalc.cli import main\n"
         "assert 'numpy' not in sys.modules, 'import proofcalc'\n"
-        "assert main(['posterior', *sys.argv[1:]]) == 0\n"
-        "assert 'numpy' not in sys.modules, 'posterior'\n"
+        "unused = ('proofcalc.render', 'proofcalc.sweep', 'proofcalc.oracle', 'csv', 'numpy')\n"
+        "for command in ('posterior', 'verdict'):\n"
+        "    assert main([command, *sys.argv[1:]]) == 0\n"
+        "    loaded = [name for name in unused if name in sys.modules]\n"
+        "    assert not loaded, (command, loaded)\n"
+        "assert main(['tree', *sys.argv[1:]]) == 0\n"
+        "assert 'proofcalc.render' in sys.modules, 'tree'\n"
+        "loaded = [name for name in ('proofcalc.sweep', 'proofcalc.oracle', 'csv') if name in sys.modules]\n"
+        "assert not loaded, ('tree', loaded)\n"
         "assert main(['simulate', *sys.argv[1:], '--samples', '10']) == 0\n"
         "assert 'numpy' in sys.modules, 'simulate'\n"
     )
     result = subprocess.run(
         [sys.executable, "-c", script, *RATES], capture_output=True, text=True, check=False
+    )
+    assert result.returncode == 0, result.stderr
+
+
+def test_the_package_loads_each_name_from_its_module_on_first_use(tmp_path):
+    script = (
+        "import sys\n"
+        "import proofcalc\n"
+        "assert dir(proofcalc) == sorted(proofcalc.__all__)\n"
+        "try:\n"
+        "    proofcalc.no_such_name\n"
+        "except AttributeError:\n"
+        "    pass\n"
+        "else:\n"
+        "    raise AssertionError('an unknown name resolved')\n"
+        "from proofcalc import *\n"
+        "for module, names in proofcalc._EXPORTS.items():\n"
+        "    for name in names:\n"
+        "        home = getattr(sys.modules['proofcalc.' + module], name)\n"
+        "        assert getattr(proofcalc, name) is home and globals()[name] is home, name\n"
+        "assert proofcalc.sweep is sys.modules['proofcalc.sweep'], 'before'\n"
+        "from proofcalc.cli import main\n"
+        "assert main(['sweep', *sys.argv[2:], '--param', 'base_rate', '--from', '0', '--to', '1',\n"
+        "             '--steps', '3', '--out', sys.argv[1]]) == 0\n"
+        "assert proofcalc.sweep is sys.modules['proofcalc.sweep'], 'after'\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script, str(tmp_path / "sweep.csv"), *RATES],
+        capture_output=True, text=True, check=False,
     )
     assert result.returncode == 0, result.stderr
 

@@ -360,8 +360,12 @@ def _reference_tree_text(tree) -> str:
 
 
 TREE_RATES = st.one_of(st.sampled_from([Fraction(0), Fraction(1)]), _rates_over(st.integers(1, 10**12)))
-#: Labels of 0-120 characters from any code point, with tab, non-ASCII, CJK and markup characters made common.
-TREE_LABELS = st.text(st.one_of(st.sampled_from("\t é中文字&<> a"), st.characters()), max_size=120)
+#: Characters check_label accepts: any code point but the C0 controls other than tab, surrogates, U+FFFE and U+FFFF.
+LABEL_CHARS = st.characters(
+    exclude_categories=("Cs",), exclude_characters="".join(map(chr, range(32))).replace("\t", "") + "\ufffe\uffff"
+)
+#: Labels of 0-120 such characters, with tab, non-ASCII, CJK and markup characters made common.
+TREE_LABELS = st.text(st.one_of(st.sampled_from("\t é中文字&<> a"), LABEL_CHARS), max_size=120)
 TREE_POPULATIONS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**1000 - 1))
 
 
@@ -388,8 +392,10 @@ def test_text_tree_bytes_equal_the_reference(base, hit, alarm, label, population
 @pytest.mark.parametrize("char", ["\x01", "\n", "\ufffe", "\udcff"])
 def test_svg_renderers_refuse_a_label_check_label_refuses(char):
     label = f"a{char}b"
-    with pytest.raises(ValueError, match="^hypothesis_label may not contain "):
-        render_tree_svg(build_tree(Scenario("0.4", "0.8", "0.1", hypothesis_label=label), 100))
+    tree = build_tree(Scenario("0.4", "0.8", "0.1", hypothesis_label=label), 100)
+    for render in (render_tree_svg, render_tree_text):
+        with pytest.raises(ValueError, match="^hypothesis_label may not contain "):
+            render(tree)
     for key in ("hypothesis_label", "evidence_label"):
         with pytest.raises(ValueError, match=f"^{key} may not contain "):
             render_proportion_bars_svg(Scenario("0.4", "0.8", "0.1", **{key: label}))

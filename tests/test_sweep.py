@@ -3,7 +3,6 @@
 import csv
 import io
 import itertools
-import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -23,12 +22,11 @@ from proofcalc import (
     format_sig,
     grid_points,
     parse_rate,
-    sweep,
     sweep_rows,
     write_sweep_csv,
     write_sweep_rows,
 )
-from proofcalc.sweep import MAX_STEPS, SWEEPABLE_PARAMETERS
+from proofcalc.sweep import MAX_STEPS, SWEEPABLE_PARAMETERS, sweep
 
 from cases import CASES
 
@@ -208,7 +206,8 @@ def test_a_grid_fault_is_raised_where_the_grid_has_it():
 
 
 def test_the_posterior_identity_is_checked_per_row(monkeypatch):
-    sweep_module = sys.modules["proofcalc.sweep"]  # the package exports a function of that name
+    import proofcalc.sweep as sweep_module
+
     reduced = sweep_module._reduced
     monkeypatch.setattr(sweep_module, "_reduced", lambda n, d: reduced(n, d + 1))
     with pytest.raises(ValueError, match="posterior \\* evidence_marginal must equal joint_hit"):
