@@ -59,8 +59,10 @@ def test_verdict_reports_outcome_and_error_profile(capsys):
 
 
 def test_verdict_threshold_flag(capsys):
-    code, out, _ = run(capsys, "verdict", *RATES, "--threshold", "0.9")
-    assert code == 0 and "for-defendant" in out
+    code, out, err = run(capsys, "verdict", *RATES, "--threshold", "0.9")
+    assert code == 0 and err == ""
+    assert "for-defendant" in out and "miss-verdict" in out
+    check_golden("cli_verdict_defendant.txt", out.encode("utf-8"))
 
 
 def test_tree_matches_the_library_renderer(capsys):
