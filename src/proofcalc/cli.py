@@ -5,35 +5,35 @@ see scenario_io for the format) or from inline flags
 --base-rate/--hit-rate/--false-alarm-rate, each accepting decimals
 ("0.4"), percentages ("40%") or fractions ("2/5").
 
-Exit codes: 0 success, 2 input or parse error, 3 degenerate evidence.
-Output is deterministic: identical inputs and flags produce byte-identical
-standard output (`simulate` included, given --seed).
+A subcommand prints nothing: `posterior`, `verdict` and `simulate` return a
+list of (name, value) fields, `tree` returns its drawing, and `render` and
+`sweep` write their file and return None. `main` alone writes to standard
+output, through `_report` for fields.
+
+Exit codes: 0 success, 2 input or parse error or a failed write to standard
+output, 3 degenerate evidence. Output is deterministic: identical inputs and
+flags produce byte-identical standard output (`simulate` included, given
+--seed).
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (
-    PREPONDERANCE,
-    RATE_NAMES,
-    DegenerateEvidence,
-    Probability,
-    Scenario,
-    compute_posterior,
-    decide,
-    verdict_error_profile,
+    LARGEST_REMAINDER, PREPONDERANCE, RATE_NAMES, ROUNDING_POLICIES, DegenerateEvidence, Probability, Scenario,
+    compute_posterior, decide, verdict_error_profile,
 )
-from .freqtree import LARGEST_REMAINDER, ROUNDING_POLICIES, FrequencyTree, build_tree
 from .scenario_io import ScenarioDocument, check_label, format_sig, parse_scenario, read_integer, read_rate
 
-# render, sweep (with csv) and oracle (with NumPy) are imported in the subcommands that use them,
-# so that the other subcommands start without loading them.
+# freqtree, render, sweep (with csv) and oracle (with NumPy) are imported in the subcommands that
+# use them, so that the other subcommands start without loading them.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -45,9 +45,8 @@ SVG_BARS = "svg-bars"
 #: Integer flags, read as text and converted by `_integer_flags` after parsing.
 _INTEGER_FLAGS = ("population", "steps", "samples", "seed")
 
-
-class CLIError(ValueError):
-    """Bad flag combination; reported on stderr with exit code 2."""
+#: A report field: an exact value, a count, a word (an enum's value) or a float standard error.
+Field = Tuple[str, Union[Fraction, int, str, float]]
 
 
 def _scenario_options(parser: argparse.ArgumentParser) -> None:
@@ -74,11 +73,11 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
     inline = (args.base_rate, args.hit_rate, args.false_alarm_rate)
     if args.scenario is not None:
         if any(value is not None for value in inline):
-            raise CLIError("--scenario cannot be combined with inline rate flags")
+            raise ValueError("--scenario cannot be combined with inline rate flags")
         document = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
     else:
         if any(value is None for value in inline):
-            raise CLIError(
+            raise ValueError(
                 "provide --scenario PATH, or all of --base-rate, --hit-rate and --false-alarm-rate"
             )
         document = ScenarioDocument(
@@ -114,72 +113,59 @@ def _tree_options(parser: argparse.ArgumentParser, scope: str = "") -> None:
     )
 
 
-def _build_tree(args: argparse.Namespace, document: ScenarioDocument) -> FrequencyTree:
+def _build_tree(args: argparse.Namespace, document: ScenarioDocument):
     """The tree for --population (else the file's population, else 100) and --rounding."""
+    from .freqtree import build_tree
+
     population = args.population if args.population is not None else document.population or 100
     return build_tree(document.scenario, population=population, rounding=args.rounding)
 
 
-def _frac(value: Fraction) -> str:
-    return f"{value.numerator}/{value.denominator}"
-
-
-def _aligned(rows: Sequence[Tuple[str, ...]]) -> str:
-    """Rows as space-aligned columns; the last column is left ragged."""
-    widths = [max(len(row[i]) for row in rows) for i in range(len(rows[0]) - 1)]
-    lines = []
-    for row in rows:
-        cells = [cell.ljust(widths[i]) for i, cell in enumerate(row[:-1])]
-        lines.append("  ".join(cells + [row[-1]]).rstrip())
-    return "\n".join(lines) + "\n"
-
-
-def _cmd_posterior(args: argparse.Namespace) -> int:
-    document = _load_document(args)
-    breakdown = compute_posterior(document.scenario)
+def _report(fields: Sequence[Field]) -> str:
+    """Fields in space-aligned lines: an exact value as its decimal and p/q, a float to 6 digits, else text."""
     rows = [
-        (name.replace("_", " "), format_sig(value), _frac(value))
-        for name, value in (
-            ("joint_hit", breakdown.joint_hit),
-            ("joint_false_alarm", breakdown.joint_false_alarm),
-            ("evidence_marginal", breakdown.evidence_marginal),
-            ("posterior", breakdown.posterior),
-        )
+        (name, format_sig(value), f"{value.numerator}/{value.denominator}") if isinstance(value, Fraction)
+        else (name, f"{value:.6g}" if isinstance(value, float) else str(value), "")
+        for name, value in fields
     ]
-    sys.stdout.write(_aligned(rows))
-    return EXIT_OK
+    name_width = max(len(name) for name, _, _ in rows)
+    value_width = max(len(value) for _, value, _ in rows)
+    return "".join(
+        f"{name.ljust(name_width)}  {value.ljust(value_width)}  {exact}".rstrip() + "\n" for name, value, exact in rows
+    )
 
 
-def _cmd_verdict(args: argparse.Namespace) -> int:
+def _cmd_posterior(args: argparse.Namespace) -> List[Field]:
+    breakdown = compute_posterior(_load_document(args).scenario)
+    return [
+        ("joint hit", breakdown.joint_hit),
+        ("joint false alarm", breakdown.joint_false_alarm),
+        ("evidence marginal", breakdown.evidence_marginal),
+        ("posterior", breakdown.posterior),
+    ]
+
+
+def _cmd_verdict(args: argparse.Namespace) -> List[Field]:
     document = _load_document(args)
     threshold = _resolve_threshold(args.threshold, document)
     breakdown = compute_posterior(document.scenario)
-    verdict = decide(breakdown, threshold)
     profile = verdict_error_profile(breakdown, threshold)
-    rows = [
-        ("posterior", format_sig(breakdown.posterior), _frac(breakdown.posterior)),
-        ("threshold", format_sig(threshold), _frac(threshold)),
-        ("verdict", verdict.outcome.value, ""),
-        (
-            "wrong-verdict probability",
-            format_sig(profile.wrong_verdict_probability),
-            _frac(profile.wrong_verdict_probability),
-        ),
-        ("error kind", profile.error_kind.value, ""),
+    return [
+        ("posterior", breakdown.posterior),
+        ("threshold", threshold),
+        ("verdict", decide(breakdown, threshold).outcome.value),
+        ("wrong-verdict probability", profile.wrong_verdict_probability),
+        ("error kind", profile.error_kind.value),
     ]
-    sys.stdout.write(_aligned(rows))
-    return EXIT_OK
 
 
-def _cmd_tree(args: argparse.Namespace) -> int:
+def _cmd_tree(args: argparse.Namespace) -> str:
     from .render import render_tree_text
 
-    document = _load_document(args)
-    sys.stdout.write(render_tree_text(_build_tree(args, document)))
-    return EXIT_OK
+    return render_tree_text(_build_tree(args, _load_document(args)))
 
 
-def _cmd_render(args: argparse.Namespace) -> int:
+def _cmd_render(args: argparse.Namespace) -> None:
     from .render import render_proportion_bars_svg, render_tree_svg
 
     document = _load_document(args)
@@ -188,10 +174,9 @@ def _cmd_render(args: argparse.Namespace) -> int:
     else:
         payload = render_proportion_bars_svg(document.scenario)
     Path(args.out).write_bytes(payload)
-    return EXIT_OK
 
 
-def _cmd_sweep(args: argparse.Namespace) -> int:
+def _cmd_sweep(args: argparse.Namespace) -> None:
     from .sweep import grid_points, sweep_rows, write_sweep_rows
 
     document = _load_document(args)
@@ -200,24 +185,21 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
     rows = sweep_rows(document.scenario, args.param, grid, threshold=_resolve_threshold(None, document))
     with open(args.out, "w", encoding="utf-8", newline="") as stream:
         write_sweep_rows(args.param, rows, stream)
-    return EXIT_OK
 
 
-def _cmd_simulate(args: argparse.Namespace) -> int:
+def _cmd_simulate(args: argparse.Namespace) -> List[Field]:
     from .oracle import monte_carlo_posterior
 
     document = _load_document(args)
     exact = compute_posterior(document.scenario).posterior
     result = monte_carlo_posterior(document.scenario, samples=args.samples, seed=args.seed)
-    rows = [
-        ("samples", str(result.samples_total), ""),
-        ("conditioned samples", str(result.samples_conditioned), ""),
-        ("estimate", format_sig(result.estimate), _frac(result.estimate)),
-        ("standard error", f"{result.standard_error:.6g}", ""),
-        ("exact posterior", format_sig(exact), _frac(exact)),
+    return [
+        ("samples", result.samples_total),
+        ("conditioned samples", result.samples_conditioned),
+        ("estimate", result.estimate),
+        ("standard error", result.standard_error),
+        ("exact posterior", exact),
     ]
-    sys.stdout.write(_aligned(rows))
-    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -270,10 +252,22 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Optional[List[str]] = None) -> int:
+    """Run one subcommand and print what it returns: the one place that writes to standard output."""
     args = build_parser().parse_args(argv)
     try:
         _integer_flags(args)
-        return args.func(args)
+        output = args.func(args)
+        text = _report(output) if isinstance(output, list) else output or ""
+        try:
+            sys.stdout.write(text)
+            sys.stdout.flush()
+        except OSError:
+            # The unwritten text stays buffered: send it to the null device, so the flush at exit cannot fail.
+            devnull = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(devnull, sys.stdout.fileno())
+            os.close(devnull)
+            raise
+        return EXIT_OK
     except DegenerateEvidence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -27,6 +27,12 @@ RATE_NAMES = ("base_rate", "hit_rate", "false_alarm_rate")
 MAX_POPULATION_DIGITS = 1000
 _POPULATION_LIMIT = 10**MAX_POPULATION_DIGITS
 
+#: How a tree's counts are made whole: round non-integral expected counts to
+#: integers preserving row sums, or keep them as exact fractions.
+LARGEST_REMAINDER = "largest-remainder"
+EXACT_RATIONAL = "exact-rational"
+ROUNDING_POLICIES = (LARGEST_REMAINDER, EXACT_RATIONAL)
+
 
 class DegenerateEvidence(ValueError):
     """The evidence has zero probability mass, so conditioning on it is undefined."""

@@ -16,15 +16,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Tuple, Union
 
-from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, DegenerateEvidence, Probability, Scenario, leaf_joints
+from .core import (
+    _POPULATION_LIMIT, EXACT_RATIONAL, LARGEST_REMAINDER, MAX_POPULATION_DIGITS, ROUNDING_POLICIES,
+    DegenerateEvidence, Probability, Scenario, leaf_joints,
+)
 
 Count = Union[int, Fraction]
-
-#: Round non-integral expected counts to integers, preserving row sums.
-LARGEST_REMAINDER = "largest-remainder"
-#: Keep non-integral expected counts as exact fractions.
-EXACT_RATIONAL = "exact-rational"
-ROUNDING_POLICIES = (LARGEST_REMAINDER, EXACT_RATIONAL)
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """End-to-end command-line behavior: output shapes, written files, exit codes."""
 
+import errno
+import os
 import re
 import subprocess
 import sys
@@ -528,7 +530,7 @@ def test_numpy_is_imported_only_to_simulate():
         "import proofcalc\n"
         "from proofcalc.cli import main\n"
         "assert 'numpy' not in sys.modules, 'import proofcalc'\n"
-        "unused = ('proofcalc.render', 'proofcalc.sweep', 'proofcalc.oracle', 'csv', 'numpy')\n"
+        "unused = ('proofcalc.freqtree', 'proofcalc.render', 'proofcalc.sweep', 'proofcalc.oracle', 'csv', 'numpy')\n"
         "for command in ('posterior', 'verdict'):\n"
         "    assert main([command, *sys.argv[1:]]) == 0\n"
         "    loaded = [name for name in unused if name in sys.modules]\n"
@@ -613,6 +615,40 @@ def test_no_network_or_xml_module_is_imported(tmp_path):
         capture_output=True, text=True, check=False,
     )
     assert result.returncode == 0, result.stderr
+
+
+#: The environment without PYTHONUNBUFFERED: with it set, a failed write to stdout fails at once
+#: instead of in the interpreter's flush at exit.
+BUFFERED = {name: value for name, value in os.environ.items() if name != "PYTHONUNBUFFERED"}
+PRINTING = ["posterior", "verdict", "tree", "simulate"]
+
+
+def _run_into(stdout, command):
+    return subprocess.run(
+        [sys.executable, "-m", "proofcalc", command, *RATES],
+        stdout=stdout, stderr=subprocess.PIPE, text=True, env=BUFFERED, check=False,
+    )
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", PRINTING)
+def test_a_full_device_on_stdout_exits_2_with_one_line(command):
+    with open("/dev/full", "w") as full:
+        result = _run_into(full, command)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: [Errno {errno.ENOSPC}]") and result.stderr.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", PRINTING)
+def test_a_closed_pipe_on_stdout_exits_2_with_one_line(command):
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = _run_into(write_end, command)
+    finally:
+        os.close(write_end)
+    assert result.returncode == 2
+    assert result.stderr.startswith(f"error: [Errno {errno.EPIPE}]") and result.stderr.count("\n") == 1
 
 
 def test_module_entry_point_round_trip():
