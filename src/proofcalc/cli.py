@@ -10,10 +10,10 @@ list of (name, value) fields, `tree` returns its drawing, and `render` and
 `sweep` write their file and return None. `main` alone writes to standard
 output, through `_report` for fields.
 
-Exit codes: 0 success, 2 input or parse error or a failed write to standard
-output, 3 degenerate evidence. Output is deterministic: identical inputs and
-flags produce byte-identical standard output (`simulate` included, given
---seed).
+Exit codes: 0 success, 2 input or parse error, missing NumPy for `simulate`
+or a failed write to standard output, 3 degenerate evidence. Output is
+deterministic: identical inputs and flags produce byte-identical standard
+output (`simulate` included, given --seed).
 """
 
 from __future__ import annotations
@@ -32,8 +32,8 @@ from .core import (
 )
 from .scenario_io import ScenarioDocument, check_label, format_sig, parse_scenario, read_integer, read_rate
 
-# freqtree, render, sweep (with csv) and oracle (with NumPy) are imported in the subcommands that
-# use them, so that the other subcommands start without loading them.
+# freqtree, render, sweep and oracle (with NumPy) are imported in the subcommands that use them,
+# so that the other subcommands start without loading them.
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -271,7 +271,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except DegenerateEvidence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (OSError, ValueError) as exc:
+    except (ImportError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -197,19 +197,21 @@ def compute_posterior(scenario: Scenario) -> PosteriorBreakdown:
     )
 
 
+def _outcome(numerator: int, denominator: int, threshold: Probability) -> Outcome:
+    """The rule of `decide` for the posterior numerator/denominator (denominator > 0), cross-multiplied."""
+    moving = numerator * threshold._denominator > threshold._numerator * denominator
+    return Outcome.FOR_MOVING_PARTY if moving else Outcome.FOR_DEFENDANT
+
+
 def decide(breakdown: PosteriorBreakdown, threshold: RateLike = PREPONDERANCE) -> Verdict:
     """Apply a standard-of-proof threshold to a posterior.
 
     "More likely than not" is a strict inequality: a posterior exactly equal
     to the threshold rules for the defendant, because the burden rests on
-    the moving party.
+    the moving party. `_outcome` is this rule, and `sweep` applies it too.
     """
-    threshold = Probability(threshold)
-    if breakdown.posterior > threshold:
-        outcome = Outcome.FOR_MOVING_PARTY
-    else:
-        outcome = Outcome.FOR_DEFENDANT
-    return Verdict(outcome=outcome, threshold=threshold, posterior=breakdown.posterior)
+    threshold, posterior = Probability(threshold), breakdown.posterior
+    return Verdict(_outcome(posterior._numerator, posterior._denominator, threshold), threshold, posterior)
 
 
 def verdict_error_profile(
@@ -222,8 +224,7 @@ def verdict_error_profile(
     the defendant is wrong exactly when it is true (probability posterior,
     a miss verdict).
     """
-    verdict = decide(breakdown, threshold)
-    if verdict.outcome is Outcome.FOR_MOVING_PARTY:
+    if decide(breakdown, threshold).outcome is Outcome.FOR_MOVING_PARTY:
         return ErrorProfile(
             wrong_verdict_probability=Probability(1 - breakdown.posterior),
             error_kind=ErrorKind.FALSE_ALARM_VERDICT,

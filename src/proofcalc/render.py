@@ -12,11 +12,13 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import List
+from typing import TYPE_CHECKING, List
 
 from .core import Scenario, compute_posterior, leaf_joints
-from .freqtree import FrequencyTree
 from .scenario_io import check_label, format_fixed
+
+if TYPE_CHECKING:
+    from .freqtree import FrequencyTree
 
 ROLE_LABELS = ("hits", "quiet hypothesis", "false alarms", "quiet complement")
 

@@ -1,21 +1,16 @@
-"""Sensitivity sweeps: vary one rate over a grid and tabulate the outcome, one row at a time."""
+"""Sensitivity sweeps: vary one rate over a grid; each point is one (value, posterior, outcome) row and one CSV line."""
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Tuple
 
-from .core import PREPONDERANCE, RATE_NAMES, Outcome, Probability, RateLike, Scenario, Verdict, _reduced, leaf_joints_of
+from .core import PREPONDERANCE, RATE_NAMES, Outcome, Probability, RateLike, Scenario, _outcome, _reduced, leaf_joints_of
 from .scenario_io import format_exact, format_sig
 
 SWEEPABLE_PARAMETERS = RATE_NAMES
 MAX_STEPS = 10**5
-
-#: CSV cell markers for grid points where the evidence has zero mass.
-DEGENERATE_MARKER = "degenerate"
-NO_VERDICT_MARKER = "none"
 
 
 class EmptyGridError(ValueError):
@@ -24,11 +19,11 @@ class EmptyGridError(ValueError):
 
 @dataclass(frozen=True)
 class SweepRow:
-    """One grid point; posterior/verdict are None where evidence is degenerate."""
+    """One grid point; posterior and outcome are None where the evidence is degenerate."""
 
     value: Probability
     posterior: Optional[Probability]
-    verdict: Optional[Verdict]
+    outcome: Optional[Outcome]
 
 
 @dataclass(frozen=True)
@@ -38,9 +33,15 @@ class SweepTable:
     rows: Tuple[SweepRow, ...]
 
 
+def _slot(parameter: str) -> int:
+    if parameter not in SWEEPABLE_PARAMETERS:
+        raise ValueError(f"cannot sweep {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
+    return 2 * SWEEPABLE_PARAMETERS.index(parameter)
+
+
 def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
                threshold: RateLike = PREPONDERANCE) -> Iterator[SweepRow]:
-    """The posterior and verdict at each grid value of `parameter`, yielded as the grid is read.
+    """The posterior and outcome at each grid value of `parameter`, yielded as the grid is read.
 
     The two fixed rates stay integers; each grid value's numerator and
     denominator take the swept rate's place in `core.leaf_joints_of`, so a
@@ -48,11 +49,8 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
     read: the grid must be nonempty and strictly increasing (EmptyGridError,
     ValueError). Grid points with zero evidence mass are marked, not fatal.
     """
-    if parameter not in SWEEPABLE_PARAMETERS:
-        raise ValueError(f"cannot sweep {parameter!r}; expected one of {SWEEPABLE_PARAMETERS}")
-    slot = 2 * SWEEPABLE_PARAMETERS.index(parameter)
+    slot = _slot(parameter)
     threshold = Probability(threshold)
-    t, d_t = threshold.as_integer_ratio()
     rates = [x for name in SWEEPABLE_PARAMETERS for x in getattr(scenario, name).as_integer_ratio()]
     previous = None
     for value in grid:
@@ -69,9 +67,7 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
         posterior = _reduced(joint_hit, marginal)
         if posterior._numerator * marginal != joint_hit * posterior._denominator:
             raise ValueError("posterior * evidence_marginal must equal joint_hit")
-        # posterior > threshold, cross-multiplied: "more likely than not" is strict.
-        outcome = Outcome.FOR_MOVING_PARTY if joint_hit * d_t > t * marginal else Outcome.FOR_DEFENDANT
-        yield SweepRow(value, posterior, Verdict(outcome, threshold, posterior))
+        yield SweepRow(value, posterior, _outcome(joint_hit, marginal, threshold))
     if previous is None:
         raise EmptyGridError("sweep grid is empty")
 
@@ -109,16 +105,17 @@ def evenly_spaced_grid(start: Fraction, stop: Fraction, steps: int) -> list:
 
 
 def write_sweep_rows(parameter: str, rows: Iterable[SweepRow], stream) -> None:
-    """CSV with header param,value,posterior,verdict, each row written as it arrives.
+    """CSV with header param,value,posterior,verdict, one line per row as it arrives.
 
     Values are written losslessly (format_exact) so re-parsing a row and
-    recomputing the posterior reproduces the printed figure exactly.
+    recomputing the posterior reproduces the printed figure exactly. No cell
+    needs quoting: `parameter` must be a rate name (ValueError before any write).
     """
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(["param", "value", "posterior", "verdict"])
-    writer.writerows(
-        (parameter, format_exact(row.value), DEGENERATE_MARKER, NO_VERDICT_MARKER) if row.posterior is None
-        else (parameter, format_exact(row.value), format_sig(row.posterior), row.verdict.outcome.value)
+    _slot(parameter)
+    stream.write("param,value,posterior,verdict\n")
+    stream.writelines(
+        f"{parameter},{format_exact(row.value)},degenerate,none\n" if row.posterior is None
+        else f"{parameter},{format_exact(row.value)},{format_sig(row.posterior)},{row.outcome.value}\n"
         for row in rows
     )
 

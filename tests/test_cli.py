@@ -200,6 +200,13 @@ def test_simulate_rejects_more_than_a_billion_samples(capsys, monkeypatch):
     assert err == "error: samples must be at most 1000000000\n"
 
 
+def test_simulate_without_numpy_exits_2_with_one_line(capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "numpy", None)  # what an install without NumPy gives `import numpy`
+    code, out, err = run(capsys, "simulate", *RATES, "--samples", "10")
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1 and "numpy" in err
+
+
 @pytest.mark.parametrize("rate", ["1e-20000", "1e-3000000"])
 def test_oversized_rates_exit_2_before_a_number_is_built(capsys, monkeypatch, rate):
     import proofcalc.scenario_io as scenario_io
@@ -524,28 +531,31 @@ def test_usage_errors_from_argparse_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_numpy_is_imported_only_to_simulate():
+def test_numpy_is_imported_only_to_simulate(tmp_path):
+    # Each request in a fresh process, which then names the optional modules it has loaded.
     script = (
         "import sys\n"
         "import proofcalc\n"
         "from proofcalc.cli import main\n"
-        "assert 'numpy' not in sys.modules, 'import proofcalc'\n"
-        "unused = ('proofcalc.freqtree', 'proofcalc.render', 'proofcalc.sweep', 'proofcalc.oracle', 'csv', 'numpy')\n"
-        "for command in ('posterior', 'verdict'):\n"
-        "    assert main([command, *sys.argv[1:]]) == 0\n"
-        "    loaded = [name for name in unused if name in sys.modules]\n"
-        "    assert not loaded, (command, loaded)\n"
-        "assert main(['tree', *sys.argv[1:]]) == 0\n"
-        "assert 'proofcalc.render' in sys.modules, 'tree'\n"
-        "loaded = [name for name in ('proofcalc.sweep', 'proofcalc.oracle', 'csv') if name in sys.modules]\n"
-        "assert not loaded, ('tree', loaded)\n"
-        "assert main(['simulate', *sys.argv[1:], '--samples', '10']) == 0\n"
-        "assert 'numpy' in sys.modules, 'simulate'\n"
+        "assert not sys.argv[1:] or main(sys.argv[1:]) == 0\n"
+        "optional = ('proofcalc.freqtree', 'proofcalc.render', 'proofcalc.sweep', 'proofcalc.oracle', 'csv', 'numpy')\n"
+        "print('loaded:', *(name for name in optional if name in sys.modules))\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script, *RATES], capture_output=True, text=True, check=False
-    )
-    assert result.returncode == 0, result.stderr
+
+    def loaded(*argv):
+        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, check=False)
+        assert result.returncode == 0, result.stderr
+        return result.stdout.splitlines()[-1].split()[1:]
+
+    assert loaded() == []
+    assert loaded("posterior", *RATES) == []
+    assert loaded("verdict", *RATES) == []
+    sweep = ("--param", "base_rate", "--from", "0", "--to", "1", "--steps", "3", "--out", str(tmp_path / "s.csv"))
+    assert loaded("sweep", *RATES, *sweep) == ["proofcalc.sweep"]
+    bars = ("--format", "svg-bars", "--out", str(tmp_path / "b.svg"))
+    assert loaded("render", *RATES, *bars) == ["proofcalc.render"]
+    assert loaded("tree", *RATES) == ["proofcalc.freqtree", "proofcalc.render"]
+    assert loaded("simulate", *RATES, "--samples", "10") == ["proofcalc.oracle", "numpy"]
 
 
 def test_the_package_loads_each_name_from_its_module_on_first_use(tmp_path):

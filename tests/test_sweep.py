@@ -40,7 +40,7 @@ def test_base_rate_sweep_recovers_the_low_mid_high_posteriors():
         Fraction(32, 38),
         Fraction(64, 66),
     ]
-    assert [row.verdict.outcome for row in table.rows] == [
+    assert [row.outcome for row in table.rows] == [
         Outcome.FOR_DEFENDANT,
         Outcome.FOR_MOVING_PARTY,
         Outcome.FOR_MOVING_PARTY,
@@ -57,7 +57,7 @@ def test_single_point_sweep_is_a_no_op():
     (row,) = table.rows
     assert row.value == STANDARD.false_alarm_rate
     assert row.posterior == compute_posterior(STANDARD).posterior
-    assert row.verdict.outcome is Outcome.FOR_MOVING_PARTY
+    assert row.outcome is Outcome.FOR_MOVING_PARTY
 
 
 def test_every_row_reproduces_compute_posterior():
@@ -71,7 +71,7 @@ def test_every_row_reproduces_compute_posterior():
 def test_degenerate_grid_points_are_marked_not_fatal():
     table = sweep(Scenario(0, 0.3, 0.1), "false_alarm_rate", [Fraction(0), Fraction(1, 2)])
     first, second = table.rows
-    assert first.posterior is None and first.verdict is None
+    assert first.posterior is None and first.outcome is None
     assert second.posterior == 0
 
 
@@ -98,8 +98,27 @@ def test_grid_size_cap():
 
 def test_threshold_changes_the_verdict_column():
     strict = sweep(STANDARD, "base_rate", ["0.1", "0.4", "0.8"], threshold="0.97")
-    assert all(row.verdict.outcome is Outcome.FOR_DEFENDANT for row in strict.rows)
+    assert all(row.outcome is Outcome.FOR_DEFENDANT for row in strict.rows)
     assert strict.threshold == Fraction(97, 100)
+
+
+def test_a_posterior_on_the_threshold_rules_for_the_defendant():
+    threshold = Fraction(16, 19)
+    rows = list(sweep_rows(STANDARD, "base_rate", ["0.4"], threshold))
+    (row,) = rows
+    assert row.posterior == threshold
+    assert row.outcome is Outcome.FOR_DEFENDANT is decide(compute_posterior(STANDARD), threshold).outcome
+    buffer = io.StringIO()
+    write_sweep_rows("base_rate", rows, buffer)
+    assert buffer.getvalue().splitlines()[1] == "base_rate,0.4,0.842105,for-defendant"
+
+
+def test_the_writer_refuses_a_parameter_that_is_not_a_rate_before_writing():
+    rows = sweep_rows(STANDARD, "base_rate", ["0.4"])
+    buffer = io.StringIO()
+    with pytest.raises(ValueError, match="cannot sweep 'a,b'; expected one of"):
+        write_sweep_rows("a,b", rows, buffer)
+    assert buffer.getvalue() == ""
 
 
 def test_evenly_spaced_grid_is_exact():
@@ -175,10 +194,10 @@ def test_every_row_is_compute_posterior_and_decide_at_its_point(rates, parameter
         try:
             breakdown = compute_posterior(variant)
         except DegenerateEvidence:
-            assert row.posterior is None and row.verdict is None
+            assert row.posterior is None and row.outcome is None
             continue
         assert row.posterior == breakdown.posterior and type(row.posterior) is Probability
-        assert row.verdict == decide(breakdown, threshold)
+        assert row.outcome is decide(breakdown, threshold).outcome
 
 
 def test_rows_stream_from_an_unending_grid():
