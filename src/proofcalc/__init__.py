@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 #: Each module and the public names the package exports from it.
 _EXPORTS = {
     "core": (
-        "PREPONDERANCE", "DegenerateEvidence", "ErrorKind", "ErrorProfile", "Outcome", "PosteriorBreakdown",
-        "Probability", "Scenario", "Verdict", "compute_posterior", "decide", "verdict_error_profile",
+        "PREPONDERANCE", "DegenerateEvidence", "ErrorKind", "Outcome", "PosteriorBreakdown", "Probability",
+        "Scenario", "Verdict", "compute_posterior", "decide", "verdict_error_profile",
     ),
     "freqtree": (
         "EXACT_RATIONAL", "LARGEST_REMAINDER", "ROUNDING_POLICIES", "FrequencyTree", "build_tree",

@@ -28,7 +28,7 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (
     LARGEST_REMAINDER, PREPONDERANCE, RATE_NAMES, ROUNDING_POLICIES, DegenerateEvidence, Probability, Scenario,
-    compute_posterior, decide, verdict_error_profile,
+    compute_posterior, decide,
 )
 from .scenario_io import ScenarioDocument, check_label, format_sig, parse_scenario, read_integer, read_rate
 
@@ -148,14 +148,13 @@ def _cmd_posterior(args: argparse.Namespace) -> List[Field]:
 def _cmd_verdict(args: argparse.Namespace) -> List[Field]:
     document = _load_document(args)
     threshold = _resolve_threshold(args.threshold, document)
-    breakdown = compute_posterior(document.scenario)
-    profile = verdict_error_profile(breakdown, threshold)
+    verdict = decide(compute_posterior(document.scenario), threshold)
     return [
-        ("posterior", breakdown.posterior),
-        ("threshold", threshold),
-        ("verdict", decide(breakdown, threshold).outcome.value),
-        ("wrong-verdict probability", profile.wrong_verdict_probability),
-        ("error kind", profile.error_kind.value),
+        ("posterior", verdict.posterior),
+        ("threshold", verdict.threshold),
+        ("verdict", verdict.outcome.value),
+        ("wrong-verdict probability", verdict.wrong_verdict_probability),
+        ("error kind", verdict.error_kind.value),
     ]
 
 

@@ -4,6 +4,7 @@ Everything here is computed with rational arithmetic, so posteriors like
 32/38 stay exact until somebody formats them for display. One kernel,
 `leaf_joints_of`, derives the four leaf joints as integers from the rates'
 numerators and denominators; `compute_posterior`, `freqtree` and `sweep` build on it.
+`decide` returns one `Verdict`: the outcome, and the chance and kind of its error.
 All types are immutable values and all operations are pure functions; they
 are safe to call from any number of threads.
 """
@@ -136,15 +137,11 @@ PREPONDERANCE = Probability(1, 2)
 
 @dataclass(frozen=True)
 class Verdict:
+    """A threshold verdict on a posterior, the chance that it is wrong, and in which direction."""
+
     outcome: Outcome
     threshold: Probability
     posterior: Probability
-
-
-@dataclass(frozen=True)
-class ErrorProfile:
-    """Chance that a threshold verdict is wrong, and in which direction."""
-
     wrong_verdict_probability: Probability
     error_kind: ErrorKind
 
@@ -204,32 +201,22 @@ def _outcome(numerator: int, denominator: int, threshold: Probability) -> Outcom
 
 
 def decide(breakdown: PosteriorBreakdown, threshold: RateLike = PREPONDERANCE) -> Verdict:
-    """Apply a standard-of-proof threshold to a posterior.
+    """Apply a standard-of-proof threshold to a posterior, with the chance that the verdict is wrong.
 
     "More likely than not" is a strict inequality: a posterior exactly equal
     to the threshold rules for the defendant, because the burden rests on
     the moving party. `_outcome` is this rule, and `sweep` applies it too.
-    """
-    threshold, posterior = Probability(threshold), breakdown.posterior
-    return Verdict(_outcome(posterior._numerator, posterior._denominator, threshold), threshold, posterior)
-
-
-def verdict_error_profile(
-    breakdown: PosteriorBreakdown, threshold: RateLike = PREPONDERANCE
-) -> ErrorProfile:
-    """How likely the threshold verdict is to be wrong, and in which way.
 
     A verdict for the moving party is wrong exactly when the hypothesis is
     false (probability 1 - posterior, a false-alarm verdict); a verdict for
     the defendant is wrong exactly when it is true (probability posterior,
     a miss verdict).
     """
-    if decide(breakdown, threshold).outcome is Outcome.FOR_MOVING_PARTY:
-        return ErrorProfile(
-            wrong_verdict_probability=Probability(1 - breakdown.posterior),
-            error_kind=ErrorKind.FALSE_ALARM_VERDICT,
-        )
-    return ErrorProfile(
-        wrong_verdict_probability=breakdown.posterior,
-        error_kind=ErrorKind.MISS_VERDICT,
-    )
+    threshold, posterior = Probability(threshold), breakdown.posterior
+    n, d = posterior._numerator, posterior._denominator
+    if _outcome(n, d, threshold) is Outcome.FOR_MOVING_PARTY:
+        return Verdict(Outcome.FOR_MOVING_PARTY, threshold, posterior, _reduced(d - n, d), ErrorKind.FALSE_ALARM_VERDICT)
+    return Verdict(Outcome.FOR_DEFENDANT, threshold, posterior, posterior, ErrorKind.MISS_VERDICT)
+
+
+verdict_error_profile = decide  # the earlier name of `decide`, which callers such as bench/ still use

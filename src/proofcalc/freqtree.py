@@ -53,7 +53,6 @@ class FrequencyTree:
         Fraction(0),
     )
     hypothesis_label: str = "runs on Main Street"
-    evidence_label: str = "is blue"
 
     def __post_init__(self) -> None:
         if self.population < 1:
@@ -127,7 +126,6 @@ def build_tree(
         counts_exact=exact,
         rounding_residuals=residuals,
         hypothesis_label=scenario.hypothesis_label,
-        evidence_label=scenario.evidence_label,
     )
 
 

@@ -98,7 +98,6 @@ class SimResult:
     standard_error: float
     samples_total: int
     samples_conditioned: int
-    seed: int
 
     def __post_init__(self) -> None:
         if not 0 < self.samples_conditioned <= self.samples_total:
@@ -209,5 +208,4 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
         standard_error=math.sqrt(frequency * (1.0 - frequency) / conditioned),
         samples_total=samples,
         samples_conditioned=conditioned,
-        seed=seed,
     )

@@ -74,7 +74,6 @@ class ScenarioDocument:
     """A parsed scenario file: the scenario plus optional run parameters."""
 
     scenario: Scenario
-    format_version: int = FORMAT_VERSION
     population: Optional[int] = None
     threshold: Optional[Probability] = None
 
@@ -139,6 +138,16 @@ def read_integer(name: str, text: str, line: Optional[int] = None) -> int:
         raise ScenarioSyntaxError(f"{name} must be an integer, got {text!r}", line) from None
 
 
+def read_population(text: str, line: Optional[int] = None) -> int:
+    """The population `text` gives, as read_integer reads it: RangeError below 1 or past MAX_POPULATION_DIGITS digits."""
+    population = read_integer("population", text, line)
+    if population < 1:
+        raise RangeError(f"population must be >= 1, got {population}", line)
+    if population >= _POPULATION_LIMIT:
+        raise RangeError(f"population may have at most {MAX_POPULATION_DIGITS} digits", line)
+    return population
+
+
 def check_label(name: str, text: str, line: Optional[int] = None) -> str:
     """`text`, given for label key or flag `name`, if every character is one an SVG can carry.
 
@@ -183,26 +192,17 @@ def parse_scenario(text: str) -> ScenarioDocument:
         values[key] = value
         lines[key] = number
 
-    version = FORMAT_VERSION
     if "version" in values:
         version = read_integer("version", values["version"], lines["version"])
         if version != FORMAT_VERSION:
-            raise RangeError(
-                f"unsupported format version {version}; expected {FORMAT_VERSION}", lines["version"]
-            )
+            raise RangeError(f"unsupported format version {version}; expected {FORMAT_VERSION}", lines["version"])
 
     for key in RATE_NAMES:
         if key not in values:
             raise MissingKeyError(key)
     rates = {key: read_rate(key, values[key], lines[key]) for key in RATE_NAMES}
 
-    population = None
-    if "population" in values:
-        population = read_integer("population", values["population"], lines["population"])
-        if population < 1:
-            raise RangeError(f"population must be >= 1, got {population}", lines["population"])
-        if population >= _POPULATION_LIMIT:
-            raise RangeError(f"population may have at most {MAX_POPULATION_DIGITS} digits", lines["population"])
+    population = read_population(values["population"], lines["population"]) if "population" in values else None
 
     threshold = read_rate("threshold", values["threshold"], lines["threshold"]) if "threshold" in values else None
 
@@ -214,7 +214,6 @@ def parse_scenario(text: str) -> ScenarioDocument:
 
     return ScenarioDocument(
         scenario=Scenario(**rates, **scenario_kwargs),
-        format_version=version,
         population=population,
         threshold=threshold,
     )
@@ -223,25 +222,32 @@ def parse_scenario(text: str) -> ScenarioDocument:
 def serialize_scenario(document: ScenarioDocument) -> str:
     """Canonical text form; parse_scenario(serialize_scenario(d)) == d.
 
-    Raises ValueError naming the key for a label that would not read back as
-    it is: one check_label refuses, an empty one, or one with whitespace at
-    either end, which parse_scenario strips.
+    Raises ValueError naming the key for a value that would not read back as
+    it is: a population or rate (an int or Fraction) that parse_scenario refuses,
+    a label check_label refuses, an empty one, or one with whitespace at either end.
     """
     scenario = document.scenario
     for key in ("hypothesis_label", "evidence_label"):
         label = check_label(key, getattr(scenario, key))
         if not label or label != label.strip():
             raise ValueError(f"{key} must be non-empty, without whitespace at either end, got {label!r}")
-    lines = [f"version = {document.format_version}"]
+    lines = [f"version = {FORMAT_VERSION}"]
     for key in RATE_NAMES:
-        lines.append(f"{key} = {format_exact(getattr(scenario, key))}")
+        lines.append(f"{key} = {_rate_text(key, getattr(scenario, key))}")
     if document.population is not None:
-        lines.append(f"population = {document.population}")
+        lines.append(f"population = {read_population(str(document.population))}")
     if document.threshold is not None:
-        lines.append(f"threshold = {format_exact(document.threshold)}")
+        lines.append(f"threshold = {_rate_text('threshold', document.threshold)}")
     lines.append(f"hypothesis_label = {scenario.hypothesis_label}")
     lines.append(f"evidence_label = {scenario.evidence_label}")
     return "\n".join(lines) + "\n"
+
+
+def _rate_text(key: str, rate: Fraction) -> str:
+    """format_exact(rate) if read_rate reads it back for `key`, else ValueError naming `key`, for a float too."""
+    if not isinstance(rate, (int, Fraction)):
+        raise ValueError(f"{key} must be an int or Fraction, got {rate!r}")
+    return format_exact(read_rate(key, format_exact(rate)))
 
 
 def format_fixed(scaled: int, places: int) -> str:

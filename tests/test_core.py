@@ -1,11 +1,12 @@
-"""Posterior arithmetic, threshold verdicts, and verdict error profiles."""
+"""Posterior arithmetic, and threshold verdicts with their error profiles."""
 
 import math
 from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from proofcalc import (
@@ -169,6 +170,24 @@ def test_error_profile_certain_hypothesis_has_no_error_mass():
     assert profile.error_kind is ErrorKind.FALSE_ALARM_VERDICT
 
 
+def test_one_verdict_carries_its_error_profile_on_the_standard_scenario():
+    assert verdict_error_profile is decide
+    breakdown = compute_posterior(Scenario(0.4, 0.8, 0.1))
+    tie = decide(breakdown, Fraction(16, 19))
+    assert (tie.outcome, tie.error_kind) == (Outcome.FOR_DEFENDANT, ErrorKind.MISS_VERDICT)
+    assert tie.wrong_verdict_probability == Fraction(16, 19)
+    half = decide(breakdown, Fraction(1, 2))
+    assert (half.outcome, half.error_kind) == (Outcome.FOR_MOVING_PARTY, ErrorKind.FALSE_ALARM_VERDICT)
+    assert half.wrong_verdict_probability == Fraction(3, 19)
+
+
+def test_the_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("\n## Library\n", 1)[1].split("```python\n", 1)[1].split("\n```", 1)[0]
+    assert "verdict.wrong_verdict_probability" in block
+    exec(compile(block, "README.md", "exec"), {})
+
+
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
 def test_swapping_hypothesis_and_complement_flips_the_posterior(case):
     scenario = case.scenario
@@ -251,3 +270,16 @@ def test_tree_counts_and_minimal_population_match_a_naive_derivation(base, hit, 
     assert minimal_integral_population(scenario, cap=needed) == needed
     if needed > 1:
         assert minimal_integral_population(scenario, cap=needed - 1) is None
+
+
+@settings(deadline=None)
+@given(RATES, RATES, RATES, RATES)
+def test_a_verdict_is_wrong_with_the_mass_on_the_other_side_of_its_outcome(base, hit, alarm, threshold):
+    assume(base * hit + (1 - base) * alarm > 0)
+    breakdown = compute_posterior(Scenario(base, hit, alarm))
+    verdict, posterior = decide(breakdown, threshold), breakdown.posterior
+    moving = verdict.outcome is Outcome.FOR_MOVING_PARTY
+    assert moving == (posterior > threshold)
+    assert (verdict.error_kind is ErrorKind.FALSE_ALARM_VERDICT) == moving
+    assert verdict.wrong_verdict_probability == (1 - posterior if moving else posterior)
+    assert type(verdict.wrong_verdict_probability) is Probability

@@ -200,7 +200,6 @@ def test_sim_result_validates_its_counts():
             standard_error=0.1,
             samples_total=10,
             samples_conditioned=0,
-            seed=0,
         )
     with pytest.raises(ValueError):
         SimResult(
@@ -208,5 +207,4 @@ def test_sim_result_validates_its_counts():
             standard_error=-0.1,
             samples_total=10,
             samples_conditioned=5,
-            seed=0,
         )

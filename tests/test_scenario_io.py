@@ -41,7 +41,6 @@ def test_rates_parse_in_all_three_spellings():
     assert scenario.base_rate == Fraction(2, 5)
     assert scenario.hit_rate == Fraction(4, 5)
     assert scenario.false_alarm_rate == Fraction(1, 10)
-    assert document.format_version == 1
     assert document.population is None and document.threshold is None
 
 
@@ -70,7 +69,7 @@ def test_a_leading_byte_order_mark_is_ignored():
 
 
 def test_version_defaults_to_one_and_rejects_others():
-    assert parse_scenario("base_rate=0.4\nhit_rate=0.8\nfalse_alarm_rate=0.1\n").format_version == 1
+    assert parse_scenario("base_rate=0.4\nhit_rate=0.8\nfalse_alarm_rate=0.1\n") == parse_scenario(STANDARD)
     with pytest.raises(RangeError):
         parse_scenario(STANDARD.replace("version = 1", "version = 2"))
 
@@ -213,6 +212,24 @@ def test_values_may_contain_equals_signs():
 @pytest.mark.parametrize("label", ["a\nthreshold = 0.9", "", "  padded  "])
 def test_serialize_refuses_a_label_that_would_not_read_back(key, label):
     document = ScenarioDocument(Scenario("0.4", "0.8", "0.1", **{key: label}))
+    with pytest.raises(ValueError, match=key):
+        serialize_scenario(document)
+
+
+@pytest.mark.parametrize(
+    "key, document",
+    [
+        ("population", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=0)),
+        ("population", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=10**1000)),
+        ("population", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=2.5)),
+        ("threshold", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), threshold=Fraction(3, 2))),
+        ("threshold", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), threshold=0.5)),
+        ("base_rate", ScenarioDocument(Scenario(Fraction(1, 10**1000), "0.8", "0.1"))),
+    ],
+    ids=["population-0", "population-1001-digits", "population-2.5", "threshold-3/2", "threshold-float",
+         "rate-1001-digits"],
+)
+def test_serialize_refuses_a_population_or_rate_that_would_not_read_back(key, document):
     with pytest.raises(ValueError, match=key):
         serialize_scenario(document)
 
