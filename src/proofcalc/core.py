@@ -163,11 +163,12 @@ def leaf_joints(scenario: Scenario) -> Tuple[int, ...]:
     return leaf_joints_of(b._numerator, b._denominator, h._numerator, h._denominator, a._numerator, a._denominator)
 
 
-def _reduced(numerator: int, denominator: int) -> Probability:
-    """numerator/denominator as a Probability, for kernel results (0 <= numerator <= denominator):
-    no range check, no argument dispatch; Fraction's two slots are filled as its own arithmetic does."""
+def _reduced(numerator: int, denominator: int, cls: type = Probability) -> Fraction:
+    """numerator/denominator (denominator > 0) as an instance of `cls`, Fraction or a subclass of it:
+    one gcd and Fraction's two slots, filled as its own arithmetic does; no range check, no argument
+    dispatch. Kernel results, 0 <= numerator <= denominator, are Probabilities."""
     divisor = math.gcd(numerator, denominator)
-    value = object.__new__(Probability)
+    value = object.__new__(cls)
     value._numerator = numerator // divisor
     value._denominator = denominator // divisor
     return value

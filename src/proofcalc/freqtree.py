@@ -18,10 +18,12 @@ from typing import Optional, Tuple, Union
 
 from .core import (
     _POPULATION_LIMIT, EXACT_RATIONAL, LARGEST_REMAINDER, MAX_POPULATION_DIGITS, ROUNDING_POLICIES,
-    DegenerateEvidence, Probability, Scenario, leaf_joints,
+    DegenerateEvidence, Probability, Scenario, _reduced, leaf_joints,
 )
 
 Count = Union[int, Fraction]
+
+_NO_RESIDUALS = (Fraction(0),) * 4
 
 
 @dataclass(frozen=True)
@@ -46,24 +48,23 @@ class FrequencyTree:
     false_alarms: Count
     quiet_complement: Count
     counts_exact: bool
-    rounding_residuals: Tuple[Fraction, Fraction, Fraction, Fraction] = (
-        Fraction(0),
-        Fraction(0),
-        Fraction(0),
-        Fraction(0),
-    )
+    rounding_residuals: Tuple[Fraction, Fraction, Fraction, Fraction] = _NO_RESIDUALS
     hypothesis_label: str = "runs on Main Street"
 
     def __post_init__(self) -> None:
         if self.population < 1:
             raise ValueError("population must be a positive integer")
-        if self.hypothesis_count + self.complement_count != self.population:
+        # Each count as (numerator, denominator > 0); the checks cross-multiply them in integers.
+        hyp, comp, hits, quiet_hyp, alarms, quiet_comp = [
+            count.as_integer_ratio() for count in (self.hypothesis_count, self.complement_count, *self.leaves)
+        ]
+        if not _sums_to(hyp, comp, (self.population, 1)):
             raise ValueError("row 2 does not sum to the population")
-        if self.hits + self.quiet_hypothesis != self.hypothesis_count:
+        if not _sums_to(hits, quiet_hyp, hyp):
             raise ValueError("hypothesis leaves do not sum to the hypothesis count")
-        if self.false_alarms + self.quiet_complement != self.complement_count:
+        if not _sums_to(alarms, quiet_comp, comp):
             raise ValueError("complement leaves do not sum to the complement count")
-        if any(leaf < 0 for leaf in self.leaves):
+        if any(numerator < 0 for numerator, _ in (hits, quiet_hyp, alarms, quiet_comp)):
             raise ValueError("counts must be nonnegative")
 
     @property
@@ -71,9 +72,15 @@ class FrequencyTree:
         return (self.hits, self.quiet_hypothesis, self.false_alarms, self.quiet_complement)
 
 
+def _sums_to(first: Tuple[int, int], second: Tuple[int, int], total: Tuple[int, int]) -> bool:
+    """Whether the ratios first + second == total, for (numerator, denominator > 0) pairs."""
+    (a, da), (b, db), (t, dt) = first, second, total
+    return (a * db + b * da) * dt == t * da * db
+
+
 def _as_count(numerator: int, denominator: int) -> Count:
     whole, remainder = divmod(numerator, denominator)
-    return Fraction(numerator, denominator) if remainder else whole
+    return _reduced(numerator, denominator, Fraction) if remainder else whole
 
 
 def _half_up(numerator: int, denominator: int) -> int:
@@ -109,7 +116,7 @@ def build_tree(
         hits, quiet_hyp, alarms, quiet_comp = expected
         row2 = [_as_count(hits + quiet_hyp, denominator), _as_count(alarms + quiet_comp, denominator)]
         leaves = [_as_count(count, denominator) for count in expected]
-        residuals = (Fraction(0),) * 4
+        residuals = _NO_RESIDUALS
     else:
         base, hit, alarm = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
         hyp = _half_up(population * base.numerator, base.denominator)
@@ -118,7 +125,7 @@ def build_tree(
         alarms = _half_up(comp * alarm.numerator, alarm.denominator)
         row2 = [hyp, comp]
         leaves = [hits, hyp - hits, alarms, comp - alarms]
-        residuals = tuple(Fraction(a * denominator - e, denominator) for a, e in zip(leaves, expected))
+        residuals = tuple(_reduced(a * denominator - e, denominator, Fraction) for a, e in zip(leaves, expected))
     return FrequencyTree(
         population,
         *row2,

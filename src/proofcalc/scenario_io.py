@@ -7,6 +7,12 @@ rationals so the end-to-end arithmetic stays rational. A rate's numerator
 and denominator may have 1,000 digits each, so printed figures stay below
 Python's 4,300-digit int-to-str limit.
 
+The plain spellings, in ASCII digits, are read straight into integers:
+"4", "0.4", "4." and "0.40%" (digits with an optional "." part and an
+optional "%"), and "2/5" (digits over digits). Every other spelling that
+`Fraction` reads goes through `Fraction(text)`: signs, exponents ("1e-3"),
+underscores, whitespace inside the text ("40 %"), non-ASCII digits and "2/5%".
+
 Recognized keys: version, base_rate, hit_rate, false_alarm_rate,
 population, threshold, hypothesis_label, evidence_label. The three rates
 are required; everything else is optional (version defaults to 1).
@@ -19,9 +25,9 @@ import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Tuple
 
-from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, RATE_NAMES, Probability, Scenario
+from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, RATE_NAMES, Probability, Scenario, _reduced
 
 FORMAT_VERSION = 1
 
@@ -29,6 +35,9 @@ FORMAT_VERSION = 1
 MAX_RATE_DIGITS = 1000
 _RATE_LIMIT = 10**MAX_RATE_DIGITS
 _RATE_TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
+#: The class plain rates are built as, without a call to its constructor. `Fraction` names only the
+#: constructor that the other spellings go through, so a spy in its place sees just those.
+_FRACTION = Fraction
 #: Digits an integer may have: past Python's default int-from-text limit, int() refuses it.
 MAX_INTEGER_DIGITS = 4300
 _BITS_PER_FIVE = math.log2(5)
@@ -88,19 +97,48 @@ def parse_rate(text: str) -> Fraction:
     int() reads that many, and format_exact never writes more for a rate.
     """
     text = text.strip()
-    try:
-        scale = abs(int(text.removesuffix("%").lower().partition("e")[2] or 0))
-    except ValueError:  # no integer exponent (Fraction rejects the text) or too long a one
-        scale = 0
-    if max(scale, sum(char.isdigit() for char in text)) > 4 * MAX_RATE_DIGITS:
-        raise RangeError(_RATE_TOO_LARGE)
-    try:
-        rate = Fraction(text[:-1].strip()) / 100 if text.endswith("%") else Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in rate {text!r}") from None
+    ratio = _plain_ratio(text)
+    if ratio is not None:
+        if ratio[1] == 0:
+            raise ValueError(f"zero denominator in rate {text!r}")
+        rate = _reduced(*ratio, _FRACTION)
+    else:
+        try:
+            scale = abs(int(text.removesuffix("%").lower().partition("e")[2] or 0))
+        except ValueError:  # no integer exponent (Fraction rejects the text) or too long a one
+            scale = 0
+        if max(scale, sum(char.isdigit() for char in text)) > 4 * MAX_RATE_DIGITS:
+            raise RangeError(_RATE_TOO_LARGE)
+        try:
+            rate = Fraction(text[:-1].strip()) / 100 if text.endswith("%") else Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in rate {text!r}") from None
     if abs(rate.numerator) >= _RATE_LIMIT or rate.denominator >= _RATE_LIMIT:
         raise RangeError(_RATE_TOO_LARGE)
     return rate
+
+
+def _plain_ratio(text: str) -> Optional[Tuple[int, int]]:
+    """The unreduced numerator and denominator of a plain spelling (see the module docstring), else None.
+
+    Raises RangeError, before int() reads them, for more than 4 * MAX_RATE_DIGITS digits, as parse_rate does.
+    """
+    if not text.isascii():
+        return None
+    body = text.removesuffix("%")
+    numerator, slash, denominator = body.partition("/")
+    if slash:
+        if len(body) < len(text) or not (numerator.isdigit() and denominator.isdigit()):
+            return None
+        if len(numerator) + len(denominator) > 4 * MAX_RATE_DIGITS:
+            raise RangeError(_RATE_TOO_LARGE)
+        return int(numerator), int(denominator)
+    whole, _, places = body.partition(".")
+    if not (whole.isdigit() and (places.isdigit() or not places)):
+        return None
+    if len(whole) + len(places) > 4 * MAX_RATE_DIGITS:
+        raise RangeError(_RATE_TOO_LARGE)
+    return int(whole + places), 10 ** len(places) * (100 if len(body) < len(text) else 1)
 
 
 def read_rate(name: str, text: str, line: Optional[int] = None) -> Probability:
@@ -234,8 +272,12 @@ def serialize_scenario(document: ScenarioDocument) -> str:
     lines = [f"version = {FORMAT_VERSION}"]
     for key in RATE_NAMES:
         lines.append(f"{key} = {_rate_text(key, getattr(scenario, key))}")
-    if document.population is not None:
-        lines.append(f"population = {read_population(str(document.population))}")
+    population = document.population
+    if population is not None:
+        # Compared as an int first: str() refuses one of more than 4,300 digits without naming the key.
+        if isinstance(population, int) and abs(population) >= _POPULATION_LIMIT:
+            raise RangeError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
+        lines.append(f"population = {read_population(str(population))}")
     if document.threshold is not None:
         lines.append(f"threshold = {_rate_text('threshold', document.threshold)}")
     lines.append(f"hypothesis_label = {scenario.hypothesis_label}")

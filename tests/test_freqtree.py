@@ -126,18 +126,33 @@ def test_build_tree_rejects_bad_arguments(monkeypatch):
             build_tree(CASES[0].scenario, population=at_cap + 1, rounding=rounding)
 
 
-def test_tree_invariants_are_enforced():
-    with pytest.raises(ValueError):
-        FrequencyTree(
-            population=10,
-            hypothesis_count=5,
-            complement_count=4,  # does not sum to 10
-            hits=3,
-            quiet_hypothesis=2,
-            false_alarms=2,
-            quiet_complement=2,
-            counts_exact=True,
-        )
+F = Fraction
+ROW2 = "row 2 does not sum to the population"
+HYPOTHESIS = "hypothesis leaves do not sum to the hypothesis count"
+COMPLEMENT = "complement leaves do not sum to the complement count"
+NEGATIVE = "counts must be nonnegative"
+
+
+@pytest.mark.parametrize(
+    "counts, message",
+    [
+        # population, hypothesis, complement, hits, quiet hypothesis, false alarms, quiet complement
+        ((10, 5, 4, 3, 2, 2, 2), ROW2),
+        ((10, 5, 5, 3, 1, 2, 3), HYPOTHESIS),
+        ((10, 5, 5, 3, 2, 2, 2), COMPLEMENT),
+        ((10, 5, 5, 6, -1, 2, 3), NEGATIVE),
+        ((10, F(13, 2), F(10, 3), F(13, 4), F(13, 4), F(5, 3), F(5, 3)), ROW2),
+        ((10, F(13, 2), F(7, 2), F(13, 4), F(13, 5), F(7, 4), F(7, 4)), HYPOTHESIS),
+        ((10, F(13, 2), F(7, 2), F(13, 4), F(13, 4), F(7, 3), F(7, 4)), COMPLEMENT),
+        ((10, F(13, 2), F(7, 2), F(15, 2), F(-1), F(7, 4), F(7, 4)), NEGATIVE),
+        ((10, 5, 5, F(5, 2), F(5, 2), F(1, 3), F(13, 3)), COMPLEMENT),
+    ],
+    ids=["int-row2", "int-hypothesis", "int-complement", "int-negative", "fraction-row2",
+         "fraction-hypothesis", "fraction-complement", "fraction-negative", "mixed-complement"],
+)
+def test_tree_invariants_are_enforced(counts, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        FrequencyTree(*counts, counts_exact=False)
 
 
 def apportion_largest_remainder(total, quotas):

@@ -24,7 +24,7 @@ from proofcalc import (
     parse_scenario,
     serialize_scenario,
 )
-from proofcalc.scenario_io import format_fixed
+from proofcalc.scenario_io import MAX_RATE_DIGITS, format_fixed
 
 STANDARD = """\
 # the standard bus scenario
@@ -217,21 +217,25 @@ def test_serialize_refuses_a_label_that_would_not_read_back(key, label):
 
 
 @pytest.mark.parametrize(
-    "key, document",
+    "key, error, document",
     [
-        ("population", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=0)),
-        ("population", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=10**1000)),
-        ("population", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=2.5)),
-        ("threshold", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), threshold=Fraction(3, 2))),
-        ("threshold", ScenarioDocument(Scenario("0.4", "0.8", "0.1"), threshold=0.5)),
-        ("base_rate", ScenarioDocument(Scenario(Fraction(1, 10**1000), "0.8", "0.1"))),
+        ("population", RangeError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=0)),
+        ("population", RangeError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=10**1000)),
+        # Past the int-to-str limit: refused by its size, not by str().
+        ("population", RangeError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=10**5000)),
+        ("population", RangeError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=-(10**5000))),
+        ("population", ScenarioSyntaxError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=2.5)),
+        ("threshold", RangeError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), threshold=Fraction(3, 2))),
+        ("threshold", ValueError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), threshold=0.5)),
+        ("base_rate", RangeError, ScenarioDocument(Scenario(Fraction(1, 10**1000), "0.8", "0.1"))),
     ],
-    ids=["population-0", "population-1001-digits", "population-2.5", "threshold-3/2", "threshold-float",
-         "rate-1001-digits"],
+    ids=["population-0", "population-1001-digits", "population-5001-digits", "population-minus-5001-digits",
+         "population-2.5", "threshold-3/2", "threshold-float", "rate-1001-digits"],
 )
-def test_serialize_refuses_a_population_or_rate_that_would_not_read_back(key, document):
-    with pytest.raises(ValueError, match=key):
+def test_serialize_refuses_a_population_or_rate_that_would_not_read_back(key, error, document):
+    with pytest.raises(ValueError, match=key) as refused:
         serialize_scenario(document)
+    assert refused.type is error
 
 
 def test_parse_rate_grammar():
@@ -243,6 +247,78 @@ def test_parse_rate_grammar():
     for bad in ("", "eighty", "nan", "inf", "1/0", "%"):
         with pytest.raises(ValueError):
             parse_rate(bad)
+
+
+TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
+
+
+def fraction_parse_rate(text):
+    """parse_rate with every spelling read by Fraction(text): the reference its integer reader must match."""
+    text = text.strip()
+    try:
+        scale = abs(int(text.removesuffix("%").lower().partition("e")[2] or 0))
+    except ValueError:
+        scale = 0
+    if max(scale, sum(char.isdigit() for char in text)) > 4 * MAX_RATE_DIGITS:
+        raise RangeError(TOO_LARGE)
+    try:
+        rate = Fraction(text[:-1].strip()) / 100 if text.endswith("%") else Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in rate {text!r}") from None
+    if abs(rate.numerator) >= 10**MAX_RATE_DIGITS or rate.denominator >= 10**MAX_RATE_DIGITS:
+        raise RangeError(TOO_LARGE)
+    return rate
+
+
+def _read(parse, text):
+    """What `parse` makes of `text`: the rate's type and terms, or the error's class and message."""
+    try:
+        rate = parse(text)
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return type(rate), rate.numerator, rate.denominator
+
+
+DIGITS = "0123456789"
+#: Digit runs: short ones, and ones around the 4,000-digit guard with leading zeros or nines.
+_DIGIT_RUNS = st.one_of(
+    st.text(DIGITS, max_size=6),
+    st.builds(lambda fill, count, tail: fill * count + tail,
+              st.sampled_from("09"), st.integers(1995, 2005) | st.integers(3990, 4001), st.text(DIGITS, max_size=3)),
+)
+_PLAIN_RATES = st.one_of(
+    st.builds(lambda whole, places, percent: whole + places + percent, _DIGIT_RUNS,
+              st.just("") | st.just(".") | _DIGIT_RUNS.map(".".__add__), st.sampled_from(["", "%"])),
+    st.builds(lambda numerator, denominator: f"{numerator}/{denominator}", _DIGIT_RUNS, _DIGIT_RUNS),
+)
+_OTHER_RATES = st.lists(
+    st.sampled_from(["0", "4", "9", ".", "/", "%", "e", "E", "-", "+", "_", " ", "\u0664", "\u00b2", "1e-999", "2/5%"]),
+    max_size=8,
+).map("".join)
+
+
+@settings(deadline=None)
+@given(st.sampled_from(["", " ", "\t", "\u3000"]), st.one_of(_PLAIN_RATES, _OTHER_RATES), st.sampled_from(["", " "]))
+@example("", "4.", "")
+@example("", "007/010", "")
+@example("", "1/0", "")
+@example("", "0/0", "")
+@example("", "12.5%", "")
+@example("", "2/5%", "")
+@example("", "40 %", "")
+@example("", "1e-999", "")
+@example("", "+0.4", "")
+@example("", "1_0/2_0", "")
+@example("", "\u0664", "")
+@example("", "\u00b2", "")
+@example("", ".5", "")
+@example("", "0" * 3999 + "1", "")
+@example("", "0" * 4000 + "1", "")
+@example("", "1." + "0" * 3999, "")
+@example("", "9" * 1001 + "/" + "9" * 1001, "")
+def test_parse_rate_reads_every_text_as_fraction_does(before, text, after):
+    text = before + text + after
+    assert _read(parse_rate, text) == _read(fraction_parse_rate, text)
 
 
 def test_rate_size_cap():
