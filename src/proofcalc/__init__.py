@@ -19,13 +19,11 @@ __version__ = "0.1.0"
 #: Each module and the public names the package exports from it.
 _EXPORTS = {
     "core": (
-        "PREPONDERANCE", "DegenerateEvidence", "ErrorKind", "Outcome", "PosteriorBreakdown", "Probability",
-        "Scenario", "Verdict", "compute_posterior", "decide", "verdict_error_profile",
+        "EXACT_RATIONAL", "LARGEST_REMAINDER", "PREPONDERANCE", "ROUNDING_POLICIES", "DegenerateEvidence",
+        "ErrorKind", "Outcome", "PosteriorBreakdown", "Probability", "Scenario", "Verdict", "compute_posterior",
+        "decide", "verdict_error_profile",
     ),
-    "freqtree": (
-        "EXACT_RATIONAL", "LARGEST_REMAINDER", "ROUNDING_POLICIES", "FrequencyTree", "build_tree",
-        "minimal_integral_population", "posterior_from_tree",
-    ),
+    "freqtree": ("FrequencyTree", "build_tree", "minimal_integral_population", "posterior_from_tree"),
     "oracle": ("NoConditionedSamples", "NonIntegralCounts", "SimResult", "enumerate_posterior", "monte_carlo_posterior"),
     "render": ("render_proportion_bars_svg", "render_tree_svg", "render_tree_text"),
     "scenario_io": (

@@ -23,8 +23,6 @@ import os
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from pathlib import Path
-from typing import List, Optional, Sequence, Tuple, Union
 
 from .core import (
     LARGEST_REMAINDER, PREPONDERANCE, RATE_NAMES, ROUNDING_POLICIES, DegenerateEvidence, Probability, Scenario,
@@ -46,7 +44,7 @@ SVG_BARS = "svg-bars"
 _INTEGER_FLAGS = ("population", "steps", "samples", "seed")
 
 #: A report field: an exact value, a count, a word (an enum's value) or a float standard error.
-Field = Tuple[str, Union[Fraction, int, str, float]]
+Field = "tuple[str, Fraction | int | str | float]"
 
 
 def _scenario_options(parser: argparse.ArgumentParser) -> None:
@@ -74,7 +72,9 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
     if args.scenario is not None:
         if any(value is not None for value in inline):
             raise ValueError("--scenario cannot be combined with inline rate flags")
-        document = parse_scenario(Path(args.scenario).read_text(encoding="utf-8"))
+        # newline="" keeps a lone "\r" inside its line, as parse_scenario reads it.
+        with open(args.scenario, encoding="utf-8", newline="") as stream:
+            document = parse_scenario(stream.read())
     else:
         if any(value is None for value in inline):
             raise ValueError(
@@ -97,7 +97,7 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
     return document
 
 
-def _resolve_threshold(flag: Optional[str], document: ScenarioDocument) -> Probability:
+def _resolve_threshold(flag: str | None, document: ScenarioDocument) -> Probability:
     if flag is not None:
         return read_rate("--threshold", flag)
     if document.threshold is not None:
@@ -121,7 +121,7 @@ def _build_tree(args: argparse.Namespace, document: ScenarioDocument):
     return build_tree(document.scenario, population=population, rounding=args.rounding)
 
 
-def _report(fields: Sequence[Field]) -> str:
+def _report(fields: list[Field]) -> str:
     """Fields in space-aligned lines: an exact value as its decimal and p/q, a float to 6 digits, else text."""
     rows = [
         (name, format_sig(value), f"{value.numerator}/{value.denominator}") if isinstance(value, Fraction)
@@ -135,7 +135,7 @@ def _report(fields: Sequence[Field]) -> str:
     )
 
 
-def _cmd_posterior(args: argparse.Namespace) -> List[Field]:
+def _cmd_posterior(args: argparse.Namespace) -> list[Field]:
     breakdown = compute_posterior(_load_document(args).scenario)
     return [
         ("joint hit", breakdown.joint_hit),
@@ -145,7 +145,7 @@ def _cmd_posterior(args: argparse.Namespace) -> List[Field]:
     ]
 
 
-def _cmd_verdict(args: argparse.Namespace) -> List[Field]:
+def _cmd_verdict(args: argparse.Namespace) -> list[Field]:
     document = _load_document(args)
     threshold = _resolve_threshold(args.threshold, document)
     verdict = decide(compute_posterior(document.scenario), threshold)
@@ -172,7 +172,8 @@ def _cmd_render(args: argparse.Namespace) -> None:
         payload = render_tree_svg(_build_tree(args, document))
     else:
         payload = render_proportion_bars_svg(document.scenario)
-    Path(args.out).write_bytes(payload)
+    with open(args.out, "wb") as stream:
+        stream.write(payload)
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
@@ -186,7 +187,7 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
         write_sweep_rows(args.param, rows, stream)
 
 
-def _cmd_simulate(args: argparse.Namespace) -> List[Field]:
+def _cmd_simulate(args: argparse.Namespace) -> list[Field]:
     from .oracle import monte_carlo_posterior
 
     document = _load_document(args)
@@ -250,7 +251,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Optional[List[str]] = None) -> int:
+def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and print what it returns: the one place that writes to standard output."""
     args = build_parser().parse_args(argv)
     try:

@@ -15,9 +15,7 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Tuple, Union
-
-RateLike = Union["Probability", Fraction, int, float, str]
+RateLike = "Probability | Fraction | int | float | str"
 
 #: The three rates of a scenario, in the order every layer reads them.
 RATE_NAMES = ("base_rate", "hit_rate", "false_alarm_rate")
@@ -146,7 +144,7 @@ class Verdict:
     error_kind: ErrorKind
 
 
-def leaf_joints_of(b: int, d_base: int, h: int, d_hit: int, a: int, d_alarm: int) -> Tuple[int, ...]:
+def leaf_joints_of(b: int, d_base: int, h: int, d_hit: int, a: int, d_alarm: int) -> tuple[int, ...]:
     """The whole three-rate model in integers, from rates b/d_base, h/d_hit and a/d_alarm in [0, 1].
 
     Returns the numerators of p(H and E), p(H and not E), p(not H and E) and
@@ -157,7 +155,7 @@ def leaf_joints_of(b: int, d_base: int, h: int, d_hit: int, a: int, d_alarm: int
     return hyp * h, hyp * (d_hit - h), comp * a, comp * (d_alarm - a), d_base * d_hit * d_alarm
 
 
-def leaf_joints(scenario: Scenario) -> Tuple[int, ...]:
+def leaf_joints(scenario: Scenario) -> tuple[int, ...]:
     """`leaf_joints_of` on a scenario's three rates, read from Fraction's slots."""
     b, h, a = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
     return leaf_joints_of(b._numerator, b._denominator, h._numerator, h._denominator, a._numerator, a._denominator)

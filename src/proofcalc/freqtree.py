@@ -14,14 +14,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple, Union
 
 from .core import (
     _POPULATION_LIMIT, EXACT_RATIONAL, LARGEST_REMAINDER, MAX_POPULATION_DIGITS, ROUNDING_POLICIES,
     DegenerateEvidence, Probability, Scenario, _reduced, leaf_joints,
 )
 
-Count = Union[int, Fraction]
+Count = int | Fraction
 
 _NO_RESIDUALS = (Fraction(0),) * 4
 
@@ -48,7 +47,7 @@ class FrequencyTree:
     false_alarms: Count
     quiet_complement: Count
     counts_exact: bool
-    rounding_residuals: Tuple[Fraction, Fraction, Fraction, Fraction] = _NO_RESIDUALS
+    rounding_residuals: tuple[Fraction, Fraction, Fraction, Fraction] = _NO_RESIDUALS
     hypothesis_label: str = "runs on Main Street"
 
     def __post_init__(self) -> None:
@@ -68,11 +67,11 @@ class FrequencyTree:
             raise ValueError("counts must be nonnegative")
 
     @property
-    def leaves(self) -> Tuple[Count, Count, Count, Count]:
+    def leaves(self) -> tuple[Count, Count, Count, Count]:
         return (self.hits, self.quiet_hypothesis, self.false_alarms, self.quiet_complement)
 
 
-def _sums_to(first: Tuple[int, int], second: Tuple[int, int], total: Tuple[int, int]) -> bool:
+def _sums_to(first: tuple[int, int], second: tuple[int, int], total: tuple[int, int]) -> bool:
     """Whether the ratios first + second == total, for (numerator, denominator > 0) pairs."""
     (a, da), (b, db), (t, dt) = first, second, total
     return (a * db + b * da) * dt == t * da * db
@@ -144,7 +143,7 @@ def posterior_from_tree(tree: FrequencyTree) -> Probability:
     return Probability(tree.hits, total)
 
 
-def minimal_integral_population(scenario: Scenario, cap: int) -> Optional[int]:
+def minimal_integral_population(scenario: Scenario, cap: int) -> int | None:
     """Smallest population <= cap whose four leaf counts are all integral.
 
     Returns None when no such population exists within the cap. The answer

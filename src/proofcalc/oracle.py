@@ -27,12 +27,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING
 
 from .core import DegenerateEvidence, Probability, Scenario
-
-if TYPE_CHECKING:
-    import numpy as np
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9

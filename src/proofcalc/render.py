@@ -12,13 +12,9 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache
-from typing import TYPE_CHECKING, List
 
 from .core import Scenario, compute_posterior, leaf_joints
 from .scenario_io import check_label, format_fixed
-
-if TYPE_CHECKING:
-    from .freqtree import FrequencyTree
 
 ROLE_LABELS = ("hits", "quiet hypothesis", "false alarms", "quiet complement")
 
@@ -94,7 +90,7 @@ def render_tree_text(tree: FrequencyTree) -> str:
 _FONT = "Helvetica, Arial, sans-serif"
 
 
-def _svg_open() -> List[str]:
+def _svg_open() -> list[str]:
     return [
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '

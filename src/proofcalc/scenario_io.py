@@ -25,7 +25,6 @@ import re
 from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
-from typing import Optional, Tuple
 
 from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, RATE_NAMES, Probability, Scenario, _reduced
 
@@ -53,7 +52,7 @@ _KEYS = ("version",) + RATE_NAMES + ("population", "threshold", "hypothesis_labe
 class ScenarioParseError(ValueError):
     """Base class for scenario-document errors; carries a 1-based line number."""
 
-    def __init__(self, message: str, line_number: Optional[int] = None):
+    def __init__(self, message: str, line_number: int | None = None):
         self.line_number = line_number
         if line_number is not None:
             message = f"line {line_number}: {message}"
@@ -83,8 +82,8 @@ class ScenarioDocument:
     """A parsed scenario file: the scenario plus optional run parameters."""
 
     scenario: Scenario
-    population: Optional[int] = None
-    threshold: Optional[Probability] = None
+    population: int | None = None
+    threshold: Probability | None = None
 
 
 def parse_rate(text: str) -> Fraction:
@@ -118,7 +117,7 @@ def parse_rate(text: str) -> Fraction:
     return rate
 
 
-def _plain_ratio(text: str) -> Optional[Tuple[int, int]]:
+def _plain_ratio(text: str) -> tuple[int, int] | None:
     """The unreduced numerator and denominator of a plain spelling (see the module docstring), else None.
 
     Raises RangeError, before int() reads them, for more than 4 * MAX_RATE_DIGITS digits, as parse_rate does.
@@ -141,7 +140,7 @@ def _plain_ratio(text: str) -> Optional[Tuple[int, int]]:
     return int(whole + places), 10 ** len(places) * (100 if len(body) < len(text) else 1)
 
 
-def read_rate(name: str, text: str, line: Optional[int] = None) -> Probability:
+def read_rate(name: str, text: str, line: int | None = None) -> Probability:
     """The rate `text` gives for key or flag `name`, as a Probability.
 
     Raises RangeError when parse_rate finds it too long or it lies outside
@@ -161,7 +160,7 @@ def read_rate(name: str, text: str, line: Optional[int] = None) -> Probability:
         raise RangeError(f"{name} must be in [0, 1], got {' '.join(text.split())}", line) from None
 
 
-def read_integer(name: str, text: str, line: Optional[int] = None) -> int:
+def read_integer(name: str, text: str, line: int | None = None) -> int:
     """The integer `text` gives for key or flag `name`, in any spelling int() reads.
 
     Raises RangeError for more than MAX_INTEGER_DIGITS digits, without echoing
@@ -176,7 +175,7 @@ def read_integer(name: str, text: str, line: Optional[int] = None) -> int:
         raise ScenarioSyntaxError(f"{name} must be an integer, got {text!r}", line) from None
 
 
-def read_population(text: str, line: Optional[int] = None) -> int:
+def read_population(text: str, line: int | None = None) -> int:
     """The population `text` gives, as read_integer reads it: RangeError below 1 or past MAX_POPULATION_DIGITS digits."""
     population = read_integer("population", text, line)
     if population < 1:
@@ -186,7 +185,7 @@ def read_population(text: str, line: Optional[int] = None) -> int:
     return population
 
 
-def check_label(name: str, text: str, line: Optional[int] = None) -> str:
+def check_label(name: str, text: str, line: int | None = None) -> str:
     """`text`, given for label key or flag `name`, if every character is one an SVG can carry.
 
     That is XML 1.0's Char production without its line breaks, which would

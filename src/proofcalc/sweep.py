@@ -2,9 +2,9 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Iterator, Optional, Tuple
 
 from .core import PREPONDERANCE, RATE_NAMES, Outcome, Probability, RateLike, Scenario, _outcome, _reduced, leaf_joints_of
 from .scenario_io import format_exact, format_sig
@@ -22,15 +22,15 @@ class SweepRow:
     """One grid point; posterior and outcome are None where the evidence is degenerate."""
 
     value: Probability
-    posterior: Optional[Probability]
-    outcome: Optional[Outcome]
+    posterior: Probability | None
+    outcome: Outcome | None
 
 
 @dataclass(frozen=True)
 class SweepTable:
     swept_parameter: str
     threshold: Probability
-    rows: Tuple[SweepRow, ...]
+    rows: tuple[SweepRow, ...]
 
 
 def _slot(parameter: str) -> int:

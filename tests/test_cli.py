@@ -11,7 +11,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from proofcalc import ROUNDING_POLICIES, build_tree, render_proportion_bars_svg, render_tree_svg, render_tree_text
+import proofcalc
+from proofcalc import (
+    ROUNDING_POLICIES, build_tree, compute_posterior, parse_scenario, render_proportion_bars_svg, render_tree_svg,
+    render_tree_text,
+)
 from proofcalc.cli import SVG_BARS, SVG_TREE, main
 from proofcalc.sweep import SWEEPABLE_PARAMETERS
 
@@ -476,6 +480,28 @@ def test_scenario_file_with_a_byte_order_mark(capsys, tmp_path):
         assert run(capsys, command, "--scenario", str(marked)) == expected
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "base_rate = 0.4\r\nhit_rate = 80%\r\nfalse_alarm_rate = 1/10\r\n",
+        "base_rate = 0.4\nhit_rate = 80%\nfalse_alarm_rate = 1/10\nhypothesis_label = a\rb\n",
+        "base_rate = 0.4\rhit_rate = 80%\rfalse_alarm_rate = 1/10\r",
+    ],
+    ids=["crlf", "lone-cr-in-a-label", "cr-line-endings"],
+)
+def test_a_scenario_file_reads_as_parse_scenario_reads_its_text(capsys, tmp_path, text):
+    path = tmp_path / "case.scenario"
+    path.write_bytes(text.encode("utf-8"))
+    result = run(capsys, "posterior", "--scenario", str(path))
+    try:
+        posterior = compute_posterior(parse_scenario(text).scenario).posterior
+    except ValueError as exc:
+        assert result == (2, "", f"error: {exc}\n")
+    else:
+        assert result[0] == 0 and result[2] == ""
+        assert result[1].endswith(f"  {posterior.numerator}/{posterior.denominator}\n")
+
+
 def test_input_errors_exit_2(capsys, tmp_path):
     code, _, err = run(capsys, "posterior", "--base-rate", "0.4")
     assert code == 2 and "error:" in err
@@ -531,21 +557,30 @@ def test_usage_errors_from_argparse_exit_2(capsys):
     capsys.readouterr()
 
 
-def test_numpy_is_imported_only_to_simulate(tmp_path):
-    # Each request in a fresh process, which then names the optional modules it has loaded.
-    script = (
-        "import sys\n"
-        "import proofcalc\n"
-        "from proofcalc.cli import main\n"
-        "assert not sys.argv[1:] or main(sys.argv[1:]) == 0\n"
-        "optional = ('proofcalc.freqtree', 'proofcalc.render', 'proofcalc.sweep', 'proofcalc.oracle', 'csv', 'numpy')\n"
-        "print('loaded:', *(name for name in optional if name in sys.modules))\n"
-    )
+#: A child that runs the request in its later arguments, then names the modules of its first argument
+#: (comma-separated) that it has loaded. The rounding-policy names come from core, so they load no other module.
+_LOADED = (
+    "import sys\n"
+    "from proofcalc import EXACT_RATIONAL, LARGEST_REMAINDER, ROUNDING_POLICIES\n"
+    "from proofcalc.cli import main\n"
+    "assert not sys.argv[2:] or main(sys.argv[2:]) == 0\n"
+    "print('loaded:', *(name for name in sys.argv[1].split(',') if name in sys.modules))\n"
+)
 
+
+def _loaded(modules, *argv, options=(), env=None):
+    result = subprocess.run(
+        [sys.executable, *options, "-c", _LOADED, ",".join(modules), *argv],
+        capture_output=True, text=True, env=env, check=False,
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout.splitlines()[-1].split()[1:]
+
+
+def test_numpy_is_imported_only_to_simulate(tmp_path):
     def loaded(*argv):
-        result = subprocess.run([sys.executable, "-c", script, *argv], capture_output=True, text=True, check=False)
-        assert result.returncode == 0, result.stderr
-        return result.stdout.splitlines()[-1].split()[1:]
+        optional = ("proofcalc.freqtree", "proofcalc.render", "proofcalc.sweep", "proofcalc.oracle", "csv", "numpy")
+        return _loaded(optional, *argv)
 
     assert loaded() == []
     assert loaded("posterior", *RATES) == []
@@ -556,6 +591,17 @@ def test_numpy_is_imported_only_to_simulate(tmp_path):
     assert loaded("render", *RATES, *bars) == ["proofcalc.render"]
     assert loaded("tree", *RATES) == ["proofcalc.freqtree", "proofcalc.render"]
     assert loaded("simulate", *RATES, "--samples", "10") == ["proofcalc.oracle", "numpy"]
+
+
+def test_requests_load_neither_typing_nor_pathlib(tmp_path):
+    # -S skips site, whose .pth hooks (an editable install's, say) may import both modules before
+    # proofcalc runs; so PYTHONPATH names the directory that holds this proofcalc. simulate is left
+    # out, because NumPy lives in site-packages.
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(proofcalc.__file__))}
+    sweep = ("--param", "base_rate", "--from", "0", "--to", "1", "--steps", "3", "--out", str(tmp_path / "s.csv"))
+    svg = ("--format", "svg-tree", "--out", str(tmp_path / "t.svg"))
+    for command, *flags in (("posterior",), ("verdict",), ("tree",), ("render", *svg), ("sweep", *sweep)):
+        assert _loaded(("typing", "pathlib"), command, *RATES, *flags, options=("-S",), env=env) == [], command
 
 
 def test_the_package_loads_each_name_from_its_module_on_first_use(tmp_path):
