@@ -40,6 +40,9 @@ EXIT_DEGENERATE = 3
 SVG_TREE = "svg-tree"
 SVG_BARS = "svg-bars"
 
+#: The longest scenario file read, in characters, so that reading one takes bounded memory.
+_MAX_SCENARIO_CHARS = 1 << 20
+
 #: Integer flags, read as text and converted by `_integer_flags` after parsing.
 _INTEGER_FLAGS = ("population", "steps", "samples", "seed")
 
@@ -74,7 +77,10 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
             raise ValueError("--scenario cannot be combined with inline rate flags")
         # newline="" keeps a lone "\r" inside its line, as parse_scenario reads it.
         with open(args.scenario, encoding="utf-8", newline="") as stream:
-            document = parse_scenario(stream.read())
+            text = stream.read(_MAX_SCENARIO_CHARS + 1)
+        if len(text) > _MAX_SCENARIO_CHARS:
+            raise ValueError(f"--scenario: a scenario file may have at most {_MAX_SCENARIO_CHARS} characters")
+        document = parse_scenario(text)
     else:
         if any(value is None for value in inline):
             raise ValueError(

@@ -13,18 +13,27 @@ The random source is SplitMix64 used as a counter-based generator: draw
 is the top 53 bits k of that draw scaled by 2^-53. Sample j consumes draws
 2j (hypothesis attribute) and 2j+1 (evidence attribute); an attribute is
 present when its uniform lies below the rate read as an IEEE double p.
-The kernel never forms the uniform: it compares the integer k with
+The kernels never form the uniform: they compare the integer k with
 ceil(p * 2^53), which selects exactly the same draws, because p * 2^53 is
 exact for every double in [0, 1] and an integer lies below a real number
 exactly when it lies below that number's ceiling. That mapping is the
 reproducibility contract: results depend only on (scenario, samples,
-seed), on every platform, regardless of block size. NumPy is imported
-only when a simulation runs.
+seed), on every platform, regardless of kernel or block size.
+
+Two kernels count the same stream: _counts_python calls splitmix64 draw by
+draw, and _counts_numpy mixes blocks of draws in NumPy uint64 arrays. A call
+runs in Python only while NumPy is not loaded and the samples this process
+has drawn in Python, that call included, stay within _PYTHON_SAMPLE_BUDGET.
+So a small one-shot run never pays for importing NumPy, a process spends at
+most a third of that import's cost on Python draws, and a process that has
+NumPy always takes the vectorized kernel. NumPy is imported only by that
+kernel.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -39,6 +48,15 @@ _MASK_64 = (1 << 64) - 1
 # sample) stay in a core's L2 cache between the passes over them.
 _BLOCK_SAMPLES = 1 << 14
 _MAX_SAMPLES = 10**9
+_MAX_POPULATION = 10**6
+
+# Samples a process may draw in Python. At 1.6-2.4 us a sample (2-core x86
+# VM, Python 3.11) that is 32-48 ms, a third or less of the 150-200 ms that
+# importing NumPy takes on the same machine. The count is per process, by
+# design, and unlocked: a race between threads can change which kernel runs,
+# never a count.
+_PYTHON_SAMPLE_BUDGET = 20_000
+_python_samples_drawn = 0
 
 
 class NonIntegralCounts(ValueError):
@@ -110,10 +128,13 @@ def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
     evidence, and returns the fraction of those with the hypothesis.
 
     Raises NonIntegralCounts when the population does not split into whole
-    individuals, and DegenerateEvidence when nobody shows the evidence.
+    individuals, DegenerateEvidence when nobody shows the evidence, and
+    ValueError when the population is below 1 or above 10^6.
     """
     if population < 1:
         raise ValueError("population must be a positive integer")
+    if population > _MAX_POPULATION:
+        raise ValueError(f"population must be at most {_MAX_POPULATION} to enumerate")
     # Derived here, not by core.leaf_joints: an oracle sharing code with what it checks checks nothing.
     base = scenario.base_rate
     hit = scenario.hit_rate
@@ -137,27 +158,22 @@ def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
     return Probability(Fraction(sum(with_evidence), len(with_evidence)))
 
 
-def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> SimResult:
-    """Seeded simulation of the scenario, conditioned on the evidence.
+def _counts_python(seed: int, samples: int, base: int, hit: int, alarm: int) -> tuple[int, int]:
+    """(conditioned, hits) over samples 0..samples-1, one splitmix64 draw at a time."""
+    conditioned = hits = 0
+    for j in range(samples):
+        hypothesis = splitmix64(seed, 2 * j) >> 11 < base
+        if splitmix64(seed, 2 * j + 1) >> 11 < (hit if hypothesis else alarm):
+            conditioned += 1
+            hits += hypothesis
+    return conditioned, hits
 
-    Each sample draws the hypothesis attribute with probability base_rate,
-    then the evidence attribute with hit_rate or false_alarm_rate
-    accordingly. The estimate is the conditioned frequency of the
-    hypothesis; the standard error is the binomial sqrt(p(1-p)/n) over the
-    conditioned draws.
 
-    Raises NoConditionedSamples when no draw satisfied the evidence, and
-    ValueError when samples is below 1 or above 10^9.
-    """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if samples > _MAX_SAMPLES:
-        raise ValueError(f"samples must be at most {_MAX_SAMPLES}")
+def _counts_numpy(seed: int, samples: int, base: int, hit: int, alarm: int) -> tuple[int, int]:
+    """(conditioned, hits) over samples 0..samples-1, mixed in NumPy blocks of _BLOCK_SAMPLES."""
     import numpy as np
 
-    base = np.uint64(_threshold53(float(scenario.base_rate)))
-    hit = np.uint64(_threshold53(float(scenario.hit_rate)))
-    alarm = np.uint64(_threshold53(float(scenario.false_alarm_rate)))
+    base, hit, alarm = np.uint64(base), np.uint64(hit), np.uint64(alarm)
 
     # Sample j mixes counter 2j+1 (hypothesis) and 2j+2 (evidence): within a
     # block each stream advances by 2*GOLDEN_GAMMA a sample, and the
@@ -170,7 +186,7 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
     has_hypothesis = np.empty(size, dtype=bool)
     has_evidence = np.empty(size, dtype=bool)
 
-    conditioned = hypothesis_hits = 0
+    conditioned = hits = 0
     done = 0
     with np.errstate(over="ignore"):
         while done < samples:
@@ -191,16 +207,48 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
             np.less(k_evidence, limit, out=evidence)
             conditioned += int(np.count_nonzero(evidence))
             evidence &= hypothesis
-            hypothesis_hits += int(np.count_nonzero(evidence))
+            hits += int(np.count_nonzero(evidence))
             done += block
+    return conditioned, hits
+
+
+def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> SimResult:
+    """Seeded simulation of the scenario, conditioned on the evidence.
+
+    Each sample draws the hypothesis attribute with probability base_rate,
+    then the evidence attribute with hit_rate or false_alarm_rate
+    accordingly. The estimate is the conditioned frequency of the
+    hypothesis; the standard error is the binomial sqrt(p(1-p)/n) over the
+    conditioned draws. Both kernels give the same counts; see the module
+    docstring for which one runs.
+
+    Raises NoConditionedSamples when no draw satisfied the evidence, and
+    ValueError when samples is below 1 or above 10^9.
+    """
+    global _python_samples_drawn
+    if samples < 1:
+        raise ValueError("samples must be >= 1")
+    if samples > _MAX_SAMPLES:
+        raise ValueError(f"samples must be at most {_MAX_SAMPLES}")
+    thresholds = (
+        _threshold53(float(scenario.base_rate)),
+        _threshold53(float(scenario.hit_rate)),
+        _threshold53(float(scenario.false_alarm_rate)),
+    )
+    # get() is None both when NumPy is not loaded and when a None entry blocks its import.
+    if sys.modules.get("numpy") is None and _python_samples_drawn + samples <= _PYTHON_SAMPLE_BUDGET:
+        _python_samples_drawn += samples
+        conditioned, hits = _counts_python(seed, samples, *thresholds)
+    else:
+        conditioned, hits = _counts_numpy(seed, samples, *thresholds)
 
     if conditioned == 0:
         raise NoConditionedSamples(
             f"none of the {samples} samples satisfied the evidence; cannot condition"
         )
-    frequency = hypothesis_hits / conditioned
+    frequency = hits / conditioned
     return SimResult(
-        estimate=Probability(hypothesis_hits, conditioned),
+        estimate=Probability(hits, conditioned),
         standard_error=math.sqrt(frequency * (1.0 - frequency) / conditioned),
         samples_total=samples,
         samples_conditioned=conditioned,

@@ -205,8 +205,15 @@ def test_simulate_rejects_more_than_a_billion_samples(capsys, monkeypatch):
 
 
 def test_simulate_without_numpy_exits_2_with_one_line(capsys, monkeypatch):
+    import proofcalc.oracle as oracle
+
     monkeypatch.setitem(sys.modules, "numpy", None)  # what an install without NumPy gives `import numpy`
-    code, out, err = run(capsys, "simulate", *RATES, "--samples", "10")
+    monkeypatch.setattr(oracle, "_python_samples_drawn", 0)
+    code, out, err = run(capsys, "simulate", *RATES, "--samples", "2000", "--seed", "0")
+    assert code == 0 and err == ""
+    check_golden("cli_simulate.txt", out.encode("utf-8"))
+    # Past the budget of Python draws, simulate needs NumPy.
+    code, out, err = run(capsys, "simulate", *RATES, "--samples", str(oracle._PYTHON_SAMPLE_BUDGET + 1))
     assert code == 2 and out == ""
     assert err.startswith("error: ") and err.count("\n") == 1 and "numpy" in err
 
@@ -524,6 +531,34 @@ def test_input_errors_exit_2(capsys, tmp_path):
     assert code == 2 and "hit_rate" in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/zero"), reason="needs /dev/zero")
+def test_an_endless_scenario_file_exits_2_with_one_line_in_bounded_memory():
+    import resource
+
+    def limit_memory():
+        resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
+
+    result = subprocess.run(
+        [sys.executable, "-m", "proofcalc", "posterior", "--scenario", "/dev/zero"],
+        capture_output=True, text=True, preexec_fn=limit_memory, check=False,
+    )
+    assert result.returncode == 2 and result.stdout == ""
+    assert result.stderr == "error: --scenario: a scenario file may have at most 1048576 characters\n"
+
+
+def test_a_scenario_file_at_the_character_cap_is_read(capsys, tmp_path):
+    from proofcalc.cli import _MAX_SCENARIO_CHARS
+
+    rates = "base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\n"
+    path = tmp_path / "padded.scenario"
+    path.write_text(rates + "#" * (_MAX_SCENARIO_CHARS - len(rates)), encoding="utf-8")
+    code, out, _ = run(capsys, "posterior", "--scenario", str(path))
+    assert code == 0 and out.endswith("  16/19\n")
+    path.write_text(rates + "#" * (_MAX_SCENARIO_CHARS - len(rates) + 1), encoding="utf-8")
+    code, out, err = run(capsys, "posterior", "--scenario", str(path))
+    assert code == 2 and out == "" and err.count("\n") == 1 and "at most" in err
+
+
 def test_degenerate_evidence_exits_3(capsys, tmp_path):
     for argv in (
         ["posterior", *DEGENERATE],
@@ -590,17 +625,20 @@ def test_numpy_is_imported_only_to_simulate(tmp_path):
     bars = ("--format", "svg-bars", "--out", str(tmp_path / "b.svg"))
     assert loaded("render", *RATES, *bars) == ["proofcalc.render"]
     assert loaded("tree", *RATES) == ["proofcalc.freqtree", "proofcalc.render"]
-    assert loaded("simulate", *RATES, "--samples", "10") == ["proofcalc.oracle", "numpy"]
+    assert loaded("simulate", *RATES, "--samples", "10") == ["proofcalc.oracle"]
+    assert loaded("simulate", *RATES, "--samples", "100000") == ["proofcalc.oracle", "numpy"]
 
 
 def test_requests_load_neither_typing_nor_pathlib(tmp_path):
     # -S skips site, whose .pth hooks (an editable install's, say) may import both modules before
-    # proofcalc runs; so PYTHONPATH names the directory that holds this proofcalc. simulate is left
-    # out, because NumPy lives in site-packages.
+    # proofcalc runs; so PYTHONPATH names the directory that holds this proofcalc. simulate runs
+    # small enough to draw in Python, because NumPy lives in site-packages.
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(proofcalc.__file__))}
     sweep = ("--param", "base_rate", "--from", "0", "--to", "1", "--steps", "3", "--out", str(tmp_path / "s.csv"))
     svg = ("--format", "svg-tree", "--out", str(tmp_path / "t.svg"))
-    for command, *flags in (("posterior",), ("verdict",), ("tree",), ("render", *svg), ("sweep", *sweep)):
+    for command, *flags in (
+        ("posterior",), ("verdict",), ("tree",), ("render", *svg), ("sweep", *sweep), ("simulate", "--samples", "10"),
+    ):
         assert _loaded(("typing", "pathlib"), command, *RATES, *flags, options=("-S",), env=env) == [], command
 
 

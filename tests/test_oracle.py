@@ -1,6 +1,8 @@
 """Enumeration and Monte Carlo cross-checks of the analytic posterior."""
 
 import math
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,7 +19,8 @@ from proofcalc import (
     enumerate_posterior,
     monte_carlo_posterior,
 )
-from proofcalc.oracle import _threshold53, splitmix64, uniform53
+import proofcalc.oracle as oracle
+from proofcalc.oracle import _counts_numpy, _counts_python, _threshold53, splitmix64, uniform53
 
 from cases import CASE_IDS, CASES
 
@@ -79,6 +82,20 @@ def test_enumeration_rejects_fractional_individuals():
         enumerate_posterior(CASES[0].scenario, 0)
 
 
+def test_enumeration_refuses_a_population_above_its_cap(monkeypatch):
+    import proofcalc.core as core
+
+    def never(*_):
+        raise AssertionError("the oracle called the code it checks")
+
+    monkeypatch.setattr(core, "leaf_joints", never)
+    assert enumerate_posterior(Scenario(0.5, 0.5, 0.5), 10**6) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="at most 1000000"):
+        enumerate_posterior(Scenario(0.5, 0.5, 0.5), 10**6 + 1)
+    with pytest.raises(ValueError, match="at most 1000000"):
+        enumerate_posterior(Scenario(0.5, 0.5, 0.5), 10**1000)
+
+
 def test_enumeration_with_no_evidence_raises():
     with pytest.raises(DegenerateEvidence):
         enumerate_posterior(Scenario(0.5, 0, 0), 2)
@@ -122,12 +139,19 @@ def edge_uniforms():
     return [uniform53(EDGE_SEED, i) for i in range(2 * EDGE_SAMPLES)]
 
 
-@pytest.mark.parametrize("block", [64, None], ids=["block-64", "default-block"])
+@pytest.mark.parametrize(
+    "kernel, block", [("numpy", 64), ("numpy", None), ("python", None)], ids=["block-64", "default-block", "python"]
+)
 @pytest.mark.parametrize("samples", [1, EDGE_SAMPLES])
 @pytest.mark.parametrize("rate", EDGE_RATES, ids=[repr(rate) for rate in EDGE_RATES])
-def test_monte_carlo_matches_a_scalar_replay_at_edge_rates(monkeypatch, edge_uniforms, rate, samples, block):
-    import proofcalc.oracle as oracle
-
+def test_monte_carlo_matches_a_scalar_replay_at_edge_rates(monkeypatch, edge_uniforms, rate, samples, kernel, block):
+    # Each kernel is forced, so that whether an earlier test loaded NumPy does not decide which one runs.
+    if kernel == "numpy":
+        monkeypatch.setattr(oracle, "_PYTHON_SAMPLE_BUDGET", 0)
+    else:
+        monkeypatch.setitem(sys.modules, "numpy", None)
+        monkeypatch.setattr(oracle, "_PYTHON_SAMPLE_BUDGET", 3 * EDGE_SAMPLES)
+        monkeypatch.setattr(oracle, "_python_samples_drawn", 0)
     if block is not None:
         monkeypatch.setattr(oracle, "_BLOCK_SAMPLES", block)
     for scenario in (Scenario(rate, rate, rate), Scenario(rate, 0.75, 0.25), Scenario(0.5, rate, 1 - rate)):
@@ -152,18 +176,61 @@ def test_monte_carlo_matches_a_scalar_replay_at_edge_rates(monkeypatch, edge_uni
         assert result.estimate == Fraction(hypothesis_hits, conditioned)
 
 
-def test_monte_carlo_spans_block_boundaries_consistently():
-    import proofcalc.oracle as oracle
+KERNEL_RATES = st.sampled_from([0.0, 1.0, 2.0**-53, 1 - 2.0**-53]) | st.floats(0, 1)
+HUGE_SEED = 10**4299 + 7  # 4,300 digits, the longest seed the CLI reads
 
-    scenario = CASES[1].scenario
-    whole = monte_carlo_posterior(scenario, 3000, seed=5)
+
+@settings(deadline=None)
+@given(
+    seed=st.integers(-(2**70), 2**70) | st.sampled_from([HUGE_SEED, -HUGE_SEED]),
+    samples=st.integers(1, 300),
+    block=st.sampled_from([1, 3, 64, 1 << 14]),
+    rates=st.tuples(KERNEL_RATES, KERNEL_RATES, KERNEL_RATES),
+)
+@example(seed=HUGE_SEED, samples=(1 << 14) + 1, block=1 << 14, rates=(0.4, 0.8, 0.1))
+@example(seed=-1, samples=(1 << 14) - 1, block=1 << 14, rates=(1 - 2.0**-53, 2.0**-53, 1.0))
+@example(seed=0, samples=129, block=64, rates=(0.0, 1.0, 0.5))
+def test_the_python_and_numpy_kernels_count_the_same_samples(seed, samples, block, rates):
+    thresholds = [_threshold53(rate) for rate in rates]
+    original = oracle._BLOCK_SAMPLES
+    try:
+        oracle._BLOCK_SAMPLES = block
+        vectorized = _counts_numpy(seed, samples, *thresholds)
+    finally:
+        oracle._BLOCK_SAMPLES = original
+    assert _counts_python(seed, samples, *thresholds) == vectorized
+
+
+def test_monte_carlo_spans_block_boundaries_consistently():
+    thresholds = [_threshold53(float(rate)) for rate in (CASES[1].scenario.base_rate, 0.8, 0.1)]
+    whole = _counts_numpy(5, 3000, *thresholds)
     original = oracle._BLOCK_SAMPLES
     try:
         oracle._BLOCK_SAMPLES = 64  # force many small blocks
-        chunked = monte_carlo_posterior(scenario, 3000, seed=5)
+        chunked = _counts_numpy(5, 3000, *thresholds)
     finally:
         oracle._BLOCK_SAMPLES = original
     assert whole == chunked
+
+
+#: A fresh process that spends the whole Python budget without NumPy, then makes one more call.
+_SPEND_THE_BUDGET = (
+    "import sys\n"
+    "from proofcalc import Scenario, monte_carlo_posterior\n"
+    "from proofcalc.oracle import _PYTHON_SAMPLE_BUDGET\n"
+    "scenario = Scenario('0.4', '1', '1')  # every sample shows the evidence\n"
+    "for seed in range(4):\n"
+    "    monte_carlo_posterior(scenario, _PYTHON_SAMPLE_BUDGET // 4, seed=seed)\n"
+    "print('numpy' in sys.modules)\n"
+    "monte_carlo_posterior(scenario, 1)\n"
+    "print('numpy' in sys.modules)\n"
+)
+
+
+def test_a_process_past_its_python_budget_imports_numpy_on_its_next_call():
+    result = subprocess.run([sys.executable, "-c", _SPEND_THE_BUDGET], capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["False", "True"]
 
 
 def test_monte_carlo_perfect_classifier_is_exact():
