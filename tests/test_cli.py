@@ -192,6 +192,20 @@ def test_simulate_is_deterministic_given_the_seed(capsys):
     assert other_seed != first
 
 
+def test_the_readme_simulate_example_prints_what_the_readme_shows(capsys):
+    with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as file:
+        readme = file.read()
+    block = readme.split("\n### simulate\n", 1)[1].split("```\n", 1)[1].split("\n```", 1)[0]
+    lines = block.splitlines(keepends=True)
+    last = next(i for i, line in enumerate(lines) if not line.rstrip("\n").endswith("\\"))
+    argv = "".join(lines[: last + 1]).replace("\\\n", " ").split()
+    # 100,000 samples are past the Python budget: six full NumPy blocks of 2^14 and one partial block.
+    assert argv[:2] == ["$", "proofcalc"] and "100000" in argv
+    code, out, err = run(capsys, *argv[2:])
+    assert code == 0 and err == ""
+    assert out.encode("utf-8") == ("".join(lines[last + 1 :]) + "\n").encode("utf-8")
+
+
 def test_simulate_rejects_more_than_a_billion_samples(capsys, monkeypatch):
     import proofcalc.oracle as oracle
 

@@ -190,6 +190,8 @@ HUGE_SEED = 10**4299 + 7  # 4,300 digits, the longest seed the CLI reads
 @example(seed=HUGE_SEED, samples=(1 << 14) + 1, block=1 << 14, rates=(0.4, 0.8, 0.1))
 @example(seed=-1, samples=(1 << 14) - 1, block=1 << 14, rates=(1 - 2.0**-53, 2.0**-53, 1.0))
 @example(seed=0, samples=129, block=64, rates=(0.0, 1.0, 0.5))
+@example(seed=7, samples=(1 << 14) + 1, block=1 << 14, rates=(0.4, 0.3, 0.6))  # hit below false alarm
+@example(seed=-(2**70), samples=(1 << 14) + 1, block=1 << 14, rates=(0.5, 0.25, 0.25))  # hit equal to false alarm
 def test_the_python_and_numpy_kernels_count_the_same_samples(seed, samples, block, rates):
     thresholds = [_threshold53(rate) for rate in rates]
     original = oracle._BLOCK_SAMPLES
