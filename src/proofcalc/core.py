@@ -113,7 +113,7 @@ class PosteriorBreakdown:
         a, da = self.joint_false_alarm._numerator, self.joint_false_alarm._denominator
         m, dm = self.evidence_marginal._numerator, self.evidence_marginal._denominator
         p, dp = self.posterior._numerator, self.posterior._denominator
-        if m * dh * da != dm * (h * da + a * dh):
+        if not _sums_to((h, dh), (a, da), (m, dm)):
             raise ValueError("evidence_marginal must equal joint_hit + joint_false_alarm")
         if p * m * dh != h * dp * dm:
             raise ValueError("posterior * evidence_marginal must equal joint_hit")
@@ -142,6 +142,12 @@ class Verdict:
     posterior: Probability
     wrong_verdict_probability: Probability
     error_kind: ErrorKind
+
+
+def _sums_to(first: tuple[int, int], second: tuple[int, int], total: tuple[int, int]) -> bool:
+    """Whether the ratios first + second == total, for (numerator, denominator > 0) pairs."""
+    (a, da), (b, db), (t, dt) = first, second, total
+    return (a * db + b * da) * dt == t * da * db
 
 
 def leaf_joints_of(b: int, d_base: int, h: int, d_hit: int, a: int, d_alarm: int) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import (
     _POPULATION_LIMIT, EXACT_RATIONAL, LARGEST_REMAINDER, MAX_POPULATION_DIGITS, ROUNDING_POLICIES,
-    DegenerateEvidence, Probability, Scenario, _reduced, leaf_joints,
+    DegenerateEvidence, Probability, Scenario, _reduced, _sums_to, leaf_joints,
 )
 
 Count = int | Fraction
@@ -69,12 +69,6 @@ class FrequencyTree:
     @property
     def leaves(self) -> tuple[Count, Count, Count, Count]:
         return (self.hits, self.quiet_hypothesis, self.false_alarms, self.quiet_complement)
-
-
-def _sums_to(first: tuple[int, int], second: tuple[int, int], total: tuple[int, int]) -> bool:
-    """Whether the ratios first + second == total, for (numerator, denominator > 0) pairs."""
-    (a, da), (b, db), (t, dt) = first, second, total
-    return (a * db + b * da) * dt == t * da * db
 
 
 def _as_count(numerator: int, denominator: int) -> Count:

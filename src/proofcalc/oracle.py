@@ -123,9 +123,9 @@ class SimResult:
 def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
     """Posterior by counting an explicit population, no formula involved.
 
-    Builds the full list of individuals with their (hypothesis, evidence)
-    attributes from the exact leaf counts, keeps the ones showing the
-    evidence, and returns the fraction of those with the hypothesis.
+    Walks the population one individual at a time, each with the (hypothesis,
+    evidence) attributes of its exact leaf count, and returns those showing
+    both over those showing the evidence; nothing is kept per individual.
 
     Raises NonIntegralCounts when the population does not split into whole
     individuals, DegenerateEvidence when nobody shows the evidence, and
@@ -149,13 +149,16 @@ def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
         raise NonIntegralCounts(
             f"population {population} does not apportion this scenario into whole individuals"
         )
-    individuals = [
-        attributes for attributes, count in counts.items() for _ in range(int(count))
-    ]
-    with_evidence = [hypothesis for hypothesis, evidence in individuals if evidence]
+    with_evidence = with_both = 0
+    for (hypothesis, evidence), count in counts.items():
+        for _ in range(int(count)):
+            if evidence:
+                with_evidence += 1
+                if hypothesis:
+                    with_both += 1
     if not with_evidence:
         raise DegenerateEvidence("no individual in the population shows the evidence")
-    return Probability(Fraction(sum(with_evidence), len(with_evidence)))
+    return Probability(Fraction(with_both, with_evidence))
 
 
 def _counts_python(seed: int, samples: int, base: int, hit: int, alarm: int) -> tuple[int, int]:

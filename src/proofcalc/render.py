@@ -2,15 +2,15 @@
 
 Every renderer is a pure function of its inputs and emits byte-identical
 output across runs and platforms. The text tree is built line by line, each
-count and label padded into its field. Each SVG fills a template built once
-from exact fractions of the canvas; bar positions and percentages are exact
-integer ratios of the rates. All are quantized ties to even, which keeps
-goldens stable.
+count and label padded into its field. Each SVG fills a template built once;
+all geometry is integers in hundredths of a pixel. The canvas divides
+exactly into the template's coordinates, and bar positions and percentages
+are exact integer ratios of the leaf joints, rounded once, ties to even,
+which keeps goldens stable.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cache
 
 from .core import Scenario, compute_posterior, leaf_joints
@@ -26,9 +26,9 @@ HYPOTHESIS_COLOR = "#1f77b4"
 COMPLEMENT_COLOR = "#d97706"
 
 
-def _coord(value: Fraction | str) -> str:
-    """Quantize a coordinate to 2 decimal places (ties to even), trimming trailing zeros; a template field stays."""
-    return value if isinstance(value, str) else format_fixed(round(value * 100), 2)
+def _coord(value: int | str) -> str:
+    """A coordinate in hundredths of a pixel as pixels, trimming trailing zeros; a template field stays."""
+    return value if isinstance(value, str) else format_fixed(value, 2)
 
 
 def _escape(text: str) -> str:
@@ -89,20 +89,33 @@ def render_tree_text(tree: FrequencyTree) -> str:
 
 _FONT = "Helvetica, Arial, sans-serif"
 
+#: SVG geometry in hundredths of a pixel: the bars' left edge (a 16th of the width), the top bar's
+#: width, and a 32nd of the height. Each divides the canvas exactly.
+_X0, _BAR, _Y = WIDTH * 100 // 16, WIDTH * 100 * 7 // 8, HEIGHT * 100 // 32
 
-def _svg_open() -> list[str]:
-    return [
+
+def _fixed(numerator: int, denominator: int, places: int) -> str:
+    """numerator/denominator rounded to an integer, ties to even as `round` does, then / 10**places as text."""
+    quotient, remainder = divmod(numerator, denominator)
+    return format_fixed(quotient + (2 * remainder + (quotient & 1) > denominator), places)
+
+
+def _svg(parts: list[str]) -> str:
+    """An SVG document: the XML header, the canvas and its white background, then `parts`."""
+    return "\n".join([
         '<?xml version="1.0" encoding="UTF-8"?>',
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{WIDTH}" '
         f'height="{HEIGHT}" viewBox="0 0 {WIDTH} {HEIGHT}">',
         f'<rect x="0" y="0" width="{WIDTH}" height="{HEIGHT}" fill="#ffffff"/>',
-    ]
+        *parts,
+        "</svg>\n",
+    ])
 
 
-def _svg_line(x1, y1, x2, y2, stroke: str, width: str = "1") -> str:
+def _svg_line(x1, y1, x2, y2) -> str:
     return (
         f'<line x1="{_coord(x1)}" y1="{_coord(y1)}" x2="{_coord(x2)}" y2="{_coord(y2)}" '
-        f'stroke="{stroke}" stroke-width="{width}"/>'
+        f'stroke="#666666" stroke-width="1"/>'
     )
 
 
@@ -118,29 +131,22 @@ def _svg_text(x, y, content: str, size: int, fill: str, anchor: str = "middle") 
 
 @cache
 def _tree_svg_template() -> str:
-    """The SVG tree with a `{}` for each count and label, built once: its geometry is the canvas's."""
-    w, h = Fraction(WIDTH), Fraction(HEIGHT)
-    pop_x, pop_y = w / 2, h * 2 / 16
-    row2_x = (w * 2 / 8, w * 6 / 8)
-    leaf_x = tuple(w * (2 * i + 1) / 8 for i in range(4))
-    row2_y, leaf_y, pad = h * 6 / 16, h * 11 / 16, h / 32
+    """The SVG tree with a `{}` for each count and label, built once: x in _X0 steps, y in _Y steps."""
+    pop_x, pop_y, row2_y, leaf_y = 8 * _X0, 4 * _Y, 12 * _Y, 22 * _Y
+    row2_x = (4 * _X0, 12 * _X0)
+    leaf_x = tuple((4 * i + 2) * _X0 for i in range(4))
     colors = (HYPOTHESIS_COLOR, COMPLEMENT_COLOR)
 
-    parts = _svg_open()
-    for x in row2_x:
-        parts.append(_svg_line(pop_x, pop_y + pad, x, row2_y - pad, "#666666"))
-    for i, x in enumerate(leaf_x):
-        parts.append(_svg_line(row2_x[i // 2], row2_y + pad, x, leaf_y - pad, "#666666"))
-
+    parts = [_svg_line(pop_x, pop_y + _Y, x, row2_y - _Y) for x in row2_x]
+    parts += [_svg_line(row2_x[i // 2], row2_y + _Y, x, leaf_y - _Y) for i, x in enumerate(leaf_x)]
     parts.append(_svg_text(pop_x, pop_y, "{}", FONT_SIZE, "#000000"))
     for x, color in zip(row2_x, colors):
         parts.append(_svg_text(x, row2_y, "{}", FONT_SIZE, color))
-        parts.append(_svg_text(x, h * 7 / 16, "{}", LABEL_SIZE, "#444444"))
+        parts.append(_svg_text(x, 14 * _Y, "{}", LABEL_SIZE, "#444444"))
     for i, x in enumerate(leaf_x):
         parts.append(_svg_text(x, leaf_y, "{}", FONT_SIZE, colors[i // 2]))
-        parts.append(_svg_text(x, h * 25 / 32, ROLE_LABELS[i], LABEL_SIZE, "#444444"))
-    parts.append("</svg>")
-    return "\n".join(parts) + "\n"
+        parts.append(_svg_text(x, 25 * _Y, ROLE_LABELS[i], LABEL_SIZE, "#444444"))
+    return _svg(parts)
 
 
 def render_tree_svg(tree: FrequencyTree) -> bytes:
@@ -152,26 +158,16 @@ def render_tree_svg(tree: FrequencyTree) -> bytes:
 
 # --- SVG proportion bars ---------------------------------------------------
 
-#: The bars' left edge and the top bar's width, in hundredths of a pixel.
-_X0, _BAR = WIDTH * 100 // 16, WIDTH * 100 * 7 // 8
-
-
-def _fixed(numerator: int, denominator: int, places: int) -> str:
-    """numerator/denominator rounded to an integer, ties to even as `round` does, then / 10**places as text."""
-    quotient, remainder = divmod(numerator, denominator)
-    return format_fixed(quotient + (2 * remainder + (quotient & 1) > denominator), places)
-
 
 @cache
 def _bars_svg_template() -> str:
     """The bars SVG with a named field for each split, width, share and label, built once."""
-    w, h = Fraction(WIDTH), Fraction(HEIGHT)
-    left, right, bar_h, top_y, bottom_y = w / 16, w * 15 / 16, h / 8, h * 3 / 16, h * 11 / 16
-    parts = _svg_open() + [
+    right, bar_h, top_y, bottom_y = _X0 + _BAR, 4 * _Y, 6 * _Y, 22 * _Y
+    return _svg([
         f'<rect id="{elem_id}" x="{_coord(x)}" y="{_coord(y)}" width="{{{width}}}" '
         f'height="{_coord(bar_h)}" fill="{fill}"/>'
         for elem_id, x, y, width, fill in (
-            ("top-hypothesis", left, top_y, "top_hit", HYPOTHESIS_COLOR),
+            ("top-hypothesis", _X0, top_y, "top_hit", HYPOTHESIS_COLOR),
             ("top-complement", "{top}", top_y, "top_rest", COMPLEMENT_COLOR),
             ("bottom-hit", "{left}", bottom_y, "hit", HYPOTHESIS_COLOR),
             ("bottom-false-alarm", "{split}", bottom_y, "alarm", COMPLEMENT_COLOR),
@@ -179,15 +175,13 @@ def _bars_svg_template() -> str:
     ] + [
         f'<line id="split-connector" x1="{{top}}" y1="{_coord(top_y + bar_h)}" '
         f'x2="{{split}}" y2="{_coord(bottom_y)}" stroke="#333333" stroke-width="1.5"/>',
-        _svg_text(left, h * 2 / 16, "{label}", LABEL_SIZE, HYPOTHESIS_COLOR, "start"),
-        _svg_text(right, h * 2 / 16, "not ({label})", LABEL_SIZE, COMPLEMENT_COLOR, "end"),
-        _svg_text("{top}", top_y + bar_h + h / 32, "{base}%", LABEL_SIZE, "#000000"),
-        _svg_text("{split}", bottom_y - h / 32, "{posterior}%", LABEL_SIZE, "#000000"),
-        _svg_text(left, h * 29 / 32, "hits ({evidence})", LABEL_SIZE, HYPOTHESIS_COLOR, "start"),
-        _svg_text(right, h * 29 / 32, "false alarms", LABEL_SIZE, COMPLEMENT_COLOR, "end"),
-        "</svg>",
-    ]
-    return "\n".join(parts) + "\n"
+        _svg_text(_X0, 4 * _Y, "{label}", LABEL_SIZE, HYPOTHESIS_COLOR, "start"),
+        _svg_text(right, 4 * _Y, "not ({label})", LABEL_SIZE, COMPLEMENT_COLOR, "end"),
+        _svg_text("{top}", top_y + bar_h + _Y, "{base}%", LABEL_SIZE, "#000000"),
+        _svg_text("{split}", bottom_y - _Y, "{posterior}%", LABEL_SIZE, "#000000"),
+        _svg_text(_X0, 29 * _Y, "hits ({evidence})", LABEL_SIZE, HYPOTHESIS_COLOR, "start"),
+        _svg_text(right, 29 * _Y, "false alarms", LABEL_SIZE, COMPLEMENT_COLOR, "end"),
+    ])
 
 
 def render_proportion_bars_svg(scenario: Scenario) -> bytes:
@@ -204,17 +198,18 @@ def render_proportion_bars_svg(scenario: Scenario) -> bytes:
     Raises DegenerateEvidence when the evidence marginal is zero (there is
     no bottom bar to draw), and ValueError for a label check_label refuses.
     """
-    b, d = scenario.base_rate._numerator, scenario.base_rate._denominator
-    hit, _, alarm, _, total = leaf_joints(scenario)
-    marginal = hit + alarm
+    hit, quiet, alarm, _, total = leaf_joints(scenario)
+    hypothesis, marginal = hit + quiet, hit + alarm
     if not marginal:
         compute_posterior(scenario)  # raises DegenerateEvidence with the kernel's message
-    # Hundredths of a pixel: the hit bar, hit/total wide, ends at the split, _X0 + _BAR·hit/marginal.
+    # Hundredths of a pixel: the top split is _X0 + _BAR·hypothesis/total, and the hit bar,
+    # hit/total wide, ends at the bottom split, _X0 + _BAR·hit/marginal.
     return _bars_svg_template().format(
-        top=_fixed(_X0 * d + _BAR * b, d, 2), top_hit=_fixed(_BAR * b, d, 2), top_rest=_fixed(_BAR * (d - b), d, 2),
+        top=_fixed(_X0 * total + _BAR * hypothesis, total, 2), top_hit=_fixed(_BAR * hypothesis, total, 2),
+        top_rest=_fixed(_BAR * (total - hypothesis), total, 2), base=_fixed(1000 * hypothesis, total, 1),
         split=_fixed(_X0 * marginal + _BAR * hit, marginal, 2), hit=_fixed(_BAR * hit, total, 2),
         left=_fixed(_X0 * marginal * total + _BAR * hit * (total - marginal), marginal * total, 2),
-        alarm=_fixed(_BAR * alarm, total, 2), base=_fixed(1000 * b, d, 1), posterior=_fixed(1000 * hit, marginal, 1),
+        alarm=_fixed(_BAR * alarm, total, 2), posterior=_fixed(1000 * hit, marginal, 1),
         label=_escape(check_label("hypothesis_label", scenario.hypothesis_label)),
         evidence=_escape(check_label("evidence_label", scenario.evidence_label)),
     ).encode("utf-8")

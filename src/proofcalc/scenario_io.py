@@ -34,9 +34,6 @@ FORMAT_VERSION = 1
 MAX_RATE_DIGITS = 1000
 _RATE_LIMIT = 10**MAX_RATE_DIGITS
 _RATE_TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
-#: The class plain rates are built as, without a call to its constructor. `Fraction` names only the
-#: constructor that the other spellings go through, so a spy in its place sees just those.
-_FRACTION = Fraction
 #: Digits an integer may have: past Python's default int-from-text limit, int() refuses it.
 MAX_INTEGER_DIGITS = 4300
 _BITS_PER_FIVE = math.log2(5)
@@ -100,7 +97,7 @@ def parse_rate(text: str) -> Fraction:
     if ratio is not None:
         if ratio[1] == 0:
             raise ValueError(f"zero denominator in rate {text!r}")
-        rate = _reduced(*ratio, _FRACTION)
+        rate = _reduced(*ratio, Fraction)
     else:
         try:
             scale = abs(int(text.removesuffix("%").lower().partition("e")[2] or 0))

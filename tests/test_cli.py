@@ -236,14 +236,13 @@ def test_simulate_without_numpy_exits_2_with_one_line(capsys, monkeypatch):
 def test_oversized_rates_exit_2_before_a_number_is_built(capsys, monkeypatch, rate):
     import proofcalc.scenario_io as scenario_io
 
-    real_fraction = scenario_io.Fraction
+    class Spy(scenario_io.Fraction):
+        def __new__(cls, value=0, *rest):
+            if value == rate:
+                raise AssertionError("the rate cap let an oversized rate reach Fraction")
+            return super().__new__(cls, value, *rest)
 
-    def fraction(value=0, *rest):
-        if value == rate:
-            raise AssertionError("the rate cap let an oversized rate reach Fraction")
-        return real_fraction(value, *rest)
-
-    monkeypatch.setattr(scenario_io, "Fraction", fraction)
+    monkeypatch.setattr(scenario_io, "Fraction", Spy)
     code, out, err = run(capsys, "posterior", "--base-rate", "0.4", "--hit-rate", rate, "--false-alarm-rate", "0.1")
     assert code == 2 and out == ""
     assert err == f"error: --hit-rate: {TOO_LARGE}\n"
@@ -344,14 +343,13 @@ def _command_with_rate_flag(flag, text, tmp_path):
 def test_a_rate_flag_that_does_not_parse_is_named(capsys, monkeypatch, tmp_path, flag, text):
     import proofcalc.scenario_io as scenario_io
 
-    real_fraction = scenario_io.Fraction
+    class Spy(scenario_io.Fraction):
+        def __new__(cls, value=0, *rest):
+            if value == "1e-5000":
+                raise AssertionError("the rate cap let an oversized rate reach Fraction")
+            return super().__new__(cls, value, *rest)
 
-    def fraction(value=0, *rest):
-        if value == "1e-5000":
-            raise AssertionError("the rate cap let an oversized rate reach Fraction")
-        return real_fraction(value, *rest)
-
-    monkeypatch.setattr(scenario_io, "Fraction", fraction)
+    monkeypatch.setattr(scenario_io, "Fraction", Spy)
     code, out, err = run(capsys, *_command_with_rate_flag(flag, text, tmp_path))
     assert code == 2 and out == ""
     if text == "1e-5000":

@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -94,6 +95,18 @@ def test_enumeration_refuses_a_population_above_its_cap(monkeypatch):
         enumerate_posterior(Scenario(0.5, 0.5, 0.5), 10**6 + 1)
     with pytest.raises(ValueError, match="at most 1000000"):
         enumerate_posterior(Scenario(0.5, 0.5, 0.5), 10**1000)
+
+
+def test_enumeration_keeps_nothing_per_individual():
+    # A list of 10^5 individuals alone takes about 800 kB; two counters take a few hundred bytes.
+    scenario = Scenario("0.4", "0.8", "0.1")
+    tracemalloc.start()
+    try:
+        assert enumerate_posterior(scenario, 10**5) == Fraction(16, 19)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"enumeration peaked at {peak} B"
 
 
 def test_enumeration_with_no_evidence_raises():

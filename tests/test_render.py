@@ -286,6 +286,9 @@ def _assert_bars_match_reference(scenario: Scenario) -> None:
 @given(BAR_RATES, BAR_RATES, BAR_RATES, st.text("ab &<>{}", max_size=6), st.text("ab &<>{}", max_size=6))
 @example(Fraction(2, 5), Fraction(0), Fraction(0), "a", "b")  # degenerate: zero evidence marginal
 @example(Fraction(1, 112000), Fraction(4, 5), Fraction(1, 10), "&<>", "{}")  # top split 4000.5 rounds to 4000
+@example(Fraction(0), Fraction(4, 5), Fraction(1, 10), "a", "b")  # top split at the left edge
+@example(Fraction(1), Fraction(4, 5), Fraction(1, 10), "a", "b")  # top split at the right edge
+@example(Fraction(4 * 10**998 + 1, 10**999 + 7), Fraction(4, 5), Fraction(1, 10), "a", "b")  # a 1,000-digit base rate
 def test_bars_bytes_equal_the_reference(base, hit, alarm, hypothesis_label, evidence_label):
     _assert_bars_match_reference(Scenario(base, hit, alarm, hypothesis_label, evidence_label))
 
