@@ -13,21 +13,23 @@ The random source is SplitMix64 used as a counter-based generator: draw
 is the top 53 bits k of that draw scaled by 2^-53. Sample j consumes draws
 2j (hypothesis attribute) and 2j+1 (evidence attribute); an attribute is
 present when its uniform lies below the rate read as an IEEE double p.
-The kernels never form the uniform: they compare the integer k with
-ceil(p * 2^53), which selects exactly the same draws, because p * 2^53 is
-exact for every double in [0, 1] and an integer lies below a real number
-exactly when it lies below that number's ceiling. That mapping is the
-reproducibility contract: results depend only on (scenario, samples,
-seed), on every platform, regardless of kernel or block size.
+The kernels never form the uniform or even k: they compare the 64-bit
+draw x with T * 2^11, where T = ceil(p * 2^53). That selects exactly the
+same draws. p * 2^53 is exact for every double in [0, 1], an integer k lies
+below a real number exactly when it lies below that number's ceiling, and
+x >> 11 < T exactly when x < T * 2^11. That mapping is the reproducibility
+contract: results depend only on (scenario, samples, seed), on every
+platform, regardless of kernel or block size.
 
-Two kernels count the same stream: _counts_python calls splitmix64 draw by
-draw, and _counts_numpy mixes blocks of draws in NumPy uint64 arrays. A call
-runs in Python only while NumPy is not loaded and the samples this process
-has drawn in Python, that call included, stay within _PYTHON_SAMPLE_BUDGET.
-So a small one-shot run never pays for importing NumPy, a process spends at
+Two kernels count the same stream: _counts_python steps a SplitMix64 state
+draw by draw, and _counts_numpy mixes blocks of draws in NumPy uint64
+arrays, in buffers that each thread keeps between calls. A call runs in
+Python only while NumPy is not loaded and the samples this process has
+drawn in Python, that call included, stay within _PYTHON_SAMPLE_BUDGET. So
+a small one-shot run never pays for importing NumPy, a process spends at
 most a third of that import's cost on Python draws, and a process that has
-NumPy always takes the vectorized kernel. NumPy is imported only by that
-kernel.
+NumPy always takes the vectorized kernel. NumPy and threading are imported
+only by that kernel.
 """
 
 from __future__ import annotations
@@ -45,18 +47,24 @@ _MIX_2 = 0x94D049BB133111EB
 _MASK_64 = (1 << 64) - 1
 
 # Samples per block, small enough that a block's buffers (16 B of draws, 16 B of scratch,
-# 8 B of steps and 3 B of flags: 43 B a sample) stay in a core's L2 cache between passes.
+# 8 B of steps and 3 B of flags: 43 B a sample, about 690 kB in all) stay in a core's L2
+# cache between passes. Each thread keeps its buffers, so only its first call pays for them.
 _BLOCK_SAMPLES = 1 << 14
 _MAX_SAMPLES = 10**9
 _MAX_POPULATION = 10**6
 
-# Samples a process may draw in Python. At 1.6-2.4 us a sample (2-core x86
-# VM, Python 3.11) that is 32-48 ms, a third or less of the 150-200 ms that
+# Samples a process may draw in Python. At 1.1-1.5 us a sample (2-core x86
+# VM, Python 3.11) that is 22-30 ms, a fifth or less of the 150-200 ms that
 # importing NumPy takes on the same machine. The count is per process, by
 # design, and unlocked: a race between threads can change which kernel runs,
 # never a count.
 _PYTHON_SAMPLE_BUDGET = 20_000
 _python_samples_drawn = 0
+
+# A threading.local, made by the first NumPy call, holding each thread's block buffers.
+# Two threads making their first calls at once may each make one; the thread whose one is
+# replaced then makes its buffers once more, and no count changes.
+_per_thread = None
 
 
 class NonIntegralCounts(ValueError):
@@ -67,12 +75,16 @@ class NoConditionedSamples(DegenerateEvidence):
     """No Monte Carlo draw satisfied the evidence; the estimate is undefined."""
 
 
-def splitmix64(seed: int, index: int) -> int:
-    """The index-th 64-bit output of the SplitMix64 stream for `seed`."""
-    z = ((seed & _MASK_64) + (index + 1) * GOLDEN_GAMMA) & _MASK_64
+def _mix64(z: int) -> int:
+    """The SplitMix64 output for the state z, an integer in [0, 2^64)."""
     z = ((z ^ (z >> 30)) * _MIX_1) & _MASK_64
     z = ((z ^ (z >> 27)) * _MIX_2) & _MASK_64
     return z ^ (z >> 31)
+
+
+def splitmix64(seed: int, index: int) -> int:
+    """The index-th 64-bit output of the SplitMix64 stream for `seed`."""
+    return _mix64(((seed & _MASK_64) + (index + 1) * GOLDEN_GAMMA) & _MASK_64)
 
 
 def uniform53(seed: int, index: int) -> float:
@@ -85,8 +97,8 @@ def _threshold53(rate: float) -> int:
     return math.ceil(rate * 2**53)
 
 
-def _mix53(z: np.ndarray, scratch: np.ndarray) -> None:
-    """Replace each SplitMix64 state in z by the top 53 bits of its output, in place.
+def _mix64_block(z: np.ndarray, scratch: np.ndarray) -> None:
+    """Replace each SplitMix64 state in z by its 64-bit output, in place.
 
     Wraparound mod 2^64 is the algorithm; callers run this under
     np.errstate(over="ignore").
@@ -101,7 +113,6 @@ def _mix53(z: np.ndarray, scratch: np.ndarray) -> None:
     z *= np.uint64(_MIX_2)
     np.right_shift(z, np.uint64(31), out=scratch)
     z ^= scratch
-    z >>= np.uint64(11)
 
 
 @dataclass(frozen=True)
@@ -162,32 +173,55 @@ def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
 
 
 def _counts_python(seed: int, samples: int, base: int, hit: int, alarm: int) -> tuple[int, int]:
-    """(conditioned, hits) over samples 0..samples-1, one splitmix64 draw at a time."""
+    """(conditioned, hits) over samples 0..samples-1, stepping one SplitMix64 state draw by draw."""
+    # x >> 11 < T exactly when x < T << 11; Python ints need no special case at T = 0 or T = 2^53.
+    base, hit, alarm = base << 11, hit << 11, alarm << 11
+    state = seed & _MASK_64
     conditioned = hits = 0
-    for j in range(samples):
-        hypothesis = splitmix64(seed, 2 * j) >> 11 < base
-        if splitmix64(seed, 2 * j + 1) >> 11 < (hit if hypothesis else alarm):
+    for _ in range(samples):
+        state = (state + GOLDEN_GAMMA) & _MASK_64
+        hypothesis = _mix64(state) < base
+        state = (state + GOLDEN_GAMMA) & _MASK_64
+        if _mix64(state) < (hit if hypothesis else alarm):
             conditioned += 1
             hits += hypothesis
     return conditioned, hits
 
 
 def _counts_numpy(seed: int, samples: int, base: int, hit: int, alarm: int) -> tuple[int, int]:
-    """(conditioned, hits) over samples 0..samples-1 in NumPy blocks, each evidence draw tested on both thresholds."""
+    """(conditioned, hits) over samples 0..samples-1 in NumPy blocks, each evidence draw tested on both thresholds.
+
+    The block buffers belong to the calling thread and outlive the call: a thread makes them on
+    its first call and again when _BLOCK_SAMPLES changes, so its later calls allocate no array.
+    """
+    global _per_thread
     import numpy as np
 
-    base, hit, alarm = np.uint64(base), np.uint64(hit), np.uint64(alarm)
+    # x >> 11 < T exactly when x <= T * 2^11 - 1, a bound that fits in uint64 for T in [1, 2^53].
+    # T = 0, a rate of exactly 0, selects nothing, and so does x < 0.
+    (base_test, base), (hit_test, hit), (alarm_test, alarm) = [
+        (np.less_equal, np.uint64((t << 11) - 1)) if t else (np.less, np.uint64(0)) for t in (base, hit, alarm)
+    ]
 
-    # Sample j mixes counter 2j+1 (hypothesis) and 2j+2 (evidence): within a
-    # block each stream advances by 2*GOLDEN_GAMMA a sample, and the
-    # evidence stream runs GOLDEN_GAMMA ahead of the hypothesis stream.
-    size = min(_BLOCK_SAMPLES, samples)
-    steps = np.arange(size, dtype=np.uint64) * np.uint64(2 * GOLDEN_GAMMA & _MASK_64)
-    draws = np.empty(2 * size, dtype=np.uint64)
-    scratch = np.empty_like(draws)
-    has_hypothesis = np.empty(size, dtype=bool)
-    below_hit = np.empty(size, dtype=bool)
-    below_alarm = np.empty(size, dtype=bool)
+    if _per_thread is None:
+        import threading
+
+        _per_thread = threading.local()
+    buffers = getattr(_per_thread, "buffers", None)
+    if buffers is None or len(buffers[0]) != _BLOCK_SAMPLES:
+        # Sample j mixes counter 2j+1 (hypothesis) and 2j+2 (evidence): within a
+        # block each stream advances by 2*GOLDEN_GAMMA a sample, and the
+        # evidence stream runs GOLDEN_GAMMA ahead of the hypothesis stream.
+        size = _BLOCK_SAMPLES
+        draws = np.empty(2 * size, dtype=np.uint64)
+        buffers = _per_thread.buffers = (
+            np.arange(size, dtype=np.uint64) * np.uint64(2 * GOLDEN_GAMMA & _MASK_64),
+            draws,
+            np.empty_like(draws),
+            *(np.empty(size, dtype=bool) for _ in range(3)),
+        )
+    steps, draws, scratch, has_hypothesis, below_hit, below_alarm = buffers
+    size = len(steps)
 
     false_alarms = hits = 0
     done = 0
@@ -195,18 +229,18 @@ def _counts_numpy(seed: int, samples: int, base: int, hit: int, alarm: int) -> t
         while done < samples:
             block = min(size, samples - done)
             start = seed + (2 * done + 1) * GOLDEN_GAMMA
-            k_hypothesis = draws[:block]
-            k_evidence = draws[block : 2 * block]
-            np.add(steps[:block], np.uint64(start & _MASK_64), out=k_hypothesis)
-            np.add(steps[:block], np.uint64((start + GOLDEN_GAMMA) & _MASK_64), out=k_evidence)
-            _mix53(draws[: 2 * block], scratch[: 2 * block])
+            x_hypothesis = draws[:block]
+            x_evidence = draws[block : 2 * block]
+            np.add(steps[:block], np.uint64(start & _MASK_64), out=x_hypothesis)
+            np.add(steps[:block], np.uint64((start + GOLDEN_GAMMA) & _MASK_64), out=x_evidence)
+            _mix64_block(draws[: 2 * block], scratch[: 2 * block])
 
             hypothesis = has_hypothesis[:block]
             by_hit = below_hit[:block]
             by_alarm = below_alarm[:block]
-            np.less(k_hypothesis, base, out=hypothesis)
-            np.less(k_evidence, hit, out=by_hit)
-            np.less(k_evidence, alarm, out=by_alarm)
+            base_test(x_hypothesis, base, out=hypothesis)
+            hit_test(x_evidence, hit, out=by_hit)
+            alarm_test(x_evidence, alarm, out=by_alarm)
             by_hit &= hypothesis
             # On booleans, by_alarm > hypothesis is by_alarm and not hypothesis.
             np.greater(by_alarm, hypothesis, out=by_alarm)

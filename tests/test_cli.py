@@ -212,7 +212,7 @@ def test_simulate_rejects_more_than_a_billion_samples(capsys, monkeypatch):
     def never_simulate(*_):
         raise AssertionError("the sample cap let a simulation start")
 
-    monkeypatch.setattr(oracle, "_mix53", never_simulate)
+    monkeypatch.setattr(oracle, "_mix64_block", never_simulate)
     code, out, err = run(capsys, "simulate", *RATES, "--samples", "1000000001")
     assert code == 2 and out == ""
     assert err == "error: samples must be at most 1000000000\n"

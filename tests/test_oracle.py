@@ -3,6 +3,7 @@
 import math
 import subprocess
 import sys
+import threading
 import tracemalloc
 from fractions import Fraction
 
@@ -226,6 +227,58 @@ def test_monte_carlo_spans_block_boundaries_consistently():
     finally:
         oracle._BLOCK_SAMPLES = original
     assert whole == chunked
+
+
+def test_a_repeat_numpy_call_in_a_thread_allocates_no_buffers():
+    # A first call makes about 690 kB of block buffers; a call making them again would peak near 430 kB.
+    thresholds = [_threshold53(rate) for rate in (0.4, 0.8, 0.1)]
+    _counts_numpy(1, 10**4, *thresholds)
+    tracemalloc.start()
+    try:
+        _counts_numpy(2, 10**4, *thresholds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 1024, f"a repeat call peaked at {peak} B"
+
+
+def test_threads_and_block_size_changes_leave_the_counts_alone(monkeypatch):
+    # Four threads make their buffers at the same time, run at blocks of 64, make them again and
+    # run at 2^14. Buffers shared between threads would mix one thread's draws into another's
+    # counts, and buffers of the wrong size would drop or repeat samples.
+    thresholds = [_threshold53(rate) for rate in (0.4, 0.8, 0.1)]
+    samples = (1 << 14) + 3
+    seeds = [[101 * worker + k for k in range(3)] for worker in range(4)]
+    serial = [[_counts_python(seed, samples, *thresholds) for seed in row] for row in seeds]
+    blocks = iter([64, 1 << 14])
+    # The action runs once all four threads wait, so every thread runs each round at the same block size.
+    barrier = threading.Barrier(4, action=lambda: setattr(oracle, "_BLOCK_SAMPLES", next(blocks)), timeout=60)
+    results = [[] for _ in seeds]
+
+    def work(worker):
+        for _ in range(2):
+            barrier.wait()
+            results[worker].append([_counts_numpy(seed, samples, *thresholds) for seed in seeds[worker]])
+
+    monkeypatch.setattr(oracle, "_BLOCK_SAMPLES", oracle._BLOCK_SAMPLES)  # restored after the test
+    monkeypatch.setattr(oracle, "_per_thread", None)  # so the four first calls race to make it
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=work, args=(worker,)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert results == [[row, row] for row in serial]
+
+    # One thread switching between calls makes its buffers again each time.
+    for block in (64, 1 << 14, 64):
+        oracle._BLOCK_SAMPLES = block
+        assert _counts_numpy(seeds[0][0], samples, *thresholds) == serial[0][0]
 
 
 #: A fresh process that spends the whole Python budget without NumPy, then makes one more call.
