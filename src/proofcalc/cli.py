@@ -3,7 +3,8 @@
 Every subcommand reads its scenario either from a file (--scenario PATH,
 see scenario_io for the format) or from inline flags
 --base-rate/--hit-rate/--false-alarm-rate, each accepting decimals
-("0.4"), percentages ("40%") or fractions ("2/5").
+("0.4"), percentages ("40%") or fractions ("2/5"). Each flag is read by its
+scenario key's reader, so a bad value is refused in the key's words, naming the flag.
 
 A subcommand prints nothing: `posterior`, `verdict` and `simulate` return a
 list of (name, value) fields, `tree` returns its drawing, and `render` and
@@ -25,10 +26,12 @@ from dataclasses import replace
 from fractions import Fraction
 
 from .core import (
-    LARGEST_REMAINDER, PREPONDERANCE, RATE_NAMES, ROUNDING_POLICIES, DegenerateEvidence, Probability, Scenario,
+    LARGEST_REMAINDER, PREPONDERANCE, RATE_NAMES, ROUNDING_POLICIES, DegenerateEvidence, Scenario,
     compute_posterior, decide,
 )
-from .scenario_io import ScenarioDocument, check_label, format_sig, parse_scenario, read_integer, read_rate
+from .scenario_io import (
+    ScenarioDocument, check_label, format_sig, parse_scenario, read_integer, read_population, read_rate,
+)
 
 # freqtree, render, sweep and oracle (with NumPy) are imported in the subcommands that use them,
 # so that the other subcommands start without loading them.
@@ -42,9 +45,6 @@ SVG_BARS = "svg-bars"
 
 #: The longest scenario file read, in characters, so that reading one takes bounded memory.
 _MAX_SCENARIO_CHARS = 1 << 20
-
-#: Integer flags, read as text and converted by `_integer_flags` after parsing.
-_INTEGER_FLAGS = ("population", "steps", "samples", "seed")
 
 #: A report field: an exact value, a count, a word (an enum's value) or a float standard error.
 Field = "tuple[str, Fraction | int | str | float]"
@@ -62,15 +62,11 @@ def _scenario_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--evidence-label", metavar="TEXT", help="display label for E")
 
 
-def _integer_flags(args: argparse.Namespace) -> None:
-    """Turn each integer flag's text into an int, refusing non-integers and over-long texts by name."""
-    for dest in _INTEGER_FLAGS:
-        text = getattr(args, dest, None)
-        if text is not None:
-            setattr(args, dest, read_integer(f"--{dest}", text))
-
-
 def _load_document(args: argparse.Namespace) -> ScenarioDocument:
+    """The run's scenario, population and threshold: each flag given, else the file's value, else the default."""
+    population = getattr(args, "population", None)
+    if population is not None:
+        population = read_population("--population", population)
     inline = (args.base_rate, args.hit_rate, args.false_alarm_rate)
     if args.scenario is not None:
         if any(value is not None for value in inline):
@@ -98,17 +94,14 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
         labels["hypothesis_label"] = check_label("--hypothesis-label", args.hypothesis_label)
     if args.evidence_label is not None:
         labels["evidence_label"] = check_label("--evidence-label", args.evidence_label)
-    if labels:
-        document = replace(document, scenario=replace(document.scenario, **labels))
-    return document
-
-
-def _resolve_threshold(flag: str | None, document: ScenarioDocument) -> Probability:
-    if flag is not None:
-        return read_rate("--threshold", flag)
-    if document.threshold is not None:
-        return document.threshold
-    return PREPONDERANCE
+    flag = getattr(args, "threshold", None)
+    # `is None`, not `or`: a file's threshold of 0 is falsy and stays 0.
+    threshold = document.threshold if flag is None else read_rate("--threshold", flag)
+    return ScenarioDocument(
+        scenario=replace(document.scenario, **labels) if labels else document.scenario,
+        population=population or document.population or 100,
+        threshold=PREPONDERANCE if threshold is None else threshold,
+    )
 
 
 def _tree_options(parser: argparse.ArgumentParser, scope: str = "") -> None:
@@ -117,14 +110,6 @@ def _tree_options(parser: argparse.ArgumentParser, scope: str = "") -> None:
         "--rounding", choices=ROUNDING_POLICIES, default=LARGEST_REMAINDER,
         help=f"how to make counts whole (default %(default)s){scope}",
     )
-
-
-def _build_tree(args: argparse.Namespace, document: ScenarioDocument):
-    """The tree for --population (else the file's population, else 100) and --rounding."""
-    from .freqtree import build_tree
-
-    population = args.population if args.population is not None else document.population or 100
-    return build_tree(document.scenario, population=population, rounding=args.rounding)
 
 
 def _report(fields: list[Field]) -> str:
@@ -153,8 +138,7 @@ def _cmd_posterior(args: argparse.Namespace) -> list[Field]:
 
 def _cmd_verdict(args: argparse.Namespace) -> list[Field]:
     document = _load_document(args)
-    threshold = _resolve_threshold(args.threshold, document)
-    verdict = decide(compute_posterior(document.scenario), threshold)
+    verdict = decide(compute_posterior(document.scenario), document.threshold)
     return [
         ("posterior", verdict.posterior),
         ("threshold", verdict.threshold),
@@ -165,9 +149,11 @@ def _cmd_verdict(args: argparse.Namespace) -> list[Field]:
 
 
 def _cmd_tree(args: argparse.Namespace) -> str:
+    from .freqtree import build_tree
     from .render import render_tree_text
 
-    return render_tree_text(_build_tree(args, _load_document(args)))
+    document = _load_document(args)
+    return render_tree_text(build_tree(document.scenario, document.population, rounding=args.rounding))
 
 
 def _cmd_render(args: argparse.Namespace) -> None:
@@ -175,7 +161,9 @@ def _cmd_render(args: argparse.Namespace) -> None:
 
     document = _load_document(args)
     if args.format == SVG_TREE:
-        payload = render_tree_svg(_build_tree(args, document))
+        from .freqtree import build_tree
+
+        payload = render_tree_svg(build_tree(document.scenario, document.population, rounding=args.rounding))
     else:
         payload = render_proportion_bars_svg(document.scenario)
     with open(args.out, "wb") as stream:
@@ -183,22 +171,24 @@ def _cmd_render(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
+    steps = read_integer("--steps", args.steps)
     from .sweep import grid_points, sweep_rows, write_sweep_rows
 
     document = _load_document(args)
     # Every check runs before the file is opened: the grid is strictly increasing and inside [0, 1].
-    grid = grid_points(read_rate("--from", args.start), read_rate("--to", args.stop), args.steps)
-    rows = sweep_rows(document.scenario, args.param, grid, threshold=_resolve_threshold(None, document))
+    grid = grid_points(read_rate("--from", args.start), read_rate("--to", args.stop), steps)
+    rows = sweep_rows(document.scenario, args.param, grid, threshold=document.threshold)
     with open(args.out, "w", encoding="utf-8", newline="") as stream:
         write_sweep_rows(args.param, rows, stream)
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[Field]:
+    samples, seed = read_integer("--samples", args.samples), read_integer("--seed", args.seed)
     from .oracle import monte_carlo_posterior
 
     document = _load_document(args)
     exact = compute_posterior(document.scenario).posterior
-    result = monte_carlo_posterior(document.scenario, samples=args.samples, seed=args.seed)
+    result = monte_carlo_posterior(document.scenario, samples=samples, seed=seed)
     return [
         ("samples", result.samples_total),
         ("conditioned samples", result.samples_conditioned),
@@ -261,7 +251,6 @@ def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and print what it returns: the one place that writes to standard output."""
     args = build_parser().parse_args(argv)
     try:
-        _integer_flags(args)
         output = args.func(args)
         text = _report(output) if isinstance(output, list) else output or ""
         try:

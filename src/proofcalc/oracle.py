@@ -87,11 +87,6 @@ def splitmix64(seed: int, index: int) -> int:
     return _mix64(((seed & _MASK_64) + (index + 1) * GOLDEN_GAMMA) & _MASK_64)
 
 
-def uniform53(seed: int, index: int) -> float:
-    """The index-th uniform double in [0, 1), carrying 53 random bits."""
-    return (splitmix64(seed, index) >> 11) * 2.0**-53
-
-
 def _threshold53(rate: float) -> int:
     """The integer T such that k * 2^-53 < rate exactly when k < T, for k in [0, 2^53)."""
     return math.ceil(rate * 2**53)

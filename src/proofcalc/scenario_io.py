@@ -172,13 +172,16 @@ def read_integer(name: str, text: str, line: int | None = None) -> int:
         raise ScenarioSyntaxError(f"{name} must be an integer, got {text!r}", line) from None
 
 
-def read_population(text: str, line: int | None = None) -> int:
-    """The population `text` gives, as read_integer reads it: RangeError below 1 or past MAX_POPULATION_DIGITS digits."""
-    population = read_integer("population", text, line)
+def read_population(name: str, text: str, line: int | None = None) -> int:
+    """The population `text` gives for key or flag `name`, as read_integer reads it.
+
+    Raises RangeError naming `name` (and `line`, when given) below 1 or past MAX_POPULATION_DIGITS digits.
+    """
+    population = read_integer(name, text, line)
     if population < 1:
-        raise RangeError(f"population must be >= 1, got {population}", line)
+        raise RangeError(f"{name} must be >= 1, got {population}", line)
     if population >= _POPULATION_LIMIT:
-        raise RangeError(f"population may have at most {MAX_POPULATION_DIGITS} digits", line)
+        raise RangeError(f"{name} may have at most {MAX_POPULATION_DIGITS} digits", line)
     return population
 
 
@@ -236,7 +239,9 @@ def parse_scenario(text: str) -> ScenarioDocument:
             raise MissingKeyError(key)
     rates = {key: read_rate(key, values[key], lines[key]) for key in RATE_NAMES}
 
-    population = read_population(values["population"], lines["population"]) if "population" in values else None
+    population = (
+        read_population("population", values["population"], lines["population"]) if "population" in values else None
+    )
 
     threshold = read_rate("threshold", values["threshold"], lines["threshold"]) if "threshold" in values else None
 
@@ -273,7 +278,7 @@ def serialize_scenario(document: ScenarioDocument) -> str:
         # Compared as an int first: str() refuses one of more than 4,300 digits without naming the key.
         if isinstance(population, int) and abs(population) >= _POPULATION_LIMIT:
             raise RangeError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
-        lines.append(f"population = {read_population(str(population))}")
+        lines.append(f"population = {read_population('population', str(population))}")
     if document.threshold is not None:
         lines.append(f"threshold = {_rate_text('threshold', document.threshold)}")
     lines.append(f"hypothesis_label = {scenario.hypothesis_label}")

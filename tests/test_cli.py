@@ -107,6 +107,14 @@ def test_render_writes_the_svg_silently(capsys, tmp_path):
     assert target.read_bytes() == render_proportion_bars_svg(CASES[0].scenario)
 
 
+def test_a_bad_population_is_refused_where_svg_bars_draws_no_tree(capsys, tmp_path):
+    target = tmp_path / "bars.svg"
+    code, out, err = run(capsys, "render", *RATES, "--format", "svg-bars", "--out", str(target), "--population", "0")
+    assert code == 2 and out == ""
+    assert err == "error: --population must be >= 1, got 0\n"
+    assert not target.exists()
+
+
 def test_sweep_writes_the_expected_csv(capsys, tmp_path):
     target = tmp_path / "out.csv"
     code, out, _ = run(
@@ -283,7 +291,7 @@ def test_population_digit_cap(capsys, tmp_path):
     argv = ["tree", *POPULATION_RATES, "--rounding", "exact-rational", "--population"]
     code, out, err = run(capsys, *argv, "9" * 4300)
     assert code == 2 and out == ""
-    assert err == "error: population may have at most 1000 digits\n"
+    assert err == "error: --population may have at most 1000 digits\n"
 
     code, out, err = run(capsys, *argv, "9" * 1000)
     assert code == 0 and err == ""
@@ -486,6 +494,22 @@ def test_scenario_file_supplies_rates_population_and_threshold(capsys, tmp_path)
     assert code == 0 and out.splitlines()[0].split() == ["50"]
 
 
+def test_a_scenario_threshold_of_zero_is_kept(capsys, tmp_path):
+    # A threshold of 0 is falsy: each command that reads it must test it with `is None`, not fall back to 0.5.
+    path = tmp_path / "zero.scenario"
+    path.write_text("base_rate = 0.1\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\nthreshold = 0\n", encoding="utf-8")
+    code, out, _ = run(capsys, "verdict", "--scenario", str(path))
+    assert code == 0
+    assert out.splitlines()[1].split() == ["threshold", "0", "0/1"]
+    assert "for-moving-party" in out  # 0.470588 clears 0 but not the default 0.5
+
+    csv_path = tmp_path / "zero.csv"
+    code, out, err = run(capsys, "sweep", "--scenario", str(path), "--param", "base_rate", "--from", "0.1",
+                         "--to", "0.1", "--steps", "1", "--out", str(csv_path))
+    assert code == 0 and (out, err) == ("", "")
+    assert "for-moving-party" in csv_path.read_text()
+
+
 def test_scenario_file_with_a_byte_order_mark(capsys, tmp_path):
     text = "version = 1\nbase_rate = 0.4\nhit_rate = 80%\nfalse_alarm_rate = 1/10\n"
     plain = tmp_path / "plain.scenario"
@@ -686,8 +710,8 @@ def test_the_package_loads_each_name_from_its_module_on_first_use(tmp_path):
 @pytest.mark.parametrize(
     "key, text",
     [("base_rate", "abc"), ("base_rate", "1/0"), ("base_rate", "1e-5000"), ("base_rate", "1.5"),
-     ("population", "ten"), ("population", "9" * 4301)],
-    ids=["abc", "1/0", "1e-5000", "1.5", "ten", "4301-nines"],
+     ("population", "ten"), ("population", "9" * 4301), ("population", "0"), ("population", "1" + "0" * 1000)],
+    ids=["abc", "1/0", "1e-5000", "1.5", "ten", "4301-nines", "population-0", "population-10**1000"],
 )
 def test_a_bad_value_reads_the_same_from_a_flag_and_from_a_file(capsys, tmp_path, key, text):
     flag = "--" + key.replace("_", "-")

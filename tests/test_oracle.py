@@ -22,9 +22,14 @@ from proofcalc import (
     monte_carlo_posterior,
 )
 import proofcalc.oracle as oracle
-from proofcalc.oracle import _counts_numpy, _counts_python, _threshold53, splitmix64, uniform53
+from proofcalc.oracle import _counts_numpy, _counts_python, _threshold53, splitmix64
 
 from cases import CASE_IDS, CASES
+
+
+def uniform53(seed, index):
+    """The index-th uniform double in [0, 1) of the stream for `seed`, carrying 53 random bits."""
+    return (splitmix64(seed, index) >> 11) * 2.0**-53
 
 
 def test_splitmix64_reference_values_for_seed_zero():
