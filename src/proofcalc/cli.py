@@ -3,8 +3,10 @@
 Every subcommand reads its scenario either from a file (--scenario PATH,
 see scenario_io for the format) or from inline flags
 --base-rate/--hit-rate/--false-alarm-rate, each accepting decimals
-("0.4"), percentages ("40%") or fractions ("2/5"). Each flag is read by its
-scenario key's reader, so a bad value is refused in the key's words, naming the flag.
+("0.4"), percentages ("40%") or fractions ("2/5"). Each flag named after a
+scenario key is read by that key's reader in scenario_io.READERS, so a bad
+value is refused in the key's words, naming the flag. The two usage checks
+run first, then each such flag in key order, then the scenario file.
 
 A subcommand prints nothing: `posterior`, `verdict` and `simulate` return a
 list of (name, value) fields, `tree` returns its drawing, and `render` and
@@ -29,9 +31,7 @@ from .core import (
     LARGEST_REMAINDER, PREPONDERANCE, RATE_NAMES, ROUNDING_POLICIES, DegenerateEvidence, Scenario,
     compute_posterior, decide,
 )
-from .scenario_io import (
-    ScenarioDocument, check_label, format_sig, parse_scenario, read_integer, read_population, read_rate,
-)
+from .scenario_io import LABEL_KEYS, READERS, ScenarioDocument, format_sig, parse_scenario, read_integer, read_rate
 
 # freqtree, render, sweep and oracle (with NumPy) are imported in the subcommands that use them,
 # so that the other subcommands start without loading them.
@@ -64,42 +64,30 @@ def _scenario_options(parser: argparse.ArgumentParser) -> None:
 
 def _load_document(args: argparse.Namespace) -> ScenarioDocument:
     """The run's scenario, population and threshold: each flag given, else the file's value, else the default."""
-    population = getattr(args, "population", None)
-    if population is not None:
-        population = read_population("--population", population)
-    inline = (args.base_rate, args.hit_rate, args.false_alarm_rate)
-    if args.scenario is not None:
-        if any(value is not None for value in inline):
-            raise ValueError("--scenario cannot be combined with inline rate flags")
+    inline = [getattr(args, key) for key in RATE_NAMES]
+    if args.scenario is not None and any(value is not None for value in inline):
+        raise ValueError("--scenario cannot be combined with inline rate flags")
+    if args.scenario is None and None in inline:
+        raise ValueError("provide --scenario PATH, or all of --base-rate, --hit-rate and --false-alarm-rate")
+    flags = {
+        key: reader("--" + key.replace("_", "-"), value)
+        for key, reader in READERS.items() if (value := getattr(args, key, None)) is not None
+    }
+    if args.scenario is None:
+        document = ScenarioDocument(scenario=Scenario(**{key: flags[key] for key in RATE_NAMES}))
+    else:
         # newline="" keeps a lone "\r" inside its line, as parse_scenario reads it.
         with open(args.scenario, encoding="utf-8", newline="") as stream:
             text = stream.read(_MAX_SCENARIO_CHARS + 1)
         if len(text) > _MAX_SCENARIO_CHARS:
             raise ValueError(f"--scenario: a scenario file may have at most {_MAX_SCENARIO_CHARS} characters")
         document = parse_scenario(text)
-    else:
-        if any(value is None for value in inline):
-            raise ValueError(
-                "provide --scenario PATH, or all of --base-rate, --hit-rate and --false-alarm-rate"
-            )
-        document = ScenarioDocument(
-            scenario=Scenario(
-                base_rate=read_rate("--base-rate", args.base_rate),
-                hit_rate=read_rate("--hit-rate", args.hit_rate),
-                false_alarm_rate=read_rate("--false-alarm-rate", args.false_alarm_rate),
-            )
-        )
-    labels = {}
-    if args.hypothesis_label is not None:
-        labels["hypothesis_label"] = check_label("--hypothesis-label", args.hypothesis_label)
-    if args.evidence_label is not None:
-        labels["evidence_label"] = check_label("--evidence-label", args.evidence_label)
-    flag = getattr(args, "threshold", None)
-    # `is None`, not `or`: a file's threshold of 0 is falsy and stays 0.
-    threshold = document.threshold if flag is None else read_rate("--threshold", flag)
+    labels = {key: flags[key] for key in LABEL_KEYS if key in flags}
+    # `get`, not `or`: a file's threshold of 0 is falsy and stays 0.
+    threshold = flags.get("threshold", document.threshold)
     return ScenarioDocument(
         scenario=replace(document.scenario, **labels) if labels else document.scenario,
-        population=population or document.population or 100,
+        population=flags.get("population") or document.population or 100,
         threshold=PREPONDERANCE if threshold is None else threshold,
     )
 

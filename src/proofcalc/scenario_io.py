@@ -13,9 +13,10 @@ optional "%"), and "2/5" (digits over digits). Every other spelling that
 `Fraction` reads goes through `Fraction(text)`: signs, exponents ("1e-3"),
 underscores, whitespace inside the text ("40 %"), non-ASCII digits and "2/5%".
 
-Recognized keys: version, base_rate, hit_rate, false_alarm_rate,
-population, threshold, hypothesis_label, evidence_label. The three rates
-are required; everything else is optional (version defaults to 1).
+READERS maps each recognized key, in file-key order, to the function that
+reads its value; the CLI reads each flag named after a key with the same
+one. The three rates are required; everything else is optional (version
+defaults to 1).
 """
 
 from __future__ import annotations
@@ -42,8 +43,8 @@ _SIG_CONTEXT = Context(prec=6, rounding=ROUND_HALF_EVEN)
 #: A character a label may not hold: outside XML 1.0's Char production, or one of its line breaks.
 #: Spelled as the four runs it holds; the complement of Char's ranges takes ten times as long to compile.
 _NOT_LABEL_CHAR = re.compile(r"[\x00-\x08\n-\x1f\ud800-\udfff\ufffe\uffff]")
-
-_KEYS = ("version",) + RATE_NAMES + ("population", "threshold", "hypothesis_label", "evidence_label")
+#: The keys whose values are display labels.
+LABEL_KEYS = ("hypothesis_label", "evidence_label")
 
 
 class ScenarioParseError(ValueError):
@@ -93,6 +94,9 @@ def parse_rate(text: str) -> Fraction:
     int() reads that many, and format_exact never writes more for a rate.
     """
     text = text.strip()
+    # Only a text longer than the budget can hold more digits than it, so short ones skip the count.
+    if len(text) > 4 * MAX_RATE_DIGITS and sum(char.isdigit() for char in text) > 4 * MAX_RATE_DIGITS:
+        raise RangeError(_RATE_TOO_LARGE)
     ratio = _plain_ratio(text)
     if ratio is not None:
         if ratio[1] == 0:
@@ -103,7 +107,7 @@ def parse_rate(text: str) -> Fraction:
             scale = abs(int(text.removesuffix("%").lower().partition("e")[2] or 0))
         except ValueError:  # no integer exponent (Fraction rejects the text) or too long a one
             scale = 0
-        if max(scale, sum(char.isdigit() for char in text)) > 4 * MAX_RATE_DIGITS:
+        if scale > 4 * MAX_RATE_DIGITS:
             raise RangeError(_RATE_TOO_LARGE)
         try:
             rate = Fraction(text[:-1].strip()) / 100 if text.endswith("%") else Fraction(text)
@@ -115,10 +119,7 @@ def parse_rate(text: str) -> Fraction:
 
 
 def _plain_ratio(text: str) -> tuple[int, int] | None:
-    """The unreduced numerator and denominator of a plain spelling (see the module docstring), else None.
-
-    Raises RangeError, before int() reads them, for more than 4 * MAX_RATE_DIGITS digits, as parse_rate does.
-    """
+    """The unreduced numerator and denominator of a plain spelling (see the module docstring), else None."""
     if not text.isascii():
         return None
     body = text.removesuffix("%")
@@ -126,14 +127,10 @@ def _plain_ratio(text: str) -> tuple[int, int] | None:
     if slash:
         if len(body) < len(text) or not (numerator.isdigit() and denominator.isdigit()):
             return None
-        if len(numerator) + len(denominator) > 4 * MAX_RATE_DIGITS:
-            raise RangeError(_RATE_TOO_LARGE)
         return int(numerator), int(denominator)
     whole, _, places = body.partition(".")
     if not (whole.isdigit() and (places.isdigit() or not places)):
         return None
-    if len(whole) + len(places) > 4 * MAX_RATE_DIGITS:
-        raise RangeError(_RATE_TOO_LARGE)
     return int(whole + places), 10 ** len(places) * (100 if len(body) < len(text) else 1)
 
 
@@ -157,15 +154,15 @@ def read_rate(name: str, text: str, line: int | None = None) -> Probability:
         raise RangeError(f"{name} must be in [0, 1], got {' '.join(text.split())}", line) from None
 
 
-def read_integer(name: str, text: str, line: int | None = None) -> int:
+def read_integer(name: str, text: str, line: int | None = None, digits: int = MAX_INTEGER_DIGITS) -> int:
     """The integer `text` gives for key or flag `name`, in any spelling int() reads.
 
-    Raises RangeError for more than MAX_INTEGER_DIGITS digits, without echoing
+    Raises RangeError for more than `digits` digit characters, without echoing
     them, and ScenarioSyntaxError for text int() refuses; each names `name`
     (and `line`, when given).
     """
-    if sum(char.isdigit() for char in text) > MAX_INTEGER_DIGITS:
-        raise RangeError(f"{name} may have at most {MAX_INTEGER_DIGITS} digits", line)
+    if sum(char.isdigit() for char in text) > digits:
+        raise RangeError(f"{name} may have at most {digits} digits", line)
     try:
         return int(text)
     except ValueError:
@@ -175,13 +172,11 @@ def read_integer(name: str, text: str, line: int | None = None) -> int:
 def read_population(name: str, text: str, line: int | None = None) -> int:
     """The population `text` gives for key or flag `name`, as read_integer reads it.
 
-    Raises RangeError naming `name` (and `line`, when given) below 1 or past MAX_POPULATION_DIGITS digits.
+    Raises RangeError naming `name` (and `line`, when given) past MAX_POPULATION_DIGITS digit characters or below 1.
     """
-    population = read_integer(name, text, line)
+    population = read_integer(name, text, line, MAX_POPULATION_DIGITS)
     if population < 1:
         raise RangeError(f"{name} must be >= 1, got {population}", line)
-    if population >= _POPULATION_LIMIT:
-        raise RangeError(f"{name} may have at most {MAX_POPULATION_DIGITS} digits", line)
     return population
 
 
@@ -204,6 +199,16 @@ def check_label(name: str, text: str, line: int | None = None) -> str:
     raise ScenarioSyntaxError(f"{name} may not contain {char!r}, which XML 1.0 cannot carry", line)
 
 
+#: Each scenario key, in file-key order, and the function that reads its value: reader(key or flag, text, line).
+READERS = {
+    "version": read_integer,
+    **dict.fromkeys(RATE_NAMES, read_rate),
+    "population": read_population,
+    "threshold": read_rate,
+    **dict.fromkeys(LABEL_KEYS, check_label),
+}
+
+
 def parse_scenario(text: str) -> ScenarioDocument:
     """Parse a scenario document, validating every value at its line; a leading BOM is ignored.
 
@@ -220,7 +225,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
-        if key not in _KEYS:
+        if key not in READERS:
             raise ScenarioSyntaxError(f"unknown key {key!r}", number)
         if key in values:
             raise DuplicateKeyError(f"duplicate key {key!r}", number)
@@ -230,32 +235,16 @@ def parse_scenario(text: str) -> ScenarioDocument:
         lines[key] = number
 
     if "version" in values:
-        version = read_integer("version", values["version"], lines["version"])
+        version = read_integer("version", values.pop("version"), lines["version"])
         if version != FORMAT_VERSION:
             raise RangeError(f"unsupported format version {version}; expected {FORMAT_VERSION}", lines["version"])
-
     for key in RATE_NAMES:
         if key not in values:
             raise MissingKeyError(key)
-    rates = {key: read_rate(key, values[key], lines[key]) for key in RATE_NAMES}
-
-    population = (
-        read_population("population", values["population"], lines["population"]) if "population" in values else None
-    )
-
-    threshold = read_rate("threshold", values["threshold"], lines["threshold"]) if "threshold" in values else None
-
-    scenario_kwargs = {
-        key: check_label(key, values[key], lines[key])
-        for key in ("hypothesis_label", "evidence_label")
-        if key in values
-    }
-
-    return ScenarioDocument(
-        scenario=Scenario(**rates, **scenario_kwargs),
-        population=population,
-        threshold=threshold,
-    )
+    read = {key: reader(key, values[key], lines[key]) for key, reader in READERS.items() if key in values}
+    # Without the version and the two run parameters, what is left is the Scenario's fields: rates and labels.
+    population, threshold = read.pop("population", None), read.pop("threshold", None)
+    return ScenarioDocument(Scenario(**read), population, threshold)
 
 
 def serialize_scenario(document: ScenarioDocument) -> str:
@@ -266,7 +255,7 @@ def serialize_scenario(document: ScenarioDocument) -> str:
     a label check_label refuses, an empty one, or one with whitespace at either end.
     """
     scenario = document.scenario
-    for key in ("hypothesis_label", "evidence_label"):
+    for key in LABEL_KEYS:
         label = check_label(key, getattr(scenario, key))
         if not label or label != label.strip():
             raise ValueError(f"{key} must be non-empty, without whitespace at either end, got {label!r}")

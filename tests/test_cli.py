@@ -396,7 +396,7 @@ def test_integer_flags_refuse_oversized_and_non_integer_text_in_one_line(capsys,
     }[flag]
     code, out, err = run(capsys, *command, flag, "9" * 4301)
     assert code == 2 and out == ""
-    assert err == f"error: {flag} may have at most 4300 digits\n"
+    assert err == f"error: {flag} may have at most {1000 if flag == '--population' else 4300} digits\n"
     code, out, err = run(capsys, *command, flag, "ten")
     assert code == 2 and out == ""
     assert err == f"error: {flag} must be an integer, got 'ten'\n"
@@ -710,23 +710,42 @@ def test_the_package_loads_each_name_from_its_module_on_first_use(tmp_path):
 @pytest.mark.parametrize(
     "key, text",
     [("base_rate", "abc"), ("base_rate", "1/0"), ("base_rate", "1e-5000"), ("base_rate", "1.5"),
-     ("population", "ten"), ("population", "9" * 4301), ("population", "0"), ("population", "1" + "0" * 1000)],
-    ids=["abc", "1/0", "1e-5000", "1.5", "ten", "4301-nines", "population-0", "population-10**1000"],
+     ("population", "ten"), ("population", "9" * 4301), ("population", "0"), ("population", "1" + "0" * 1000),
+     ("population", "0" * 1000 + "1"), ("hit_rate", "eighty"), ("false_alarm_rate", "3/2"), ("threshold", "2"),
+     ("hypothesis_label", "a\x01b"), ("evidence_label", "a\x01b")],
+    ids=["abc", "1/0", "1e-5000", "1.5", "ten", "4301-nines", "population-0", "population-10**1000",
+         "population-leading-zeros", "hit_rate", "false_alarm_rate", "threshold", "hypothesis_label", "evidence_label"],
 )
 def test_a_bad_value_reads_the_same_from_a_flag_and_from_a_file(capsys, tmp_path, key, text):
+    # The threshold is read by verdict alone, which takes no population.
+    command, extra = ("verdict", {}) if key == "threshold" else ("tree", {"population": "100"})
+    values = {"base_rate": "0.4", "hit_rate": "0.8", "false_alarm_rate": "0.1", **extra, key: text}
     flag = "--" + key.replace("_", "-")
-    argv = ["tree", *RATES, "--population", "100"]
-    argv[argv.index(flag) + 1] = text
-    code, out, flag_err = run(capsys, *argv)
+    code, out, flag_err = run(capsys, command, *(item for name, value in values.items()
+                                                 for item in ("--" + name.replace("_", "-"), value)))
     assert code == 2 and out == "" and flag_err.startswith(f"error: {flag}")
 
     path = tmp_path / "bad.scenario"
-    values = {"base_rate": "0.4", "hit_rate": "0.8", "false_alarm_rate": "0.1", "population": "100", key: text}
     path.write_text("".join(f"{name} = {value}\n" for name, value in values.items()), encoding="utf-8")
-    code, out, file_err = run(capsys, "tree", "--scenario", str(path))
+    code, out, file_err = run(capsys, command, "--scenario", str(path))
     line = list(values).index(key) + 1
     assert code == 2 and out == ""
     assert file_err == flag_err.replace(f"error: {flag}", f"error: line {line}: {key}", 1)
+
+
+def test_usage_checks_then_flags_in_key_order_then_the_file(capsys, tmp_path):
+    path = tmp_path / "bad.scenario"
+    path.write_text("base_rate = abc\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\n", encoding="utf-8")
+    # A flag is read before the file is opened.
+    code, out, err = run(capsys, "verdict", "--scenario", str(path), "--threshold", "2")
+    assert (code, out, err) == (2, "", "error: --threshold must be in [0, 1], got 2\n")
+    # The usage checks come before any flag.
+    code, out, err = run(capsys, "tree", "--base-rate", "0.4", "--population", "0")
+    assert (code, out) == (2, "")
+    assert err == "error: provide --scenario PATH, or all of --base-rate, --hit-rate and --false-alarm-rate\n"
+    # The flags are read in key order: threshold before the labels.
+    code, out, err = run(capsys, "verdict", *RATES, "--threshold", "2", "--hypothesis-label", "a\x01")
+    assert (code, out, err) == (2, "", "error: --threshold must be in [0, 1], got 2\n")
 
 
 def test_no_network_or_xml_module_is_imported(tmp_path):
