@@ -76,8 +76,9 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
     if args.scenario is None:
         document = ScenarioDocument(scenario=Scenario(**{key: flags[key] for key in RATE_NAMES}))
     else:
-        # newline="" keeps a lone "\r" inside its line, as parse_scenario reads it.
-        with open(args.scenario, encoding="utf-8", newline="") as stream:
+        # newline="" keeps a lone "\r" inside its line, as parse_scenario reads it. A byte that is not
+        # UTF-8 arrives as a lone surrogate, as it does in argv, and its key's reader refuses it.
+        with open(args.scenario, encoding="utf-8", errors="surrogateescape", newline="") as stream:
             text = stream.read(_MAX_SCENARIO_CHARS + 1)
         if len(text) > _MAX_SCENARIO_CHARS:
             raise ValueError(f"--scenario: a scenario file may have at most {_MAX_SCENARIO_CHARS} characters")

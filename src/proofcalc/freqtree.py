@@ -95,8 +95,6 @@ def build_tree(
     so conservation never breaks), while exact-rational keeps fractions.
     The population must be a positive integer of at most MAX_POPULATION_DIGITS digits.
     """
-    if population < 1:
-        raise ValueError("population must be a positive integer")
     if population >= _POPULATION_LIMIT:
         raise ValueError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
     if rounding not in ROUNDING_POLICIES:

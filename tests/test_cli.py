@@ -712,9 +712,11 @@ def test_the_package_loads_each_name_from_its_module_on_first_use(tmp_path):
     [("base_rate", "abc"), ("base_rate", "1/0"), ("base_rate", "1e-5000"), ("base_rate", "1.5"),
      ("population", "ten"), ("population", "9" * 4301), ("population", "0"), ("population", "1" + "0" * 1000),
      ("population", "0" * 1000 + "1"), ("hit_rate", "eighty"), ("false_alarm_rate", "3/2"), ("threshold", "2"),
-     ("hypothesis_label", "a\x01b"), ("evidence_label", "a\x01b")],
+     ("hypothesis_label", "a\x01b"), ("evidence_label", "a\x01b"), ("hypothesis_label", "a\udcffb"),
+     ("hit_rate", "0.\udcff")],
     ids=["abc", "1/0", "1e-5000", "1.5", "ten", "4301-nines", "population-0", "population-10**1000",
-         "population-leading-zeros", "hit_rate", "false_alarm_rate", "threshold", "hypothesis_label", "evidence_label"],
+         "population-leading-zeros", "hit_rate", "false_alarm_rate", "threshold", "hypothesis_label", "evidence_label",
+         "hypothesis_label-byte-ff", "hit_rate-byte-ff"],
 )
 def test_a_bad_value_reads_the_same_from_a_flag_and_from_a_file(capsys, tmp_path, key, text):
     # The threshold is read by verdict alone, which takes no population.
@@ -726,7 +728,9 @@ def test_a_bad_value_reads_the_same_from_a_flag_and_from_a_file(capsys, tmp_path
     assert code == 2 and out == "" and flag_err.startswith(f"error: {flag}")
 
     path = tmp_path / "bad.scenario"
-    path.write_text("".join(f"{name} = {value}\n" for name, value in values.items()), encoding="utf-8")
+    # A lone surrogate is written as the byte it stands for, which is not UTF-8, as argv carries it.
+    path.write_text("".join(f"{name} = {value}\n" for name, value in values.items()),
+                    encoding="utf-8", errors="surrogateescape")
     code, out, file_err = run(capsys, command, "--scenario", str(path))
     line = list(values).index(key) + 1
     assert code == 2 and out == ""

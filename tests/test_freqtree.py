@@ -109,8 +109,10 @@ def test_exact_scenarios_are_unaffected_by_the_policy_choice():
 
 
 def test_build_tree_rejects_bad_arguments(monkeypatch):
-    with pytest.raises(ValueError):
-        build_tree(CASES[0].scenario, population=0)
+    for rounding in ROUNDING_POLICIES:
+        for population in (0, -5):
+            with pytest.raises(ValueError, match="population must be a positive integer"):
+                build_tree(CASES[0].scenario, population=population, rounding=rounding)
     with pytest.raises(ValueError):
         build_tree(CASES[0].scenario, population=100, rounding="stochastic")
 

@@ -19,6 +19,7 @@ from proofcalc import (
     SimResult,
     compute_posterior,
     enumerate_posterior,
+    minimal_integral_population,
     monte_carlo_posterior,
 )
 import proofcalc.oracle as oracle
@@ -96,15 +97,36 @@ def test_enumeration_refuses_a_population_above_its_cap(monkeypatch):
         raise AssertionError("the oracle called the code it checks")
 
     monkeypatch.setattr(core, "leaf_joints", never)
-    assert enumerate_posterior(Scenario(0.5, 0.5, 0.5), 10**6) == Fraction(1, 2)
-    with pytest.raises(ValueError, match="at most 1000000"):
-        enumerate_posterior(Scenario(0.5, 0.5, 0.5), 10**6 + 1)
-    with pytest.raises(ValueError, match="at most 1000000"):
+    for population in (2 * 10**6, 10**999):
+        assert enumerate_posterior(Scenario(0.5, 0.5, 0.5), population) == Fraction(1, 2)
+    with pytest.raises(ValueError, match="population may have at most 1000 digits"):
         enumerate_posterior(Scenario(0.5, 0.5, 0.5), 10**1000)
 
 
+ENUMERATION_RATES = st.integers(1, 40).flatmap(lambda d: st.builds(Fraction, st.integers(0, d), st.just(d)))
+
+
+@settings(deadline=None)
+@given(ENUMERATION_RATES, ENUMERATION_RATES, ENUMERATION_RATES, st.integers(1, 10**6), st.data())
+def test_enumeration_matches_the_formula_exactly_at_whole_populations(base, hit, alarm, multiple, data):
+    scenario = Scenario(base, hit, alarm)
+    needed = minimal_integral_population(scenario, cap=10**12)
+    population = multiple * needed
+    try:
+        expected = compute_posterior(scenario).posterior
+    except DegenerateEvidence:
+        with pytest.raises(DegenerateEvidence):
+            enumerate_posterior(scenario, population)
+    else:
+        assert enumerate_posterior(scenario, population) == expected
+    if needed > 1:
+        # A population that needed does not divide splits some leaf into fractional individuals.
+        with pytest.raises(NonIntegralCounts):
+            enumerate_posterior(scenario, population + data.draw(st.integers(1, needed - 1)))
+
+
 def test_enumeration_keeps_nothing_per_individual():
-    # A list of 10^5 individuals alone takes about 800 kB; two counters take a few hundred bytes.
+    # A list of 10^5 individuals alone takes about 800 kB; its four counts take a few hundred bytes.
     scenario = Scenario("0.4", "0.8", "0.1")
     tracemalloc.start()
     try:
