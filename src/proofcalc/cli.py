@@ -6,7 +6,9 @@ see scenario_io for the format) or from inline flags
 ("0.4"), percentages ("40%") or fractions ("2/5"). Each flag named after a
 scenario key is read by that key's reader in scenario_io.READERS, so a bad
 value is refused in the key's words, naming the flag. The two usage checks
-run first, then each such flag in key order, then the scenario file.
+run first, then each such flag in key order, then the scenario file; before
+all of them, `sweep` reads --steps and `simulate` reads --samples and --seed,
+each range-checked where it is read.
 
 A subcommand prints nothing: `posterior`, `verdict` and `simulate` return a
 list of (name, value) fields, `tree` returns its drawing, and `render` and
@@ -31,7 +33,9 @@ from .core import (
     LARGEST_REMAINDER, PREPONDERANCE, RATE_NAMES, ROUNDING_POLICIES, DegenerateEvidence, Scenario,
     compute_posterior, decide,
 )
-from .scenario_io import LABEL_KEYS, READERS, ScenarioDocument, format_sig, parse_scenario, read_integer, read_rate
+from .scenario_io import (
+    LABEL_KEYS, READERS, ScenarioDocument, format_sig, parse_scenario, read_count, read_integer, read_rate,
+)
 
 # freqtree, render, sweep and oracle (with NumPy) are imported in the subcommands that use them,
 # so that the other subcommands start without loading them.
@@ -160,8 +164,9 @@ def _cmd_render(args: argparse.Namespace) -> None:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> None:
-    steps = read_integer("--steps", args.steps)
-    from .sweep import grid_points, sweep_rows, write_sweep_rows
+    from .sweep import MAX_STEPS, grid_points, sweep_rows, write_sweep_rows
+
+    steps = read_count("--steps", args.steps, MAX_STEPS)
 
     document = _load_document(args)
     # Every check runs before the file is opened: the grid is strictly increasing and inside [0, 1].
@@ -172,8 +177,9 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> list[Field]:
-    samples, seed = read_integer("--samples", args.samples), read_integer("--seed", args.seed)
-    from .oracle import monte_carlo_posterior
+    from .oracle import _MAX_SAMPLES, monte_carlo_posterior
+
+    samples, seed = read_count("--samples", args.samples, _MAX_SAMPLES), read_integer("--seed", args.seed)
 
     document = _load_document(args)
     exact = compute_posterior(document.scenario).posterior

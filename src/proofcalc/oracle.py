@@ -21,15 +21,17 @@ x >> 11 < T exactly when x < T * 2^11. That mapping is the reproducibility
 contract: results depend only on (scenario, samples, seed), on every
 platform, regardless of kernel or block size.
 
-Two kernels count the same stream: _counts_python steps a SplitMix64 state
-draw by draw, and _counts_numpy mixes blocks of draws in NumPy uint64
-arrays, in buffers that each thread keeps between calls. A call runs in
-Python only while NumPy is not loaded and the samples this process has
-drawn in Python, that call included, stay within _PYTHON_SAMPLE_BUDGET. So
-a small one-shot run never pays for importing NumPy, a process spends at
-most a third of that import's cost on Python draws, and a process that has
-NumPy always takes the vectorized kernel. NumPy and threading are imported
-only by that kernel.
+Two kernels count the same stream. _counts_python runs a block of up to
+_LANES samples at once in the 128-bit lanes of Python ints: one state to a
+lane, SplitMix64's mix as whole-int shifts, xors and multiplies, and each
+lane's compare read from one bit of a subtraction. _counts_numpy mixes
+blocks of draws in NumPy uint64 arrays, in buffers that each thread keeps
+between calls. A call runs in Python only while NumPy is not loaded and the
+samples this process has drawn in Python, that call included, stay within
+_PYTHON_SAMPLE_BUDGET. So a one-shot run of up to that many samples never
+pays for importing NumPy, a process spends at most about a fifth of that
+import's cost on Python draws, and a process that has NumPy always takes the
+vectorized kernel. NumPy and threading are imported only by that kernel.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, DegenerateEvidence, Probability, Scenario
+from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, DegenerateEvidence, Probability, Scenario, _reduced
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -51,17 +53,23 @@ _MASK_64 = (1 << 64) - 1
 _BLOCK_SAMPLES = 1 << 14
 _MAX_SAMPLES = 10**9
 
-# Samples a process may draw in Python. At 1.1-1.5 us a sample (2-core x86
-# VM, Python 3.11) that is 22-30 ms, a fifth or less of the 150-200 ms that
+# Samples in a block of the Python kernel. A sample takes two 128-bit lanes of the block's
+# states, one for each of its draws, so a full block's states take 32 kB and a call's ints
+# peak near 400 kB.
+_LANE = 128
+_LANES = 1 << 10
+
+# Samples a process may draw in Python. At 0.2-0.3 us a sample (2-core x86 VM,
+# Python 3.11) that is 20-30 ms, about a fifth of the 110-170 ms that
 # importing NumPy takes on the same machine. The count is per process, by
 # design, and unlocked: a race between threads can change which kernel runs,
 # never a count.
-_PYTHON_SAMPLE_BUDGET = 20_000
+_PYTHON_SAMPLE_BUDGET = 100_000
 _python_samples_drawn = 0
 
-# A threading.local, made by the first NumPy call, holding each thread's block buffers.
-# Two threads making their first calls at once may each make one; the thread whose one is
-# replaced then makes its buffers once more, and no count changes.
+# A threading.local, made by the first NumPy call, holding each thread's _NumpyKit. Two
+# threads making their first calls at once may each make one; the thread whose one is
+# replaced then makes its kit once more, and no count changes.
 _per_thread = None
 
 
@@ -88,24 +96,6 @@ def splitmix64(seed: int, index: int) -> int:
 def _threshold53(rate: float) -> int:
     """The integer T such that k * 2^-53 < rate exactly when k < T, for k in [0, 2^53)."""
     return math.ceil(rate * 2**53)
-
-
-def _mix64_block(z: np.ndarray, scratch: np.ndarray) -> None:
-    """Replace each SplitMix64 state in z by its 64-bit output, in place.
-
-    Wraparound mod 2^64 is the algorithm; callers run this under
-    np.errstate(over="ignore").
-    """
-    import numpy as np
-
-    np.right_shift(z, np.uint64(30), out=scratch)
-    z ^= scratch
-    z *= np.uint64(_MIX_1)
-    np.right_shift(z, np.uint64(27), out=scratch)
-    z ^= scratch
-    z *= np.uint64(_MIX_2)
-    np.right_shift(z, np.uint64(31), out=scratch)
-    z ^= scratch
 
 
 @dataclass(frozen=True)
@@ -159,20 +149,92 @@ def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
     return Probability(hits, hits + false_alarms)
 
 
+def _lanes(count: int) -> tuple[int, int]:
+    """(ones, steps) over `count` 128-bit lanes: lane i holds 1 in ones and i * 2 * GOLDEN_GAMMA mod 2^64 in steps.
+
+    Built by doubling, in O(count): lanes span..2*span-1 of steps are lanes 0..span-1 plus span * 2 * GOLDEN_GAMMA.
+    """
+    ones, mask, steps, span = 1, _MASK_64, 0, 1
+    while span < count:
+        shift = _LANE * span
+        steps |= ((steps + ones * (2 * span * GOLDEN_GAMMA & _MASK_64)) & mask) << shift
+        ones |= ones << shift
+        mask |= mask << shift
+        span *= 2
+    low = (1 << _LANE * count) - 1
+    return ones & low, steps & low
+
+
 def _counts_python(seed: int, samples: int, base: int, hit: int, alarm: int) -> tuple[int, int]:
-    """(conditioned, hits) over samples 0..samples-1, stepping one SplitMix64 state draw by draw."""
-    # x >> 11 < T exactly when x < T << 11; Python ints need no special case at T = 0 or T = 2^53.
-    base, hit, alarm = base << 11, hit << 11, alarm << 11
-    state = seed & _MASK_64
-    conditioned = hits = 0
-    for _ in range(samples):
-        state = (state + GOLDEN_GAMMA) & _MASK_64
-        hypothesis = _mix64(state) < base
-        state = (state + GOLDEN_GAMMA) & _MASK_64
-        if _mix64(state) < (hit if hypothesis else alarm):
-            conditioned += 1
-            hits += hypothesis
-    return conditioned, hits
+    """(conditioned, hits) over samples 0..samples-1, a block at a time in the 128-bit lanes of Python ints.
+
+    A block of `lanes` samples holds its hypothesis states in lanes 0..lanes-1 of one int and its
+    evidence states in the next `lanes` lanes. The mix masks each lane to 64 bits before every
+    multiply, so that a lane holds its whole 128-bit product and no carry crosses into the next
+    lane, and again after it, which takes the product mod 2^64.
+    """
+    blocks = -(-samples // _LANES)
+    lanes = -(-samples // blocks)  # equal blocks, so that the last one leaves fewer than `blocks` lanes unused
+    width = _LANE * lanes
+    ones, steps = _lanes(lanes)
+    mask = ones * _MASK_64
+    both = mask | mask << width
+    # Sample j mixes counter 2j+1 (hypothesis) and 2j+2 (evidence), as _counts_numpy does.
+    state = (steps + ones * ((seed + GOLDEN_GAMMA) & _MASK_64)) & mask
+    state |= ((state + ones * GOLDEN_GAMMA) & mask) << width
+    advance = (ones | ones << width) * (2 * lanes * GOLDEN_GAMMA & _MASK_64)
+    # x < T * 2^11 exactly when bit 64 of T * 2^11 - 1 + 2^64 - x is set. That difference lies in
+    # [0, 2^65) for every x in [0, 2^64), so no lane borrows from the next, and T = 0 selects nothing.
+    below_base, below_hit, below_alarm = (ones * ((t << 11) + _MASK_64) for t in (base, hit, alarm))
+    bits = ones << 64
+    hits = false_alarms = 0
+    for done in range(0, samples, lanes):
+        if samples - done < lanes:
+            bits &= (1 << _LANE * (samples - done)) - 1  # the unused lanes of the last block count nothing
+        z = (state ^ state >> 30) & both
+        z = z * _MIX_1 & both
+        z = (z ^ z >> 27) & both
+        z = z * _MIX_2 & both
+        z ^= z >> 31
+        hypothesis = (below_base - (z & mask)) & bits
+        z = z >> width & mask
+        by_hit = (below_hit - z) & bits
+        by_alarm = (below_alarm - z) & bits
+        hits += (by_hit & hypothesis).bit_count()
+        false_alarms += (by_alarm ^ (by_alarm & hypothesis)).bit_count()
+        state = (state + advance) & both
+    return hits + false_alarms, hits
+
+
+class _NumpyKit:
+    """One thread's NumPy block buffers and uint64 operands for blocks of `size` samples, kept between calls.
+
+    The operands are 0-d uint64 arrays, which a ufunc takes faster than NumPy scalars: the mix's
+    shifts and multipliers, made once, and the three thresholds and two block starts, set in place.
+    """
+
+    def __init__(self, np, size: int):
+        # Sample j mixes counter 2j+1 (hypothesis) and 2j+2 (evidence): within a block each stream
+        # advances by 2*GOLDEN_GAMMA a sample, and the evidence stream runs GOLDEN_GAMMA ahead.
+        self.size = size
+        draws = np.empty(2 * size, dtype=np.uint64)
+        self.buffers = (
+            np.arange(size, dtype=np.uint64) * np.uint64(2 * GOLDEN_GAMMA & _MASK_64),
+            draws,
+            np.empty_like(draws),
+            *(np.empty(size, dtype=bool) for _ in range(3)),
+        )
+        self.full = self.cut(size)
+        self.mix = tuple(np.array(value, dtype=np.uint64) for value in (30, 27, 31, _MIX_1, _MIX_2))
+        self.limits = tuple(np.empty((), dtype=np.uint64) for _ in range(5))
+
+    def cut(self, block: int) -> tuple:
+        """Views for `block` samples: steps, draws, scratch, hypothesis draws, evidence draws and three flag arrays."""
+        steps, draws, scratch, *flags = self.buffers
+        return (
+            steps[:block], draws[: 2 * block], scratch[: 2 * block], draws[:block], draws[block : 2 * block],
+            *(flag[:block] for flag in flags),
+        )
 
 
 def _counts_numpy(seed: int, samples: int, base: int, hit: int, alarm: int) -> tuple[int, int]:
@@ -180,60 +242,55 @@ def _counts_numpy(seed: int, samples: int, base: int, hit: int, alarm: int) -> t
 
     The block buffers belong to the calling thread and outlive the call: a thread makes them on
     its first call and again when _BLOCK_SAMPLES changes, so its later calls allocate no array.
+    Wraparound mod 2^64 is the algorithm, and integer ufuncs on arrays wrap without a warning.
     """
     global _per_thread
     import numpy as np
-
-    # x >> 11 < T exactly when x <= T * 2^11 - 1, a bound that fits in uint64 for T in [1, 2^53].
-    # T = 0, a rate of exactly 0, selects nothing, and so does x < 0.
-    (base_test, base), (hit_test, hit), (alarm_test, alarm) = [
-        (np.less_equal, np.uint64((t << 11) - 1)) if t else (np.less, np.uint64(0)) for t in (base, hit, alarm)
-    ]
 
     if _per_thread is None:
         import threading
 
         _per_thread = threading.local()
-    buffers = getattr(_per_thread, "buffers", None)
-    if buffers is None or len(buffers[0]) != _BLOCK_SAMPLES:
-        # Sample j mixes counter 2j+1 (hypothesis) and 2j+2 (evidence): within a
-        # block each stream advances by 2*GOLDEN_GAMMA a sample, and the
-        # evidence stream runs GOLDEN_GAMMA ahead of the hypothesis stream.
-        size = _BLOCK_SAMPLES
-        draws = np.empty(2 * size, dtype=np.uint64)
-        buffers = _per_thread.buffers = (
-            np.arange(size, dtype=np.uint64) * np.uint64(2 * GOLDEN_GAMMA & _MASK_64),
-            draws,
-            np.empty_like(draws),
-            *(np.empty(size, dtype=bool) for _ in range(3)),
-        )
-    steps, draws, scratch, has_hypothesis, below_hit, below_alarm = buffers
-    size = len(steps)
+    kit = getattr(_per_thread, "kit", None)
+    if kit is None or kit.size != _BLOCK_SAMPLES:
+        kit = _per_thread.kit = _NumpyKit(np, _BLOCK_SAMPLES)
+    by_30, by_27, by_31, mix_1, mix_2 = kit.mix
+    base_limit, hit_limit, alarm_limit, hypothesis_start, evidence_start = kit.limits
+
+    # x >> 11 < T exactly when x <= T * 2^11 - 1, a bound that fits in uint64 for T in [1, 2^53].
+    # T = 0, a rate of exactly 0, selects nothing, and so does x < 0.
+    thresholds = (base, hit, alarm)
+    base_test, hit_test, alarm_test = (np.less_equal if t else np.less for t in thresholds)
+    for limit, t in zip(kit.limits, thresholds):
+        limit[()] = max((t << 11) - 1, 0)
 
     false_alarms = hits = 0
-    done = 0
-    with np.errstate(over="ignore"):
-        while done < samples:
-            block = min(size, samples - done)
-            start = seed + (2 * done + 1) * GOLDEN_GAMMA
-            x_hypothesis = draws[:block]
-            x_evidence = draws[block : 2 * block]
-            np.add(steps[:block], np.uint64(start & _MASK_64), out=x_hypothesis)
-            np.add(steps[:block], np.uint64((start + GOLDEN_GAMMA) & _MASK_64), out=x_evidence)
-            _mix64_block(draws[: 2 * block], scratch[: 2 * block])
+    for done in range(0, samples, kit.size):
+        block = samples - done
+        views = kit.full if block >= kit.size else kit.cut(block)
+        steps, z, scratch, x_hypothesis, x_evidence, hypothesis, by_hit, by_alarm = views
+        start = seed + (2 * done + 1) * GOLDEN_GAMMA
+        hypothesis_start[()] = start & _MASK_64
+        evidence_start[()] = (start + GOLDEN_GAMMA) & _MASK_64
+        np.add(steps, hypothesis_start, out=x_hypothesis)
+        np.add(steps, evidence_start, out=x_evidence)
+        np.right_shift(z, by_30, out=scratch)
+        z ^= scratch
+        z *= mix_1
+        np.right_shift(z, by_27, out=scratch)
+        z ^= scratch
+        z *= mix_2
+        np.right_shift(z, by_31, out=scratch)
+        z ^= scratch
 
-            hypothesis = has_hypothesis[:block]
-            by_hit = below_hit[:block]
-            by_alarm = below_alarm[:block]
-            base_test(x_hypothesis, base, out=hypothesis)
-            hit_test(x_evidence, hit, out=by_hit)
-            alarm_test(x_evidence, alarm, out=by_alarm)
-            by_hit &= hypothesis
-            # On booleans, by_alarm > hypothesis is by_alarm and not hypothesis.
-            np.greater(by_alarm, hypothesis, out=by_alarm)
-            hits += int(np.count_nonzero(by_hit))
-            false_alarms += int(np.count_nonzero(by_alarm))
-            done += block
+        base_test(x_hypothesis, base_limit, out=hypothesis)
+        hit_test(x_evidence, hit_limit, out=by_hit)
+        alarm_test(x_evidence, alarm_limit, out=by_alarm)
+        by_hit &= hypothesis
+        # On booleans, by_alarm > hypothesis is by_alarm and not hypothesis.
+        np.greater(by_alarm, hypothesis, out=by_alarm)
+        hits += int(np.count_nonzero(by_hit))
+        false_alarms += int(np.count_nonzero(by_alarm))
     return hits + false_alarms, hits
 
 
@@ -273,7 +330,7 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
         )
     frequency = hits / conditioned
     return SimResult(
-        estimate=Probability(hits, conditioned),
+        estimate=_reduced(hits, conditioned),
         standard_error=math.sqrt(frequency * (1.0 - frequency) / conditioned),
         samples_total=samples,
         samples_conditioned=conditioned,

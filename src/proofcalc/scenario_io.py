@@ -180,6 +180,19 @@ def read_population(name: str, text: str, line: int | None = None) -> int:
     return population
 
 
+def read_count(name: str, text: str, most: int) -> int:
+    """The count `text` gives for flag `name`, as read_integer reads it, from 1 to `most`.
+
+    Raises RangeError naming `name` below 1 or above `most`.
+    """
+    count = read_integer(name, text)
+    if count < 1:
+        raise RangeError(f"{name} must be >= 1, got {count}")
+    if count > most:
+        raise RangeError(f"{name} must be at most {most}")
+    return count
+
+
 def check_label(name: str, text: str, line: int | None = None) -> str:
     """`text`, given for label key or flag `name`, if every character is one an SVG can carry.
 

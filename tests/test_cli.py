@@ -207,7 +207,8 @@ def test_the_readme_simulate_example_prints_what_the_readme_shows(capsys):
     lines = block.splitlines(keepends=True)
     last = next(i for i, line in enumerate(lines) if not line.rstrip("\n").endswith("\\"))
     argv = "".join(lines[: last + 1]).replace("\\\n", " ").split()
-    # 100,000 samples are past the Python budget: six full NumPy blocks of 2^14 and one partial block.
+    # 100,000 samples: the whole Python budget in a fresh process, or six full NumPy blocks of 2^14 and
+    # one partial block once NumPy is loaded. Both kernels print the same bytes.
     assert argv[:2] == ["$", "proofcalc"] and "100000" in argv
     code, out, err = run(capsys, *argv[2:])
     assert code == 0 and err == ""
@@ -220,10 +221,11 @@ def test_simulate_rejects_more_than_a_billion_samples(capsys, monkeypatch):
     def never_simulate(*_):
         raise AssertionError("the sample cap let a simulation start")
 
-    monkeypatch.setattr(oracle, "_mix64_block", never_simulate)
+    monkeypatch.setattr(oracle, "_counts_python", never_simulate)
+    monkeypatch.setattr(oracle, "_counts_numpy", never_simulate)
     code, out, err = run(capsys, "simulate", *RATES, "--samples", "1000000001")
     assert code == 2 and out == ""
-    assert err == "error: samples must be at most 1000000000\n"
+    assert err == "error: --samples must be at most 1000000000\n"
 
 
 def test_simulate_without_numpy_exits_2_with_one_line(capsys, monkeypatch):
@@ -381,7 +383,7 @@ def test_sweep_rejects_more_steps_than_the_cap(capsys, monkeypatch, tmp_path):
             "--steps", steps, "--out", str(out_path),
         )
         assert code == 2 and out == ""
-        assert err == "error: steps must be at most 100000\n"
+        assert err == "error: --steps must be at most 100000\n"
     assert not out_path.exists()
 
 
@@ -662,7 +664,9 @@ def test_numpy_is_imported_only_to_simulate(tmp_path):
     assert loaded("render", *RATES, *bars) == ["proofcalc.render"]
     assert loaded("tree", *RATES) == ["proofcalc.freqtree", "proofcalc.render"]
     assert loaded("simulate", *RATES, "--samples", "10") == ["proofcalc.oracle"]
-    assert loaded("simulate", *RATES, "--samples", "100000") == ["proofcalc.oracle", "numpy"]
+    # The default 100,000 samples are the whole Python budget; one more takes the NumPy kernel.
+    assert loaded("simulate", *RATES, "--samples", "100000") == ["proofcalc.oracle"]
+    assert loaded("simulate", *RATES, "--samples", "100001") == ["proofcalc.oracle", "numpy"]
 
 
 def test_requests_load_neither_typing_nor_pathlib(tmp_path):
@@ -750,6 +754,23 @@ def test_usage_checks_then_flags_in_key_order_then_the_file(capsys, tmp_path):
     # The flags are read in key order: threshold before the labels.
     code, out, err = run(capsys, "verdict", *RATES, "--threshold", "2", "--hypothesis-label", "a\x01")
     assert (code, out, err) == (2, "", "error: --threshold must be in [0, 1], got 2\n")
+
+
+@pytest.mark.parametrize(
+    "command, flag, cap",
+    [("simulate", "--samples", 10**9), ("sweep", "--steps", 10**5)],
+)
+def test_count_flags_are_range_checked_by_name_before_the_file(capsys, tmp_path, command, flag, cap):
+    path = tmp_path / "bad.scenario"
+    path.write_text("base_rate = abc\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\n", encoding="utf-8")
+    out_path = tmp_path / "sweep.csv"
+    grid = ("--param", "base_rate", "--from", "0", "--to", "1", "--out", str(out_path)) if command == "sweep" else ()
+    for value, message in (("0", f"{flag} must be >= 1, got 0"), ("-5", f"{flag} must be >= 1, got -5"),
+                           (str(cap + 1), f"{flag} must be at most {cap}")):
+        for source in (RATES, ("--scenario", str(path))):
+            code, out, err = run(capsys, command, *source, *grid, flag, value)
+            assert (code, out, err) == (2, "", f"error: {message}\n")
+    assert not out_path.exists()
 
 
 def test_no_network_or_xml_module_is_imported(tmp_path):

@@ -5,6 +5,7 @@ import subprocess
 import sys
 import threading
 import tracemalloc
+import warnings
 from fractions import Fraction
 
 import pytest
@@ -181,7 +182,9 @@ def edge_uniforms():
 
 
 @pytest.mark.parametrize(
-    "kernel, block", [("numpy", 64), ("numpy", None), ("python", None)], ids=["block-64", "default-block", "python"]
+    "kernel, block",
+    [("numpy", 64), ("numpy", None), ("python", 1), ("python", None)],
+    ids=["block-64", "default-block", "python-lanes-1", "python"],
 )
 @pytest.mark.parametrize("samples", [1, EDGE_SAMPLES])
 @pytest.mark.parametrize("rate", EDGE_RATES, ids=[repr(rate) for rate in EDGE_RATES])
@@ -194,7 +197,7 @@ def test_monte_carlo_matches_a_scalar_replay_at_edge_rates(monkeypatch, edge_uni
         monkeypatch.setattr(oracle, "_PYTHON_SAMPLE_BUDGET", 3 * EDGE_SAMPLES)
         monkeypatch.setattr(oracle, "_python_samples_drawn", 0)
     if block is not None:
-        monkeypatch.setattr(oracle, "_BLOCK_SAMPLES", block)
+        monkeypatch.setattr(oracle, "_BLOCK_SAMPLES" if kernel == "numpy" else "_LANES", block)
     for scenario in (Scenario(rate, rate, rate), Scenario(rate, 0.75, 0.25), Scenario(0.5, rate, 1 - rate)):
         base, hit, alarm = (
             float(scenario.base_rate),
@@ -221,27 +224,117 @@ KERNEL_RATES = st.sampled_from([0.0, 1.0, 2.0**-53, 1 - 2.0**-53]) | st.floats(0
 HUGE_SEED = 10**4299 + 7  # 4,300 digits, the longest seed the CLI reads
 
 
+LANES = oracle._LANES
+EDGE_THRESHOLDS = (0.0, 1.0, 2.0**-53, 1 - 2.0**-53)
+
+
 @settings(deadline=None)
 @given(
     seed=st.integers(-(2**70), 2**70) | st.sampled_from([HUGE_SEED, -HUGE_SEED]),
     samples=st.integers(1, 300),
     block=st.sampled_from([1, 3, 64, 1 << 14]),
+    lanes=st.sampled_from([1, 3, 64, LANES]),
     rates=st.tuples(KERNEL_RATES, KERNEL_RATES, KERNEL_RATES),
 )
-@example(seed=HUGE_SEED, samples=(1 << 14) + 1, block=1 << 14, rates=(0.4, 0.8, 0.1))
-@example(seed=-1, samples=(1 << 14) - 1, block=1 << 14, rates=(1 - 2.0**-53, 2.0**-53, 1.0))
-@example(seed=0, samples=129, block=64, rates=(0.0, 1.0, 0.5))
-@example(seed=7, samples=(1 << 14) + 1, block=1 << 14, rates=(0.4, 0.3, 0.6))  # hit below false alarm
-@example(seed=-(2**70), samples=(1 << 14) + 1, block=1 << 14, rates=(0.5, 0.25, 0.25))  # hit equal to false alarm
-def test_the_python_and_numpy_kernels_count_the_same_samples(seed, samples, block, rates):
+@example(seed=HUGE_SEED, samples=(1 << 14) + 1, block=1 << 14, lanes=LANES, rates=(0.4, 0.8, 0.1))
+@example(seed=-1, samples=(1 << 14) - 1, block=1 << 14, lanes=LANES, rates=(1 - 2.0**-53, 2.0**-53, 1.0))
+@example(seed=0, samples=129, block=64, lanes=64, rates=(0.0, 1.0, 0.5))
+@example(seed=7, samples=(1 << 14) + 1, block=1 << 14, lanes=LANES, rates=(0.4, 0.3, 0.6))  # hit below false alarm
+@example(seed=-(2**70), samples=(1 << 14) + 1, block=1 << 14, lanes=3, rates=(0.5, 0.25, 0.25))  # hit equal to false alarm
+# One sample past a block of lanes, and one short of two: the last block leaves most of its lanes unused, or one.
+@example(seed=HUGE_SEED, samples=LANES + 1, block=1 << 14, lanes=LANES, rates=EDGE_THRESHOLDS[:3])
+@example(seed=HUGE_SEED, samples=LANES + 1, block=1 << 14, lanes=LANES, rates=EDGE_THRESHOLDS[1:])
+@example(seed=HUGE_SEED, samples=2 * LANES - 1, block=1 << 14, lanes=LANES, rates=EDGE_THRESHOLDS[1:])
+@example(seed=HUGE_SEED, samples=2 * LANES - 1, block=1 << 14, lanes=LANES, rates=EDGE_THRESHOLDS[::-1][:3])
+def test_the_python_and_numpy_kernels_count_the_same_samples(seed, samples, block, lanes, rates):
     thresholds = [_threshold53(rate) for rate in rates]
-    original = oracle._BLOCK_SAMPLES
+    original = oracle._BLOCK_SAMPLES, oracle._LANES
     try:
-        oracle._BLOCK_SAMPLES = block
+        oracle._BLOCK_SAMPLES, oracle._LANES = block, lanes
         vectorized = _counts_numpy(seed, samples, *thresholds)
+        packed = _counts_python(seed, samples, *thresholds)
     finally:
-        oracle._BLOCK_SAMPLES = original
-    assert _counts_python(seed, samples, *thresholds) == vectorized
+        oracle._BLOCK_SAMPLES, oracle._LANES = original
+    assert packed == vectorized
+
+
+def test_the_packed_lanes_count_what_a_draw_by_draw_replay_counts():
+    # An independent scalar replay of the stream, over lane widths that leave the last block short.
+    thresholds = [_threshold53(rate) for rate in (0.4, 0.3, 0.6)]
+    for seed, samples in ((HUGE_SEED, LANES + 1), (-(2**70), 2 * LANES - 1), (3, 7)):
+        conditioned = hits = 0
+        for j in range(samples):
+            hypothesis = splitmix64(seed, 2 * j) < thresholds[0] << 11
+            if splitmix64(seed, 2 * j + 1) < thresholds[1 if hypothesis else 2] << 11:
+                conditioned += 1
+                hits += hypothesis
+        assert _counts_python(seed, samples, *thresholds) == (conditioned, hits)
+
+
+def test_a_python_call_of_the_whole_budget_keeps_its_ints_small():
+    # 10^5 samples in 98 blocks: a list of their draws alone would take several MB.
+    thresholds = [_threshold53(rate) for rate in (0.4, 0.8, 0.1)]
+    tracemalloc.start()
+    try:
+        _counts_python(1, 10**5, *thresholds)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 512 * 1024, f"a 10^5-sample Python call peaked at {peak} B"
+
+
+@pytest.mark.parametrize("seed", [2**70, -(2**70), HUGE_SEED, -HUGE_SEED])
+def test_the_numpy_kernel_raises_no_warning_at_wrapping_seeds_and_edge_thresholds(seed):
+    # Every uint64 product and sum in the kernel wraps mod 2^64, which integer ufuncs on arrays
+    # do without a warning, so no np.errstate is needed around them.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rates in ((0.0, 1.0, 2.0**-53), (1.0, 1 - 2.0**-53, 0.0), (2.0**-53, 0.0, 1.0), (0.4, 0.8, 0.1)):
+            for samples in (1, (1 << 14) + 3):
+                thresholds = [_threshold53(rate) for rate in rates]
+                assert _counts_numpy(seed, samples, *thresholds) == _counts_python(seed, samples, *thresholds)
+
+
+def _unxorshift(x, shift):
+    """The y with y ^ (y >> shift) == x, for y in [0, 2^64)."""
+    y = x
+    for _ in range(64 // shift + 1):
+        y = x ^ (y >> shift)
+    return y
+
+
+def _unmix64(x):
+    """The SplitMix64 state whose output is x: each step of the mix undone, last first."""
+    x = _unxorshift(x, 31) * pow(oracle._MIX_2, -1, 2**64) % 2**64
+    x = _unxorshift(x, 27) * pow(oracle._MIX_1, -1, 2**64) % 2**64
+    return _unxorshift(x, 30)
+
+
+@pytest.mark.parametrize("kernel", ["python", "numpy"])
+@pytest.mark.parametrize("rate", [2.0**-53, 0.4, 1 - 2.0**-53, 1.0])
+def test_the_kernels_split_draws_exactly_at_the_threshold(kernel, rate):
+    # Seeds chosen so that one draw lands on x = T * 2^11 - 1, the last one below the threshold, or on
+    # T * 2^11, the first one not below it; a draw that lands there at random has chance 2^-64.
+    count = _counts_python if kernel == "python" else _counts_numpy
+    threshold = _threshold53(rate)
+    always = _threshold53(1.0)
+    for x in (threshold << 11) - 1, threshold << 11:
+        if x >= 2**64:
+            continue
+        for sample in (0, 4, 6):  # the first, a middle and the last sample of 7
+            # The hypothesis draw of `sample`, tested on the base rate; every sample shows the evidence.
+            seed = _unmix64(x) - (2 * sample + 1) * oracle.GOLDEN_GAMMA
+            assert splitmix64(seed, 2 * sample) == x
+            conditioned, hits = count(seed, 7, threshold, always, always)
+            assert conditioned == 7 and hits == sum(splitmix64(seed, 2 * j) < threshold << 11 for j in range(7))
+            # The evidence draw of `sample`, tested on the hit rate and then on the false-alarm rate.
+            seed = _unmix64(x) - (2 * sample + 2) * oracle.GOLDEN_GAMMA
+            assert splitmix64(seed, 2 * sample + 1) == x
+            for hypothesis in (always, 0):
+                hit, alarm = (threshold, 0) if hypothesis else (0, threshold)
+                conditioned, hits = count(seed, 7, hypothesis, hit, alarm)
+                assert conditioned == sum(splitmix64(seed, 2 * j + 1) < threshold << 11 for j in range(7))
+                assert hits == (conditioned if hypothesis else 0)
 
 
 def test_monte_carlo_spans_block_boundaries_consistently():
