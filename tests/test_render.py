@@ -389,6 +389,64 @@ def test_text_tree_bytes_equal_the_reference(base, hit, alarm, label, population
     assert render_tree_text(tree) == _reference_tree_text(tree)
 
 
+# --------------------------------------------- SVG trees against a frozen reference
+
+
+def _reference_tree_svg(tree) -> bytes:
+    """The SVG tree as `str.format` fills one template, in pixels, with its nine counts and labels.
+
+    Frozen here as the reference for `render_tree_svg`'s bytes; it shares no helper with `render`.
+    """
+
+    def line(x1, y1, x2, y2):
+        return f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="#666666" stroke-width="1"/>'
+
+    def text(x, y, size, fill, content="{}"):
+        return (
+            f'<text x="{x}" y="{y}" font-family="Helvetica, Arial, sans-serif" '
+            f'font-size="{size}" text-anchor="middle" fill="{fill}">{content}</text>'
+        )
+
+    blue, orange, grey = "#1f77b4", "#d97706", "#444444"
+    roles = ("hits", "quiet hypothesis", "false alarms", "quiet complement")
+    template = "\n".join([
+        '<?xml version="1.0" encoding="UTF-8"?>',
+        '<svg xmlns="http://www.w3.org/2000/svg" width="640" height="400" viewBox="0 0 640 400">',
+        '<rect x="0" y="0" width="640" height="400" fill="#ffffff"/>',
+        line(320, 62.5, 160, 137.5),
+        line(320, 62.5, 480, 137.5),
+        *(line(160 if x < 320 else 480, 162.5, x, 262.5) for x in (80, 240, 400, 560)),
+        text(320, 50, 14, "#000000"),
+        text(160, 150, 14, blue),
+        text(160, 175, 10, grey),
+        text(480, 150, 14, orange),
+        text(480, 175, 10, grey),
+        *(part for i, x in enumerate((80, 240, 400, 560))
+          for part in (text(x, 275, 14, (blue, orange)[i // 2]), text(x, 312.5, 10, grey, roles[i]))),
+        "</svg>\n",
+    ])
+    label = tree.hypothesis_label.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+    counts = (tree.population, tree.hypothesis_count, label, tree.complement_count, f"not ({label})", *tree.leaves)
+    return template.format(*counts).encode("utf-8")
+
+
+#: TREE_LABELS, and labels built from `{`, `}`, `{0}` and `{label}`, which a template fill must copy as they are.
+SVG_TREE_LABELS = st.one_of(
+    TREE_LABELS, st.lists(st.sampled_from(["{", "}", "{0}", "{label}", "&", "<x>", " "]), max_size=8).map("".join)
+)
+
+
+@settings(deadline=None)
+@given(TREE_RATES, TREE_RATES, TREE_RATES, SVG_TREE_LABELS, TREE_POPULATIONS, st.sampled_from(ROUNDING_POLICIES))
+@example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "{0} & <x>", 100, LARGEST_REMAINDER)
+@example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "{label}", 10, EXACT_RATIONAL)
+@example(Fraction(1, 3), Fraction(1, 7), Fraction(1, 10**12 - 1), "}{", 10, EXACT_RATIONAL)  # p/q leaf counts
+@example(Fraction(1, 10**12), Fraction(1), Fraction(0), "{}", 10**1000 - 1, EXACT_RATIONAL)  # 1,000-digit counts
+def test_svg_tree_bytes_equal_the_reference(base, hit, alarm, label, population, rounding):
+    tree = build_tree(Scenario(base, hit, alarm, hypothesis_label=label), population, rounding)
+    assert render_tree_svg(tree) == _reference_tree_svg(tree)
+
+
 # ---------------------------------------------------------------- well-formed
 
 
