@@ -167,6 +167,16 @@ def leaf_joints(scenario: Scenario) -> tuple[int, ...]:
     return leaf_joints_of(b._numerator, b._denominator, h._numerator, h._denominator, a._numerator, a._denominator)
 
 
+def _check_population(population: int) -> None:
+    """Raise TypeError unless `population` is an int, ValueError unless it is 1 to MAX_POPULATION_DIGITS digits."""
+    if not isinstance(population, int):
+        raise TypeError(f"population must be an int, got {type(population).__name__}")
+    if population < 1:
+        raise ValueError("population must be a positive integer")
+    if population >= _POPULATION_LIMIT:
+        raise ValueError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
+
+
 def _reduced(numerator: int, denominator: int, cls: type = Probability) -> Fraction:
     """numerator/denominator (denominator > 0) as an instance of `cls`, Fraction or a subclass of it:
     one gcd and Fraction's two slots, filled as its own arithmetic does; no range check, no argument

@@ -16,8 +16,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import (
-    _POPULATION_LIMIT, EXACT_RATIONAL, LARGEST_REMAINDER, MAX_POPULATION_DIGITS, ROUNDING_POLICIES,
-    DegenerateEvidence, Probability, Scenario, _reduced, _sums_to, leaf_joints,
+    EXACT_RATIONAL, LARGEST_REMAINDER, ROUNDING_POLICIES,
+    DegenerateEvidence, Probability, Scenario, _check_population, _reduced, _sums_to, leaf_joints,
 )
 
 Count = int | Fraction
@@ -51,8 +51,7 @@ class FrequencyTree:
     hypothesis_label: str = "runs on Main Street"
 
     def __post_init__(self) -> None:
-        if self.population < 1:
-            raise ValueError("population must be a positive integer")
+        _check_population(self.population)
         # Each count as (numerator, denominator > 0); the checks cross-multiply them in integers.
         hyp, comp, hits, quiet_hyp, alarms, quiet_comp = [
             count.as_integer_ratio() for count in (self.hypothesis_count, self.complement_count, *self.leaves)
@@ -93,10 +92,9 @@ def build_tree(
     largest-remainder rounds the first child of each parent half up and
     gives the second the rest (the largest-remainder rule for two children,
     so conservation never breaks), while exact-rational keeps fractions.
-    The population must be a positive integer of at most MAX_POPULATION_DIGITS digits.
+    The population must be a positive int of at most MAX_POPULATION_DIGITS digits.
     """
-    if population >= _POPULATION_LIMIT:
-        raise ValueError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
+    _check_population(population)
     if rounding not in ROUNDING_POLICIES:
         raise ValueError(f"unknown rounding policy {rounding!r}; expected one of {ROUNDING_POLICIES}")
 

@@ -40,7 +40,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, DegenerateEvidence, Probability, Scenario, _reduced
+from .core import DegenerateEvidence, Probability, Scenario, _check_population, _reduced
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -122,14 +122,11 @@ def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
     evidence: hits over hits plus false alarms.
 
     Raises NonIntegralCounts when the population does not split into whole
-    individuals, DegenerateEvidence when nobody shows the evidence, and
+    individuals, DegenerateEvidence when nobody shows the evidence,
     ValueError when the population is below 1 or has more than
-    MAX_POPULATION_DIGITS digits.
+    MAX_POPULATION_DIGITS digits, and TypeError when it is not an int.
     """
-    if population < 1:
-        raise ValueError("population must be a positive integer")
-    if population >= _POPULATION_LIMIT:
-        raise ValueError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
+    _check_population(population)
     # Derived here, not by core.leaf_joints: an oracle sharing code with what it checks checks nothing.
     base, hit, alarm = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
     # Hits, quiet hypothesis, false alarms and quiet complement: the four kinds of individual.

@@ -1,17 +1,18 @@
 """Deterministic renderers: text trees, SVG trees, SVG proportion bars.
 
 Every renderer is a pure function of its inputs and emits byte-identical
-output across runs and platforms. The text tree is built line by line, each
-count and label padded into its field. Each SVG fills a template built once;
-all geometry is integers in hundredths of a pixel. The canvas divides
-exactly into the template's coordinates, and bar positions and percentages
-are exact integer ratios of the leaf joints, rounded once, ties to even,
-which keeps goldens stable.
+output across runs and platforms. The text tree is built line by line, its
+rows that depend only on the column width kept in a bounded cache. Each SVG
+template is built once, as literal pieces with a slot for each value that a
+call fills and joins once. All geometry is integers in hundredths of a
+pixel, the canvas divides exactly into the template's coordinates, and bar
+positions and percentages are exact integer ratios of the leaf joints,
+rounded once, ties to even, which keeps goldens stable.
 """
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, lru_cache
 
 from .core import Scenario, compute_posterior, leaf_joints
 from .scenario_io import check_label, format_fixed
@@ -37,10 +38,26 @@ def _escape(text: str) -> str:
 
 
 def _signed(value: Fraction) -> str:
-    return f"+{value}" if value > 0 else str(value)
+    """`value` as `str` writes it, `+` first when positive, read from its slots as `core` reads them."""
+    numerator, denominator = value._numerator, value._denominator
+    return ("+" if numerator > 0 else "") + (f"{numerator}/{denominator}" if denominator != 1 else str(numerator))
 
 
 # --- text tree -------------------------------------------------------------
+
+
+def _fields(width: int, *texts: str) -> str:
+    """Each text in a field `width` wide, the smaller half of its spare columns on the left; no trailing spaces."""
+    return "".join((" " * ((width - len(text)) // 2) + text).ljust(width) for text in texts).rstrip()
+
+
+@lru_cache(maxsize=64)  # bounded: a long label widens the columns, and each width would keep its rows
+def _fixed_rows(colw: int) -> tuple[str, str, str]:
+    """The rows that depend only on the column width: the row-2 connector, the leaf connectors, the role labels."""
+    half = colw // 2
+    fork = "+" + "-" * (colw - half - 1) + "+" + "-" * (half - 1) + "+"  # a leaf pair's centers and their parent's
+    links = " " * colw + ("+" + "-" * (colw - 1)) * 2 + "+"  # the population's center and row 2's
+    return links, " " * half + fork + " " * (colw - 1) + fork, _fields(colw, *ROLE_LABELS)
 
 
 def render_tree_text(tree: FrequencyTree) -> str:
@@ -63,26 +80,14 @@ def render_tree_text(tree: FrequencyTree) -> str:
         -(-(max(len(s) for s in row2 + row2_labels) + 2) // 2),
     )
 
-    def fields(width: int, *texts: str) -> str:
-        """Each text in a field `width` wide, the smaller half of its spare columns on the left."""
-        return "".join((" " * ((width - len(text)) // 2) + text).ljust(width) for text in texts)
-
-    half = colw // 2
-    fork = "+" + "-" * (colw - half - 1) + "+" + "-" * (half - 1) + "+"  # a leaf pair's centers and their parent's
-    lines = [
-        fields(4 * colw, pop),
-        " " * colw + ("+" + "-" * (colw - 1)) * 2 + "+",
-        fields(2 * colw, *row2),
-        fields(2 * colw, *row2_labels),
-        " " * half + fork + " " * (colw - 1) + fork,
-        fields(colw, *leaf_cells),
-        fields(colw, *ROLE_LABELS),
-    ]
-    text_lines = [line.rstrip() for line in lines]
-    if any(tree.rounding_residuals):
-        residuals = ", ".join(_signed(r) for r in tree.rounding_residuals)
-        text_lines.append(f"rounding residuals (count - expected): {residuals}")
-    return "\n".join(text_lines) + "\n"
+    links, forks, roles = _fixed_rows(colw)
+    text = "\n".join([
+        _fields(4 * colw, pop), links, _fields(2 * colw, *row2), _fields(2 * colw, *row2_labels), forks,
+        _fields(colw, *leaf_cells), roles, "",
+    ])
+    if any(r._numerator for r in tree.rounding_residuals):
+        text += f"rounding residuals (count - expected): {', '.join(map(_signed, tree.rounding_residuals))}\n"
+    return text
 
 
 # --- SVG helpers -----------------------------------------------------------
@@ -130,8 +135,8 @@ def _svg_text(x, y, content: str, size: int, fill: str, anchor: str = "middle") 
 
 
 @cache
-def _tree_svg_template() -> str:
-    """The SVG tree with a `{}` for each count and label, built once: x in _X0 steps, y in _Y steps."""
+def _tree_svg_template() -> tuple[str, ...]:
+    """The SVG tree as literal text (even indices) and a slot per count and label: x in _X0, y in _Y steps."""
     pop_x, pop_y, row2_y, leaf_y = 8 * _X0, 4 * _Y, 12 * _Y, 22 * _Y
     row2_x = (4 * _X0, 12 * _X0)
     leaf_x = tuple((4 * i + 2) * _X0 for i in range(4))
@@ -146,24 +151,26 @@ def _tree_svg_template() -> str:
     for i, x in enumerate(leaf_x):
         parts.append(_svg_text(x, leaf_y, "{}", FONT_SIZE, colors[i // 2]))
         parts.append(_svg_text(x, 25 * _Y, ROLE_LABELS[i], LABEL_SIZE, "#444444"))
-    return _svg(parts)
+    return tuple(_svg(parts).replace("}", "{").split("{"))
 
 
 def render_tree_svg(tree: FrequencyTree) -> bytes:
     """SVG drawing of a frequency tree on the fixed canvas; raises ValueError for a label check_label refuses."""
     label = _escape(check_label("hypothesis_label", tree.hypothesis_label))
-    counts = (tree.population, tree.hypothesis_count, label, tree.complement_count, f"not ({label})")
-    return _tree_svg_template().format(*map(str, counts + tree.leaves)).encode("utf-8")
+    counts = (tree.population, tree.hypothesis_count, label, tree.complement_count, f"not ({label})", *tree.leaves)
+    parts = list(_tree_svg_template())
+    parts[1::2] = map(str, counts)
+    return "".join(parts).encode("utf-8")
 
 
 # --- SVG proportion bars ---------------------------------------------------
 
 
 @cache
-def _bars_svg_template() -> str:
-    """The bars SVG with a named field for each split, width, share and label, built once."""
+def _bars_svg_template() -> tuple[str, ...]:
+    """The bars SVG as literal text (even indices) and the name of each split, width, share and label."""
     right, bar_h, top_y, bottom_y = _X0 + _BAR, 4 * _Y, 6 * _Y, 22 * _Y
-    return _svg([
+    return tuple(_svg([
         f'<rect id="{elem_id}" x="{_coord(x)}" y="{_coord(y)}" width="{{{width}}}" '
         f'height="{_coord(bar_h)}" fill="{fill}"/>'
         for elem_id, x, y, width, fill in (
@@ -181,7 +188,7 @@ def _bars_svg_template() -> str:
         _svg_text("{split}", bottom_y - _Y, "{posterior}%", LABEL_SIZE, "#000000"),
         _svg_text(_X0, 29 * _Y, "hits ({evidence})", LABEL_SIZE, HYPOTHESIS_COLOR, "start"),
         _svg_text(right, 29 * _Y, "false alarms", LABEL_SIZE, COMPLEMENT_COLOR, "end"),
-    ])
+    ]).replace("}", "{").split("{"))
 
 
 def render_proportion_bars_svg(scenario: Scenario) -> bytes:
@@ -204,7 +211,7 @@ def render_proportion_bars_svg(scenario: Scenario) -> bytes:
         compute_posterior(scenario)  # raises DegenerateEvidence with the kernel's message
     # Hundredths of a pixel: the top split is _X0 + _BAR·hypothesis/total, and the hit bar,
     # hit/total wide, ends at the bottom split, _X0 + _BAR·hit/marginal.
-    return _bars_svg_template().format(
+    fields = dict(
         top=_fixed(_X0 * total + _BAR * hypothesis, total, 2), top_hit=_fixed(_BAR * hypothesis, total, 2),
         top_rest=_fixed(_BAR * (total - hypothesis), total, 2), base=_fixed(1000 * hypothesis, total, 1),
         split=_fixed(_X0 * marginal + _BAR * hit, marginal, 2), hit=_fixed(_BAR * hit, total, 2),
@@ -212,4 +219,7 @@ def render_proportion_bars_svg(scenario: Scenario) -> bytes:
         alarm=_fixed(_BAR * alarm, total, 2), posterior=_fixed(1000 * hit, marginal, 1),
         label=_escape(check_label("hypothesis_label", scenario.hypothesis_label)),
         evidence=_escape(check_label("evidence_label", scenario.evidence_label)),
-    ).encode("utf-8")
+    )
+    parts = list(_bars_svg_template())
+    parts[1::2] = map(fields.__getitem__, parts[1::2])
+    return "".join(parts).encode("utf-8")

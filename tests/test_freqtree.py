@@ -128,6 +128,16 @@ def test_build_tree_rejects_bad_arguments(monkeypatch):
             build_tree(CASES[0].scenario, population=at_cap + 1, rounding=rounding)
 
 
+@pytest.mark.parametrize("population", [10.0, Fraction(10), "10"], ids=repr)
+def test_a_population_that_is_not_an_int_is_refused_by_name(population):
+    message = f"^population must be an int, got {type(population).__name__}$"
+    for rounding in ROUNDING_POLICIES:
+        with pytest.raises(TypeError, match=message):
+            build_tree(Scenario("0.4", "0.8", "0.1"), population, rounding)
+    with pytest.raises(TypeError, match=message):
+        FrequencyTree(population, 4, 6, 3, 1, 2, 4, counts_exact=True)
+
+
 F = Fraction
 ROW2 = "row 2 does not sum to the population"
 HYPOTHESIS = "hypothesis leaves do not sum to the hypothesis count"

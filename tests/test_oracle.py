@@ -91,6 +91,12 @@ def test_enumeration_rejects_fractional_individuals():
         enumerate_posterior(CASES[0].scenario, 0)
 
 
+@pytest.mark.parametrize("population", [100.0, Fraction(100), "100"], ids=repr)
+def test_enumeration_refuses_a_population_that_is_not_an_int(population):
+    with pytest.raises(TypeError, match=f"^population must be an int, got {type(population).__name__}$"):
+        enumerate_posterior(Scenario("0.4", "0.8", "0.1"), population)
+
+
 def test_enumeration_refuses_a_population_above_its_cap(monkeypatch):
     import proofcalc.core as core
 

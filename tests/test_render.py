@@ -19,6 +19,7 @@ from proofcalc import (
     render_tree_svg,
     render_tree_text,
 )
+import proofcalc.render as render
 from proofcalc.scenario_io import format_fixed
 
 from cases import BARS_POSTERIOR, BARS_SCENARIO, CASE_IDS, CASES
@@ -90,6 +91,14 @@ def test_text_tree_respects_labels():
     )
     text = render_tree_text(tree)
     assert "owns a dog" in text and "not (owns a dog)" in text
+
+
+def test_text_tree_row_cache_is_bounded():
+    # The column width grows with the label, and a scenario file's label may be about 1 MB long.
+    for width in range(300):
+        render_tree_text(build_tree(Scenario(0.4, 0.8, 0.1, hypothesis_label="x" * width), 100))
+    info = render._fixed_rows.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize < 150
 
 
 @pytest.mark.parametrize("case", CASES, ids=CASE_IDS)
