@@ -15,10 +15,10 @@ list of (name, value) fields, `tree` returns its drawing, and `render` and
 `sweep` write their file and return None. `main` alone writes to standard
 output, through `_report` for fields.
 
-Exit codes: 0 success, 2 input or parse error, missing NumPy for `simulate`
-or a failed write to standard output, 3 degenerate evidence. Output is
-deterministic: identical inputs and flags produce byte-identical standard
-output (`simulate` included, given --seed).
+Exit codes: 0 success, 2 input or parse error or a failed write to
+standard output, 3 degenerate evidence. Output is deterministic: identical
+inputs and flags produce byte-identical standard output (`simulate`
+included, given --seed, with or without NumPy).
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from .scenario_io import (
     LABEL_KEYS, READERS, ScenarioDocument, format_sig, parse_scenario, read_count, read_integer, read_rate,
 )
 
-# freqtree, render, sweep and oracle (with NumPy) are imported in the subcommands that use them,
+# freqtree, render, sweep and oracle (and NumPy, if installed) are imported in the subcommands that use them,
 # so that the other subcommands start without loading them.
 
 EXIT_OK = 0
@@ -245,6 +245,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     """Run one subcommand and print what it returns: the one place that writes to standard output."""
     args = build_parser().parse_args(argv)
+    # Before Python 3.13, argparse drops "--" from a "--flag=--" value and stores []: put back what was typed.
+    vars(args).update({name: "--" for name, value in vars(args).items() if value == []})
     try:
         output = args.func(args)
         text = _report(output) if isinstance(output, list) else output or ""
@@ -261,7 +263,7 @@ def main(argv: list[str] | None = None) -> int:
     except DegenerateEvidence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
-    except (ImportError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

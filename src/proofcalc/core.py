@@ -15,6 +15,11 @@ import enum
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+# Fraction's private slots, _numerator and _denominator, are read on measured hot paths, and break first if a Python
+# release renames them: here in Probability.__new__, PosteriorBreakdown.__post_init__, leaf_joints, _reduced (which
+# writes them), _outcome and decide; in sweep.sweep_rows; and in render._signed and render_tree_text.
+
 RateLike = "Probability | Fraction | int | float | str"
 
 #: The three rates of a scenario, in the order every layer reads them.

@@ -26,12 +26,13 @@ _LANES samples at once in the 128-bit lanes of Python ints: one state to a
 lane, SplitMix64's mix as whole-int shifts, xors and multiplies, and each
 lane's compare read from one bit of a subtraction. _counts_numpy mixes
 blocks of draws in NumPy uint64 arrays, in buffers that each thread keeps
-between calls. A call runs in Python only while NumPy is not loaded and the
-samples this process has drawn in Python, that call included, stay within
-_PYTHON_SAMPLE_BUDGET. So a one-shot run of up to that many samples never
-pays for importing NumPy, a process spends at most about a fifth of that
-import's cost on Python draws, and a process that has NumPy always takes the
-vectorized kernel. NumPy and threading are imported only by that kernel.
+between calls. A call runs in Python where NumPy is not installed, and else
+while NumPy is not loaded and the samples this process has drawn in Python,
+that call included, stay within _PYTHON_SAMPLE_BUDGET. So a one-shot run of
+up to that many samples never pays for importing NumPy, a process with NumPy
+spends at most about a fifth of that import's cost on Python draws, and one
+that has loaded it always takes the vectorized kernel, which alone imports
+NumPy and threading.
 """
 
 from __future__ import annotations
@@ -319,7 +320,10 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
         _python_samples_drawn += samples
         conditioned, hits = _counts_python(seed, samples, *thresholds)
     else:
-        conditioned, hits = _counts_numpy(seed, samples, *thresholds)
+        try:
+            conditioned, hits = _counts_numpy(seed, samples, *thresholds)
+        except ImportError:  # no NumPy installed: the Python kernel counts the same stream
+            conditioned, hits = _counts_python(seed, samples, *thresholds)
 
     if conditioned == 0:
         raise NoConditionedSamples(

@@ -27,7 +27,9 @@ from dataclasses import dataclass
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
-from .core import _POPULATION_LIMIT, MAX_POPULATION_DIGITS, RATE_NAMES, Probability, Scenario, _reduced
+from .core import (
+    _POPULATION_LIMIT, MAX_POPULATION_DIGITS, RATE_NAMES, Probability, Scenario, _check_population, _reduced,
+)
 
 FORMAT_VERSION = 1
 
@@ -265,7 +267,8 @@ def serialize_scenario(document: ScenarioDocument) -> str:
 
     Raises ValueError naming the key for a value that would not read back as
     it is: a population or rate (an int or Fraction) that parse_scenario refuses,
-    a label check_label refuses, an empty one, or one with whitespace at either end.
+    a label check_label refuses, an empty one, or one with whitespace at either end;
+    and TypeError, as build_tree does, for a population that is not an int.
     """
     scenario = document.scenario
     for key in LABEL_KEYS:
@@ -277,8 +280,10 @@ def serialize_scenario(document: ScenarioDocument) -> str:
         lines.append(f"{key} = {_rate_text(key, getattr(scenario, key))}")
     population = document.population
     if population is not None:
+        if not isinstance(population, int):
+            _check_population(population)  # raises its TypeError
         # Compared as an int first: str() refuses one of more than 4,300 digits without naming the key.
-        if isinstance(population, int) and abs(population) >= _POPULATION_LIMIT:
+        if abs(population) >= _POPULATION_LIMIT:
             raise RangeError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
         lines.append(f"population = {read_population('population', str(population))}")
     if document.threshold is not None:

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import xml.dom.minidom
+from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -228,18 +229,22 @@ def test_simulate_rejects_more_than_a_billion_samples(capsys, monkeypatch):
     assert err == "error: --samples must be at most 1000000000\n"
 
 
-def test_simulate_without_numpy_exits_2_with_one_line(capsys, monkeypatch):
+def test_simulate_prints_the_same_bytes_without_numpy(capsys, monkeypatch):
     import proofcalc.oracle as oracle
 
+    def simulate(samples):
+        code, out, err = run(capsys, "simulate", *RATES, "--samples", samples, "--seed", "0")
+        assert code == 0 and err == ""
+        return out
+
+    monkeypatch.setattr(oracle, "_PYTHON_SAMPLE_BUDGET", 0)  # the NumPy kernel, wherever NumPy is installed
+    with_numpy = [simulate("2000"), simulate("100001")]
+    monkeypatch.undo()
     monkeypatch.setitem(sys.modules, "numpy", None)  # what an install without NumPy gives `import numpy`
     monkeypatch.setattr(oracle, "_python_samples_drawn", 0)
-    code, out, err = run(capsys, "simulate", *RATES, "--samples", "2000", "--seed", "0")
-    assert code == 0 and err == ""
-    check_golden("cli_simulate.txt", out.encode("utf-8"))
-    # Past the budget of Python draws, simulate needs NumPy.
-    code, out, err = run(capsys, "simulate", *RATES, "--samples", str(oracle._PYTHON_SAMPLE_BUDGET + 1))
-    assert code == 2 and out == ""
-    assert err.startswith("error: ") and err.count("\n") == 1 and "numpy" in err
+    # 2,000 samples draw within the Python budget; past it, the Python kernel stands in for NumPy's.
+    assert [simulate("2000"), simulate("100001")] == with_numpy
+    check_golden("cli_simulate.txt", with_numpy[0].encode("utf-8"))
 
 
 @pytest.mark.parametrize("rate", ["1e-20000", "1e-3000000"])
@@ -287,6 +292,14 @@ def test_rates_at_the_cap_run_and_print_below_the_int_str_limit(capsys, tmp_path
 
 
 POPULATION_RATES = ["--base-rate", "1/3", "--hit-rate", "1/7", "--false-alarm-rate", "1/11"]
+
+
+def test_a_population_of_one_is_read_from_a_file_and_from_a_flag(capsys, tmp_path):
+    path = tmp_path / "one.scenario"
+    path.write_text("base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\npopulation = 1\n", encoding="utf-8")
+    expected = render_tree_text(build_tree(CASES[0].scenario, 1))
+    assert run(capsys, "tree", "--scenario", str(path)) == (0, expected, "")
+    assert run(capsys, "tree", *RATES, "--population", "1") == (0, expected, "")
 
 
 def test_population_digit_cap(capsys, tmp_path):
@@ -630,6 +643,50 @@ def test_usage_errors_from_argparse_exit_2(capsys):
     capsys.readouterr()
 
 
+#: Flags each command needs besides the rates, by name, with values that run.
+_COMMAND_FLAGS = {
+    "posterior": {},
+    "verdict": {"--threshold": "0.9"},
+    "tree": {"--population": "100"},
+    "render": {"--format": SVG_TREE, "--out": "tree.svg", "--population": "100"},
+    "sweep": {"--param": "base_rate", "--from": "0", "--to": "1", "--steps": "3", "--out": "sweep.csv"},
+    "simulate": {"--samples": "100", "--seed": "0"},
+}
+_NOT_A_RATE = "must be a rate such as 0.4, 40% or 2/5, got '--'"
+_NOT_AN_INTEGER = "must be an integer, got '--'"
+
+
+#: (command, flag, the error "--" gives it, or None where it is a value that runs)
+_DOUBLE_DASHES = [
+    ("posterior", "--scenario", "[Errno 2] No such file or directory: '--'"),
+    *(("posterior", flag, f"{flag} {_NOT_A_RATE}") for flag in ("--base-rate", "--hit-rate", "--false-alarm-rate")),
+    ("tree", "--hypothesis-label", None), ("tree", "--evidence-label", None),
+    ("verdict", "--threshold", f"--threshold {_NOT_A_RATE}"),
+    ("tree", "--population", f"--population {_NOT_AN_INTEGER}"),
+    ("render", "--population", f"--population {_NOT_AN_INTEGER}"), ("render", "--out", None),
+    ("sweep", "--from", f"--from {_NOT_A_RATE}"), ("sweep", "--to", f"--to {_NOT_A_RATE}"),
+    ("sweep", "--steps", f"--steps {_NOT_AN_INTEGER}"), ("sweep", "--out", None),
+    ("simulate", "--samples", f"--samples {_NOT_AN_INTEGER}"), ("simulate", "--seed", f"--seed {_NOT_AN_INTEGER}"),
+]
+
+
+@pytest.mark.parametrize("command, flag, error", _DOUBLE_DASHES, ids=[" ".join(case[:2]) for case in _DOUBLE_DASHES])
+def test_a_flag_set_to_a_double_dash_takes_it_as_its_value(capsys, monkeypatch, tmp_path, command, flag, error):
+    # Before Python 3.13, argparse drops the "--" of "--flag=--" and stores []; main reads "--" on every version.
+    monkeypatch.chdir(tmp_path)  # --out=-- writes a file named "--"
+    given = {} if flag == "--scenario" else dict(zip(RATES[::2], RATES[1::2]))
+    given.update(_COMMAND_FLAGS[command])
+    given.pop(flag, None)
+    code, out, err = run(capsys, command, *(text for pair in given.items() for text in pair), f"{flag}=--")
+    if error is not None:
+        assert (code, out, err) == (2, "", f"error: {error}\n")
+    elif flag == "--out":
+        assert (code, out, err) == (0, "", "") and (tmp_path / "--").stat().st_size > 0
+    else:
+        scenario = replace(CASES[0].scenario, **{flag[2:].replace("-", "_"): "--"})
+        assert (code, out, err) == (0, render_tree_text(build_tree(scenario, 100)), "")
+
+
 #: A child that runs the request in its later arguments, then names the modules of its first argument
 #: (comma-separated) that it has loaded. The rounding-policy names come from core, so they load no other module.
 _LOADED = (
@@ -651,6 +708,7 @@ def _loaded(modules, *argv, options=(), env=None):
 
 
 def test_numpy_is_imported_only_to_simulate(tmp_path):
+    pytest.importorskip("numpy")  # the child processes import it from the same installation
     def loaded(*argv):
         optional = ("proofcalc.freqtree", "proofcalc.render", "proofcalc.sweep", "proofcalc.oracle", "csv", "numpy")
         return _loaded(optional, *argv)

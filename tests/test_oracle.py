@@ -197,6 +197,7 @@ def edge_uniforms():
 def test_monte_carlo_matches_a_scalar_replay_at_edge_rates(monkeypatch, edge_uniforms, rate, samples, kernel, block):
     # Each kernel is forced, so that whether an earlier test loaded NumPy does not decide which one runs.
     if kernel == "numpy":
+        pytest.importorskip("numpy")
         monkeypatch.setattr(oracle, "_PYTHON_SAMPLE_BUDGET", 0)
     else:
         monkeypatch.setitem(sys.modules, "numpy", None)
@@ -253,6 +254,7 @@ EDGE_THRESHOLDS = (0.0, 1.0, 2.0**-53, 1 - 2.0**-53)
 @example(seed=HUGE_SEED, samples=2 * LANES - 1, block=1 << 14, lanes=LANES, rates=EDGE_THRESHOLDS[1:])
 @example(seed=HUGE_SEED, samples=2 * LANES - 1, block=1 << 14, lanes=LANES, rates=EDGE_THRESHOLDS[::-1][:3])
 def test_the_python_and_numpy_kernels_count_the_same_samples(seed, samples, block, lanes, rates):
+    pytest.importorskip("numpy")
     thresholds = [_threshold53(rate) for rate in rates]
     original = oracle._BLOCK_SAMPLES, oracle._LANES
     try:
@@ -291,6 +293,7 @@ def test_a_python_call_of_the_whole_budget_keeps_its_ints_small():
 
 @pytest.mark.parametrize("seed", [2**70, -(2**70), HUGE_SEED, -HUGE_SEED])
 def test_the_numpy_kernel_raises_no_warning_at_wrapping_seeds_and_edge_thresholds(seed):
+    pytest.importorskip("numpy")
     # Every uint64 product and sum in the kernel wraps mod 2^64, which integer ufuncs on arrays
     # do without a warning, so no np.errstate is needed around them.
     with warnings.catch_warnings():
@@ -321,6 +324,8 @@ def _unmix64(x):
 def test_the_kernels_split_draws_exactly_at_the_threshold(kernel, rate):
     # Seeds chosen so that one draw lands on x = T * 2^11 - 1, the last one below the threshold, or on
     # T * 2^11, the first one not below it; a draw that lands there at random has chance 2^-64.
+    if kernel == "numpy":
+        pytest.importorskip("numpy")
     count = _counts_python if kernel == "python" else _counts_numpy
     threshold = _threshold53(rate)
     always = _threshold53(1.0)
@@ -344,6 +349,7 @@ def test_the_kernels_split_draws_exactly_at_the_threshold(kernel, rate):
 
 
 def test_monte_carlo_spans_block_boundaries_consistently():
+    pytest.importorskip("numpy")
     thresholds = [_threshold53(float(rate)) for rate in (CASES[1].scenario.base_rate, 0.8, 0.1)]
     whole = _counts_numpy(5, 3000, *thresholds)
     original = oracle._BLOCK_SAMPLES
@@ -356,6 +362,7 @@ def test_monte_carlo_spans_block_boundaries_consistently():
 
 
 def test_a_repeat_numpy_call_in_a_thread_allocates_no_buffers():
+    pytest.importorskip("numpy")
     # A first call makes about 690 kB of block buffers; a call making them again would peak near 430 kB.
     thresholds = [_threshold53(rate) for rate in (0.4, 0.8, 0.1)]
     _counts_numpy(1, 10**4, *thresholds)
@@ -369,6 +376,7 @@ def test_a_repeat_numpy_call_in_a_thread_allocates_no_buffers():
 
 
 def test_threads_and_block_size_changes_leave_the_counts_alone(monkeypatch):
+    pytest.importorskip("numpy")
     # Four threads make their buffers at the same time, run at blocks of 64, make them again and
     # run at 2^14. Buffers shared between threads would mix one thread's draws into another's
     # counts, and buffers of the wrong size would drop or repeat samples.
@@ -422,6 +430,7 @@ _SPEND_THE_BUDGET = (
 
 
 def test_a_process_past_its_python_budget_imports_numpy_on_its_next_call():
+    pytest.importorskip("numpy")  # the child process imports it from the same installation
     result = subprocess.run([sys.executable, "-c", _SPEND_THE_BUDGET], capture_output=True, text=True, check=False)
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True"]

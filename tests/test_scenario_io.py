@@ -224,16 +224,18 @@ def test_serialize_refuses_a_label_that_would_not_read_back(key, label):
         # Past the int-to-str limit: refused by its size, not by str().
         ("population", RangeError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=10**5000)),
         ("population", RangeError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=-(10**5000))),
-        ("population", ScenarioSyntaxError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=2.5)),
+        # Not an int: refused with the TypeError build_tree raises, except for a bool, which str() spells as a word.
+        ("population", TypeError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=2.5)),
+        ("population", ScenarioSyntaxError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), population=True)),
         ("threshold", RangeError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), threshold=Fraction(3, 2))),
         ("threshold", ValueError, ScenarioDocument(Scenario("0.4", "0.8", "0.1"), threshold=0.5)),
         ("base_rate", RangeError, ScenarioDocument(Scenario(Fraction(1, 10**1000), "0.8", "0.1"))),
     ],
     ids=["population-0", "population-1001-digits", "population-5001-digits", "population-minus-5001-digits",
-         "population-2.5", "threshold-3/2", "threshold-float", "rate-1001-digits"],
+         "population-2.5", "population-True", "threshold-3/2", "threshold-float", "rate-1001-digits"],
 )
 def test_serialize_refuses_a_population_or_rate_that_would_not_read_back(key, error, document):
-    with pytest.raises(ValueError, match=key) as refused:
+    with pytest.raises((TypeError, ValueError), match=key) as refused:
         serialize_scenario(document)
     assert refused.type is error
 
@@ -335,6 +337,19 @@ def test_rate_size_cap():
     assert parse_rate(format_exact(at_cap)) == at_cap
     document = ScenarioDocument(Scenario(at_cap, 1 - at_cap, Fraction(1, 3**2095)), threshold=Probability(at_cap))
     assert parse_scenario(serialize_scenario(document)) == document
+
+
+def test_a_numerator_of_ten_to_the_cap_is_refused():
+    # 10^1000 - 1 has 1000 digits, the most a numerator may have; 10^1000 has one more.
+    assert parse_rate("9" * MAX_RATE_DIGITS).numerator == 10**MAX_RATE_DIGITS - 1
+    with pytest.raises(RangeError, match="at most 1000 digits"):
+        parse_rate("1" + "0" * MAX_RATE_DIGITS)
+
+
+def test_an_exponent_of_four_times_the_cap_is_the_longest_read():
+    assert parse_rate(f"0e-{4 * MAX_RATE_DIGITS}") == 0
+    with pytest.raises(RangeError, match="at most 1000 digits"):
+        parse_rate(f"0e-{4 * MAX_RATE_DIGITS + 1}")
 
 
 def test_format_exact_prefers_terminating_decimals():
