@@ -54,6 +54,15 @@ _MAX_SCENARIO_CHARS = 1 << 20
 Field = "tuple[str, Fraction | int | str | float]"
 
 
+class _Choice(argparse.Action):
+    """A flag with choices. Before Python 3.13, argparse passes "--flag=--" on as [] unchecked: check "--" here."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if values == []:
+            parser._check_value(self, "--")  # "--" is no choice: exits 2 with argparse's own usage and message
+        setattr(namespace, self.dest, values)
+
+
 def _scenario_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group(
         "scenario source", "either --scenario PATH or all three inline rates"
@@ -100,7 +109,7 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
 def _tree_options(parser: argparse.ArgumentParser, scope: str = "") -> None:
     parser.add_argument("--population", metavar="N", help=f"tree population (default 100){scope}")
     parser.add_argument(
-        "--rounding", choices=ROUNDING_POLICIES, default=LARGEST_REMAINDER,
+        "--rounding", action=_Choice, choices=ROUNDING_POLICIES, default=LARGEST_REMAINDER,
         help=f"how to make counts whole (default %(default)s){scope}",
     )
 
@@ -219,14 +228,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("render", help="write an SVG diagram")
     _scenario_options(p)
-    p.add_argument("--format", choices=(SVG_TREE, SVG_BARS), required=True)
+    p.add_argument("--format", action=_Choice, choices=(SVG_TREE, SVG_BARS), required=True)
     p.add_argument("--out", metavar="PATH", required=True, help="output file")
     _tree_options(p, f"; {SVG_TREE} only")
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("sweep", help="vary one rate over a grid, write posteriors as CSV")
     _scenario_options(p)
-    p.add_argument("--param", choices=RATE_NAMES, required=True)
+    p.add_argument("--param", action=_Choice, choices=RATE_NAMES, required=True)
     p.add_argument("--from", dest="start", metavar="A", required=True, help="first grid value")
     p.add_argument("--to", dest="stop", metavar="B", required=True, help="last grid value")
     p.add_argument("--steps", metavar="K", required=True, help="number of grid values")

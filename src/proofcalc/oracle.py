@@ -26,12 +26,11 @@ _LANES samples at once in the 128-bit lanes of Python ints: one state to a
 lane, SplitMix64's mix as whole-int shifts, xors and multiplies, and each
 lane's compare read from one bit of a subtraction. _counts_numpy mixes
 blocks of draws in NumPy uint64 arrays, in buffers that each thread keeps
-between calls. A call runs in Python where NumPy is not installed, and else
-while NumPy is not loaded and the samples this process has drawn in Python,
-that call included, stay within _PYTHON_SAMPLE_BUDGET. So a one-shot run of
-up to that many samples never pays for importing NumPy, a process with NumPy
-spends at most about a fifth of that import's cost on Python draws, and one
-that has loaded it always takes the vectorized kernel, which alone imports
+between calls. A call draws in Python while NumPy is not loaded and it asks
+for at most _PYTHON_SAMPLE_BUDGET samples; any other call takes the NumPy
+kernel, or draws in Python where NumPy is not installed. So a one-shot run of
+up to that many samples never pays for importing NumPy, and a process that
+has loaded NumPy always takes the vectorized kernel, which alone imports
 NumPy and threading.
 """
 
@@ -60,13 +59,10 @@ _MAX_SAMPLES = 10**9
 _LANE = 128
 _LANES = 1 << 10
 
-# Samples a process may draw in Python. At 0.2-0.3 us a sample (2-core x86 VM,
-# Python 3.11) that is 20-30 ms, about a fifth of the 110-170 ms that
-# importing NumPy takes on the same machine. The count is per process, by
-# design, and unlocked: a race between threads can change which kernel runs,
-# never a count.
+# The most samples a call draws in Python while NumPy is not loaded. At 125-140 ns a sample
+# (2-core x86 VM, Python 3.11.7) a call of that many takes about 13 ms, under a tenth of the
+# 110-170 ms that importing NumPy takes on the same machine.
 _PYTHON_SAMPLE_BUDGET = 100_000
-_python_samples_drawn = 0
 
 # A threading.local, made by the first NumPy call, holding each thread's _NumpyKit. Two
 # threads making their first calls at once may each make one; the thread whose one is
@@ -82,16 +78,12 @@ class NoConditionedSamples(DegenerateEvidence):
     """No Monte Carlo draw satisfied the evidence; the estimate is undefined."""
 
 
-def _mix64(z: int) -> int:
-    """The SplitMix64 output for the state z, an integer in [0, 2^64)."""
+def splitmix64(seed: int, index: int) -> int:
+    """The index-th 64-bit output of the SplitMix64 stream for `seed`: the reference both kernels are tested against."""
+    z = ((seed & _MASK_64) + (index + 1) * GOLDEN_GAMMA) & _MASK_64
     z = ((z ^ (z >> 30)) * _MIX_1) & _MASK_64
     z = ((z ^ (z >> 27)) * _MIX_2) & _MASK_64
     return z ^ (z >> 31)
-
-
-def splitmix64(seed: int, index: int) -> int:
-    """The index-th 64-bit output of the SplitMix64 stream for `seed`."""
-    return _mix64(((seed & _MASK_64) + (index + 1) * GOLDEN_GAMMA) & _MASK_64)
 
 
 def _threshold53(rate: float) -> int:
@@ -305,7 +297,6 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
     Raises NoConditionedSamples when no draw satisfied the evidence, and
     ValueError when samples is below 1 or above 10^9.
     """
-    global _python_samples_drawn
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if samples > _MAX_SAMPLES:
@@ -316,8 +307,7 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
         _threshold53(float(scenario.false_alarm_rate)),
     )
     # get() is None both when NumPy is not loaded and when a None entry blocks its import.
-    if sys.modules.get("numpy") is None and _python_samples_drawn + samples <= _PYTHON_SAMPLE_BUDGET:
-        _python_samples_drawn += samples
+    if sys.modules.get("numpy") is None and samples <= _PYTHON_SAMPLE_BUDGET:
         conditioned, hits = _counts_python(seed, samples, *thresholds)
     else:
         try:

@@ -213,7 +213,7 @@ def test_criterion_5_property_suites():
 
 
 def test_criterion_6_oracle_agreement():
-    # Without NumPy, its 7 x 10^8 draws, at about 0.2 us each in Python, take over twice the 60 s budget below.
+    # Without NumPy, its 7 x 10^8 draws, at 125-140 ns each in Python, take 90-100 s, past the 60 s budget below.
     pytest.importorskip("numpy")
     with criterion(6, "enumeration and seeded simulation oracles") as detail:
         start = time.monotonic()

@@ -241,7 +241,6 @@ def test_simulate_prints_the_same_bytes_without_numpy(capsys, monkeypatch):
     with_numpy = [simulate("2000"), simulate("100001")]
     monkeypatch.undo()
     monkeypatch.setitem(sys.modules, "numpy", None)  # what an install without NumPy gives `import numpy`
-    monkeypatch.setattr(oracle, "_python_samples_drawn", 0)
     # 2,000 samples draw within the Python budget; past it, the Python kernel stands in for NumPy's.
     assert [simulate("2000"), simulate("100001")] == with_numpy
     check_golden("cli_simulate.txt", with_numpy[0].encode("utf-8"))
@@ -685,6 +684,27 @@ def test_a_flag_set_to_a_double_dash_takes_it_as_its_value(capsys, monkeypatch, 
     else:
         scenario = replace(CASES[0].scenario, **{flag[2:].replace("-", "_"): "--"})
         assert (code, out, err) == (0, render_tree_text(build_tree(scenario, 100)), "")
+
+
+@pytest.mark.parametrize("command, flag", [("render", "--format"), ("sweep", "--param"), ("tree", "--rounding")])
+def test_a_flag_with_choices_refuses_a_double_dash_before_any_file(capsys, monkeypatch, tmp_path, command, flag):
+    # Before Python 3.13, argparse drops the "--" of "--flag=--" and checks no choice; 3.13 refuses it itself.
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sweep.csv").write_bytes(b"kept\n")  # sweep's --out, which must not be opened
+    given = {**dict(zip(RATES[::2], RATES[1::2])), **_COMMAND_FLAGS[command]}
+    given.pop(flag, None)
+    errors = []
+    for value in ("--", "zz"):
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *(text for pair in given.items() for text in pair), f"{flag}={value}"])
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, out) == (2, "")
+        errors.append(err)
+    # The same usage block and line as argparse gives any other value it does not know.
+    assert f"error: argument {flag}: invalid choice: '--'" in errors[0]
+    assert errors[0] == errors[1].replace("'zz'", "'--'")
+    assert [path.name for path in tmp_path.iterdir()] == ["sweep.csv"]
+    assert (tmp_path / "sweep.csv").read_bytes() == b"kept\n"
 
 
 #: A child that runs the request in its later arguments, then names the modules of its first argument

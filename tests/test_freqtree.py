@@ -220,6 +220,12 @@ def test_minimal_integral_population_frozen_values():
     assert minimal_integral_population(CASES[0].scenario, cap=49) is None
 
 
+@pytest.mark.parametrize("cap", [0, -1])
+def test_minimal_integral_population_refuses_a_cap_below_one(cap):
+    with pytest.raises(ValueError, match="cap must be a positive integer"):
+        minimal_integral_population(CASES[0].scenario, cap)
+
+
 def test_minimal_integral_population_matches_a_direct_scan():
     def scan(scenario, cap):
         joints = (

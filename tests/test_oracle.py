@@ -202,7 +202,6 @@ def test_monte_carlo_matches_a_scalar_replay_at_edge_rates(monkeypatch, edge_uni
     else:
         monkeypatch.setitem(sys.modules, "numpy", None)
         monkeypatch.setattr(oracle, "_PYTHON_SAMPLE_BUDGET", 3 * EDGE_SAMPLES)
-        monkeypatch.setattr(oracle, "_python_samples_drawn", 0)
     if block is not None:
         monkeypatch.setattr(oracle, "_BLOCK_SAMPLES" if kernel == "numpy" else "_LANES", block)
     for scenario in (Scenario(rate, rate, rate), Scenario(rate, 0.75, 0.25), Scenario(0.5, rate, 1 - rate)):
@@ -415,25 +414,62 @@ def test_threads_and_block_size_changes_leave_the_counts_alone(monkeypatch):
         assert _counts_numpy(seeds[0][0], samples, *thresholds) == serial[0][0]
 
 
-#: A fresh process that spends the whole Python budget without NumPy, then makes one more call.
-_SPEND_THE_BUDGET = (
+#: A fresh process that makes eight calls of a quarter of the Python budget each, then one call past it.
+_SMALL_CALLS_THEN_ONE_PAST_THE_BUDGET = (
     "import sys\n"
     "from proofcalc import Scenario, monte_carlo_posterior\n"
     "from proofcalc.oracle import _PYTHON_SAMPLE_BUDGET\n"
     "scenario = Scenario('0.4', '1', '1')  # every sample shows the evidence\n"
-    "for seed in range(4):\n"
+    "for seed in range(8):\n"
     "    monte_carlo_posterior(scenario, _PYTHON_SAMPLE_BUDGET // 4, seed=seed)\n"
     "print('numpy' in sys.modules)\n"
-    "monte_carlo_posterior(scenario, 1)\n"
+    "monte_carlo_posterior(scenario, _PYTHON_SAMPLE_BUDGET + 1)\n"
     "print('numpy' in sys.modules)\n"
 )
 
 
-def test_a_process_past_its_python_budget_imports_numpy_on_its_next_call():
+def test_the_kernel_is_chosen_by_the_call_not_by_earlier_calls():
     pytest.importorskip("numpy")  # the child process imports it from the same installation
-    result = subprocess.run([sys.executable, "-c", _SPEND_THE_BUDGET], capture_output=True, text=True, check=False)
+    result = subprocess.run(
+        [sys.executable, "-c", _SMALL_CALLS_THEN_ONE_PAST_THE_BUDGET], capture_output=True, text=True, check=False
+    )
     assert result.returncode == 0, result.stderr
     assert result.stdout.split() == ["False", "True"]
+
+
+#: A fresh process whose first meta path finder counts each lookup of numpy and refuses it, as an
+#: install without NumPy would. It prints the lookups after 30 calls of 10^4 samples, those after
+#: one call past the Python budget, and whether every call counted what the Python kernel counts.
+_WITHOUT_NUMPY = (
+    "import sys\n"
+    "class NoNumpy:\n"
+    "    lookups = 0\n"
+    "    @classmethod\n"
+    "    def find_spec(cls, name, path=None, target=None):\n"
+    "        if name.partition('.')[0] == 'numpy':\n"
+    "            cls.lookups += 1\n"
+    "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+    "sys.meta_path.insert(0, NoNumpy)\n"
+    "from fractions import Fraction\n"
+    "from proofcalc import Scenario, monte_carlo_posterior\n"
+    "from proofcalc.oracle import _PYTHON_SAMPLE_BUDGET, _counts_python, _threshold53\n"
+    "scenario = Scenario('0.4', '0.8', '0.1')\n"
+    "thresholds = [_threshold53(rate) for rate in (0.4, 0.8, 0.1)]\n"
+    "def counts_as_python(samples, seed):\n"
+    "    result = monte_carlo_posterior(scenario, samples, seed=seed)\n"
+    "    conditioned, hits = _counts_python(seed, samples, *thresholds)\n"
+    "    return (result.samples_conditioned, result.estimate) == (conditioned, Fraction(hits, conditioned))\n"
+    "same = all([counts_as_python(10**4, seed) for seed in range(30)])\n"
+    "print(NoNumpy.lookups)\n"
+    "same = counts_as_python(_PYTHON_SAMPLE_BUDGET + 1, 30) and same\n"
+    "print(NoNumpy.lookups, same)\n"
+)
+
+
+def test_without_numpy_only_a_call_past_the_budget_looks_for_it():
+    result = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True, text=True, check=False)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.split() == ["0", "1", "True"]
 
 
 def test_monte_carlo_perfect_classifier_is_exact():
@@ -457,6 +493,16 @@ def test_monte_carlo_without_conditioned_samples_raises():
         monte_carlo_posterior(Scenario(0, 0.5, 0), 1000, seed=0)
     with pytest.raises(ValueError):
         monte_carlo_posterior(CASES[0].scenario, 0)
+
+
+def test_more_than_a_billion_samples_are_refused_before_either_kernel_runs(monkeypatch):
+    def never_simulate(*_):
+        raise AssertionError("the sample cap let a simulation start")
+
+    monkeypatch.setattr(oracle, "_counts_python", never_simulate)
+    monkeypatch.setattr(oracle, "_counts_numpy", never_simulate)
+    with pytest.raises(ValueError, match="samples must be at most 1000000000"):
+        monte_carlo_posterior(CASES[0].scenario, 10**9 + 1)
 
 
 def test_no_conditioned_samples_is_degenerate_evidence():

@@ -352,6 +352,14 @@ def test_an_exponent_of_four_times_the_cap_is_the_longest_read():
         parse_rate(f"0e-{4 * MAX_RATE_DIGITS + 1}")
 
 
+@pytest.mark.parametrize("text", ["+1/0", "1/0%"])
+def test_a_zero_denominator_read_by_fraction_is_a_value_error(text):
+    # A sign or a percent sends a slash spelling through Fraction, whose ZeroDivisionError is no ValueError.
+    with pytest.raises(ValueError) as excinfo:
+        parse_rate(text)
+    assert str(excinfo.value) == f"zero denominator in rate {text!r}"
+
+
 def test_format_exact_prefers_terminating_decimals():
     assert format_exact(Fraction(2, 5)) == "0.4"
     assert format_exact(Fraction(19, 20)) == "0.95"
