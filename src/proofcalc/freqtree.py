@@ -17,7 +17,7 @@ from fractions import Fraction
 
 from .core import (
     EXACT_RATIONAL, LARGEST_REMAINDER, ROUNDING_POLICIES,
-    DegenerateEvidence, Probability, Scenario, _check_population, _reduced, _sums_to, leaf_joints,
+    DegenerateEvidence, Probability, Scenario, _built, _check_population, _reduced, _sums_to, leaf_joints,
 )
 
 Count = int | Fraction
@@ -114,15 +114,10 @@ def build_tree(
         alarms = _half_up(comp * alarm.numerator, alarm.denominator)
         row2 = [hyp, comp]
         leaves = [hits, hyp - hits, alarms, comp - alarms]
-        residuals = tuple(_reduced(a * denominator - e, denominator, Fraction) for a, e in zip(leaves, expected))
-    return FrequencyTree(
-        population,
-        *row2,
-        *leaves,
-        counts_exact=exact,
-        rounding_residuals=residuals,
-        hypothesis_label=scenario.hypothesis_label,
-    )
+        residuals = _NO_RESIDUALS if exact else tuple(
+            _reduced(a * denominator - e, denominator, Fraction) for a, e in zip(leaves, expected)
+        )
+    return _built(FrequencyTree, population, *row2, *leaves, exact, residuals, scenario.hypothesis_label)
 
 
 def posterior_from_tree(tree: FrequencyTree) -> Probability:

@@ -163,7 +163,8 @@ def read_integer(name: str, text: str, line: int | None = None, digits: int = MA
     them, and ScenarioSyntaxError for text int() refuses; each names `name`
     (and `line`, when given).
     """
-    if sum(char.isdigit() for char in text) > digits:
+    # Only a text longer than the cap can hold more digits than it, so short ones skip the count.
+    if len(text) > digits and sum(char.isdigit() for char in text) > digits:
         raise RangeError(f"{name} may have at most {digits} digits", line)
     try:
         return int(text)

@@ -1,6 +1,7 @@
 """Frequency trees: exact counts, largest-remainder rounding, shortcut posterior."""
 
 import random
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,8 @@ from proofcalc import (
     ROUNDING_POLICIES,
     DegenerateEvidence,
     FrequencyTree,
+    PosteriorBreakdown,
+    Probability,
     Scenario,
     build_tree,
     compute_posterior,
@@ -209,6 +212,35 @@ def test_largest_remainder_matches_the_fraction_quota_apportioner(base, hit, ala
     assert tree.leaves == tuple(leaves)
     for count in (tree.hypothesis_count, tree.complement_count, *tree.leaves):
         assert type(count) is int
+
+
+# Rates with 1,000-digit denominators, parse_rate's cap, over the largest population, 10^1000 - 1.
+AT_CAP = (Fraction(10**999 + 7, 10**1000 - 1), Fraction(10**1000 - 3, 10**1000 - 1), Fraction(1, 10**1000 - 7))
+
+
+def field_values(value):
+    return [getattr(value, field.name) for field in fields(value)]
+
+
+@settings(deadline=None)
+@given(TREE_RATES, TREE_RATES, TREE_RATES, st.integers(1, 10**6))
+@example(*AT_CAP, 10**1000 - 1)
+def test_kernel_values_pass_the_checks_of_their_constructors(base, hit, alarm, population):
+    # build_tree and compute_posterior skip the __post_init__ checks; building each value by hand runs them.
+    scenario = Scenario(base, hit, alarm)
+    for rounding in ROUNDING_POLICIES:
+        tree = build_tree(scenario, population, rounding=rounding)
+        assert type(tree) is FrequencyTree
+        assert FrequencyTree(*field_values(tree)) == tree
+        assert type(tree.counts_exact) is bool and len(tree.rounding_residuals) == 4
+    try:
+        breakdown = compute_posterior(scenario)
+    except DegenerateEvidence:
+        assert base * hit + (1 - base) * alarm == 0
+        return
+    assert type(breakdown) is PosteriorBreakdown
+    assert PosteriorBreakdown(*field_values(breakdown)) == breakdown
+    assert all(type(value) is Probability for value in field_values(breakdown))
 
 
 def test_minimal_integral_population_frozen_values():
