@@ -26,7 +26,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from .core import (
@@ -100,7 +99,7 @@ def _load_document(args: argparse.Namespace) -> ScenarioDocument:
     # `get`, not `or`: a file's threshold of 0 is falsy and stays 0.
     threshold = flags.get("threshold", document.threshold)
     return ScenarioDocument(
-        scenario=replace(document.scenario, **labels) if labels else document.scenario,
+        scenario=document.scenario._replace(**labels) if labels else document.scenario,
         population=flags.get("population") or document.population or 100,
         threshold=PREPONDERANCE if threshold is None else threshold,
     )

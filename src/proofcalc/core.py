@@ -5,6 +5,8 @@ Everything here is computed with rational arithmetic, so posteriors like
 `leaf_joints_of`, derives the four leaf joints as integers from the rates'
 numerators and denominators; `compute_posterior`, `freqtree` and `sweep` build on it.
 `decide` returns one `Verdict`: the outcome, and the chance and kind of its error.
+The records are named tuples; the kernels build theirs with `tuple.__new__`,
+skipping the checks that a record built by hand goes through.
 All types are immutable values and all operations are pure functions; they
 are safe to call from any number of threads.
 """
@@ -13,11 +15,11 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 # Fraction's private slots, _numerator and _denominator, are read on measured hot paths, and break first if a Python
-# release renames them: here in Probability.__new__, PosteriorBreakdown.__post_init__, leaf_joints, _reduced (which
+# release renames them: here in Probability.__new__, PosteriorBreakdown.__new__, leaf_joints, _reduced (which
 # writes them), _outcome and decide; in sweep.sweep_rows; and in render._signed and render_tree_text.
 
 RateLike = "Probability | Fraction | int | float | str"
@@ -69,35 +71,41 @@ class Probability(Fraction):
         return self
 
 
-@dataclass(frozen=True)
-class Scenario:
+class _Checked:
+    """A named tuple whose `__new__` checks its fields. namedtuple's own `_make` builds with `tuple.__new__`,
+    and `_replace` (and, from Python 3.13, `copy.replace`) builds through `_make`; here `_make` calls the
+    class, so a replaced field is checked too."""
+
+    __slots__ = ()
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
+
+
+class Scenario(_Checked, namedtuple("Scenario", (*RATE_NAMES, "hypothesis_label", "evidence_label"))):
     """The three rates of the evidence model, plus display labels.
 
     base_rate          p(H): prior probability that the hypothesis condition holds
     hit_rate           p(E|H): probability of the evidence when it does
     false_alarm_rate   p(E|not H): probability of the evidence when it does not
 
-    Each rate only has to sit in [0, 1] on its own; there is no joint
-    constraint. Labels are presentation metadata and never enter any
-    computation.
+    Each rate is read as a Probability, so it only has to sit in [0, 1] on
+    its own; there is no joint constraint. Labels are presentation metadata
+    and never enter any computation.
     """
 
-    base_rate: Probability
-    hit_rate: Probability
-    false_alarm_rate: Probability
-    hypothesis_label: str = "runs on Main Street"
-    evidence_label: str = "is blue"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in RATE_NAMES:
-            value = getattr(self, name)
-            if type(value) is not Probability:
-                object.__setattr__(self, name, Probability(value))
+    def __new__(cls, base_rate: RateLike, hit_rate: RateLike, false_alarm_rate: RateLike,
+                hypothesis_label: str = "runs on Main Street", evidence_label: str = "is blue"):
+        rates = Probability(base_rate), Probability(hit_rate), Probability(false_alarm_rate)
+        return tuple.__new__(cls, (*rates, hypothesis_label, evidence_label))
 
 
-@dataclass(frozen=True)
-class PosteriorBreakdown:
-    """The four quantities of one Bayesian update.
+class PosteriorBreakdown(_Checked, namedtuple(
+        "PosteriorBreakdown", ("joint_hit", "joint_false_alarm", "evidence_marginal", "posterior"))):
+    """The four quantities of one Bayesian update, each a Probability.
 
     joint_hit          p(E and H)     = base_rate * hit_rate
     joint_false_alarm  p(E and not H) = (1 - base_rate) * false_alarm_rate
@@ -105,25 +113,18 @@ class PosteriorBreakdown:
     posterior          p(H | E)       = joint_hit / evidence_marginal
     """
 
-    joint_hit: Probability
-    joint_false_alarm: Probability
-    evidence_marginal: Probability
-    posterior: Probability
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("joint_hit", "joint_false_alarm", "evidence_marginal", "posterior"):
-            value = getattr(self, name)
-            if type(value) is not Probability:
-                object.__setattr__(self, name, Probability(value))
+    def __new__(cls, joint_hit: RateLike, joint_false_alarm: RateLike, evidence_marginal: RateLike,
+                posterior: RateLike):
+        values = tuple(map(Probability, (joint_hit, joint_false_alarm, evidence_marginal, posterior)))
         # The two identities of the docstring, cross-multiplied in integers.
-        h, dh = self.joint_hit._numerator, self.joint_hit._denominator
-        a, da = self.joint_false_alarm._numerator, self.joint_false_alarm._denominator
-        m, dm = self.evidence_marginal._numerator, self.evidence_marginal._denominator
-        p, dp = self.posterior._numerator, self.posterior._denominator
+        (h, dh), (a, da), (m, dm), (p, dp) = [(value._numerator, value._denominator) for value in values]
         if not _sums_to((h, dh), (a, da), (m, dm)):
             raise ValueError("evidence_marginal must equal joint_hit + joint_false_alarm")
         if p * m * dh != h * dp * dm:
             raise ValueError("posterior * evidence_marginal must equal joint_hit")
+        return tuple.__new__(cls, values)
 
 
 class Outcome(enum.Enum):
@@ -140,15 +141,13 @@ class ErrorKind(enum.Enum):
 PREPONDERANCE = Probability(1, 2)
 
 
-@dataclass(frozen=True)
-class Verdict:
-    """A threshold verdict on a posterior, the chance that it is wrong, and in which direction."""
+class Verdict(namedtuple("Verdict", ("outcome", "threshold", "posterior", "wrong_verdict_probability", "error_kind"))):
+    """A threshold verdict on a posterior, the chance that it is wrong, and in which direction.
 
-    outcome: Outcome
-    threshold: Probability
-    posterior: Probability
-    wrong_verdict_probability: Probability
-    error_kind: ErrorKind
+    outcome is an Outcome and error_kind an ErrorKind; the other three are Probabilities.
+    """
+
+    __slots__ = ()
 
 
 def _sums_to(first: tuple[int, int], second: tuple[int, int], total: tuple[int, int]) -> bool:
@@ -172,18 +171,6 @@ def leaf_joints(scenario: Scenario) -> tuple[int, ...]:
     """`leaf_joints_of` on a scenario's three rates, read from Fraction's slots."""
     b, h, a = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
     return leaf_joints_of(b._numerator, b._denominator, h._numerator, h._denominator, a._numerator, a._denominator)
-
-
-def _built(cls: type, *values):
-    """An instance of the frozen dataclass `cls` holding `values`, in field order, built without its
-    `__init__` and so without its `__post_init__` checks: for kernel results that pass those checks by
-    derivation, which tests pin. Each field is set on its own, as `__init__` sets it: filling
-    `__dict__` at once gave a report value on Python 3.11 about 170 B more memory (285 KB more for a
-    held 300-scenario report pass)."""
-    value = object.__new__(cls)
-    for name, field in zip(cls.__match_args__, values):
-        object.__setattr__(value, name, field)
-    return value
 
 
 def _check_population(population: int) -> None:
@@ -220,13 +207,12 @@ def compute_posterior(scenario: Scenario) -> PosteriorBreakdown:
         raise DegenerateEvidence(
             "evidence has zero probability under this scenario; the posterior is undefined"
         )
-    return _built(
-        PosteriorBreakdown,
+    return tuple.__new__(PosteriorBreakdown, (
         _reduced(joint_hit, denominator),
         _reduced(joint_false_alarm, denominator),
         _reduced(marginal, denominator),
         _reduced(joint_hit, marginal),
-    )
+    ))
 
 
 def _outcome(numerator: int, denominator: int, threshold: Probability) -> Outcome:
@@ -250,8 +236,9 @@ def decide(breakdown: PosteriorBreakdown, threshold: RateLike = PREPONDERANCE) -
     threshold, posterior = Probability(threshold), breakdown.posterior
     n, d = posterior._numerator, posterior._denominator
     if _outcome(n, d, threshold) is Outcome.FOR_MOVING_PARTY:
-        return Verdict(Outcome.FOR_MOVING_PARTY, threshold, posterior, _reduced(d - n, d), ErrorKind.FALSE_ALARM_VERDICT)
-    return Verdict(Outcome.FOR_DEFENDANT, threshold, posterior, posterior, ErrorKind.MISS_VERDICT)
+        return tuple.__new__(Verdict, (
+            Outcome.FOR_MOVING_PARTY, threshold, posterior, _reduced(d - n, d), ErrorKind.FALSE_ALARM_VERDICT))
+    return tuple.__new__(Verdict, (Outcome.FOR_DEFENDANT, threshold, posterior, posterior, ErrorKind.MISS_VERDICT))
 
 
 verdict_error_profile = decide  # the earlier name of `decide`, which callers such as bench/ still use

@@ -12,12 +12,12 @@ child's expected count half up, so ties go to the first branch.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
     EXACT_RATIONAL, LARGEST_REMAINDER, ROUNDING_POLICIES,
-    DegenerateEvidence, Probability, Scenario, _built, _check_population, _reduced, _sums_to, leaf_joints,
+    DegenerateEvidence, Probability, Scenario, _Checked, _check_population, _reduced, _sums_to, leaf_joints,
 )
 
 Count = int | Fraction
@@ -25,8 +25,9 @@ Count = int | Fraction
 _NO_RESIDUALS = (Fraction(0),) * 4
 
 
-@dataclass(frozen=True)
-class FrequencyTree:
+class FrequencyTree(_Checked, namedtuple("FrequencyTree", (
+        "population", "hypothesis_count", "complement_count", "hits", "quiet_hypothesis", "false_alarms",
+        "quiet_complement", "counts_exact", "rounding_residuals", "hypothesis_label"))):
     """Three-row natural-frequency decomposition of a reference population.
 
     Row 1 is the population; row 2 splits it by the hypothesis; row 3
@@ -39,31 +40,28 @@ class FrequencyTree:
     probability; all zero unless largest-remainder rounding moved counts.
     """
 
-    population: int
-    hypothesis_count: Count
-    complement_count: Count
-    hits: Count
-    quiet_hypothesis: Count
-    false_alarms: Count
-    quiet_complement: Count
-    counts_exact: bool
-    rounding_residuals: tuple[Fraction, Fraction, Fraction, Fraction] = _NO_RESIDUALS
-    hypothesis_label: str = "runs on Main Street"
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        _check_population(self.population)
+    def __new__(cls, population: int, hypothesis_count: Count, complement_count: Count, hits: Count,
+                quiet_hypothesis: Count, false_alarms: Count, quiet_complement: Count, counts_exact: bool,
+                rounding_residuals: tuple[Fraction, Fraction, Fraction, Fraction] = _NO_RESIDUALS,
+                hypothesis_label: str = "runs on Main Street"):
+        _check_population(population)
         # Each count as (numerator, denominator > 0); the checks cross-multiply them in integers.
-        hyp, comp, hits, quiet_hyp, alarms, quiet_comp = [
-            count.as_integer_ratio() for count in (self.hypothesis_count, self.complement_count, *self.leaves)
-        ]
-        if not _sums_to(hyp, comp, (self.population, 1)):
+        hyp, comp, hit, quiet_hyp, alarm, quiet_comp = [count.as_integer_ratio() for count in (
+            hypothesis_count, complement_count, hits, quiet_hypothesis, false_alarms, quiet_complement)]
+        if not _sums_to(hyp, comp, (population, 1)):
             raise ValueError("row 2 does not sum to the population")
-        if not _sums_to(hits, quiet_hyp, hyp):
+        if not _sums_to(hit, quiet_hyp, hyp):
             raise ValueError("hypothesis leaves do not sum to the hypothesis count")
-        if not _sums_to(alarms, quiet_comp, comp):
+        if not _sums_to(alarm, quiet_comp, comp):
             raise ValueError("complement leaves do not sum to the complement count")
-        if any(numerator < 0 for numerator, _ in (hits, quiet_hyp, alarms, quiet_comp)):
+        if any(numerator < 0 for numerator, _ in (hit, quiet_hyp, alarm, quiet_comp)):
             raise ValueError("counts must be nonnegative")
+        return tuple.__new__(cls, (
+            population, hypothesis_count, complement_count, hits, quiet_hypothesis, false_alarms, quiet_complement,
+            counts_exact, rounding_residuals, hypothesis_label,
+        ))
 
     @property
     def leaves(self) -> tuple[Count, Count, Count, Count]:
@@ -117,7 +115,7 @@ def build_tree(
         residuals = _NO_RESIDUALS if exact else tuple(
             _reduced(a * denominator - e, denominator, Fraction) for a, e in zip(leaves, expected)
         )
-    return _built(FrequencyTree, population, *row2, *leaves, exact, residuals, scenario.hypothesis_label)
+    return tuple.__new__(FrequencyTree, (population, *row2, *leaves, exact, residuals, scenario.hypothesis_label))
 
 
 def posterior_from_tree(tree: FrequencyTree) -> Probability:

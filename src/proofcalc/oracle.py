@@ -38,9 +38,9 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .core import DegenerateEvidence, Probability, Scenario, _check_population, _reduced
+from .core import DegenerateEvidence, Probability, Scenario, _Checked, _check_population, _reduced
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -91,20 +91,18 @@ def _threshold53(rate: float) -> int:
     return math.ceil(rate * 2**53)
 
 
-@dataclass(frozen=True)
-class SimResult:
+class SimResult(_Checked, namedtuple(
+        "SimResult", ("estimate", "standard_error", "samples_total", "samples_conditioned"))):
     """Monte Carlo estimate of the posterior plus its sampling uncertainty."""
 
-    estimate: Probability
-    standard_error: float
-    samples_total: int
-    samples_conditioned: int
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not 0 < self.samples_conditioned <= self.samples_total:
+    def __new__(cls, estimate: Probability, standard_error: float, samples_total: int, samples_conditioned: int):
+        if not 0 < samples_conditioned <= samples_total:
             raise ValueError("need 0 < samples_conditioned <= samples_total")
-        if self.standard_error < 0:
+        if standard_error < 0:
             raise ValueError("standard_error must be nonnegative")
+        return tuple.__new__(cls, (estimate, standard_error, samples_total, samples_conditioned))
 
 
 def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
@@ -320,9 +318,6 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
             f"none of the {samples} samples satisfied the evidence; cannot condition"
         )
     frequency = hits / conditioned
-    return SimResult(
-        estimate=_reduced(hits, conditioned),
-        standard_error=math.sqrt(frequency * (1.0 - frequency) / conditioned),
-        samples_total=samples,
-        samples_conditioned=conditioned,
-    )
+    return tuple.__new__(SimResult, (
+        _reduced(hits, conditioned), math.sqrt(frequency * (1.0 - frequency) / conditioned), samples, conditioned,
+    ))

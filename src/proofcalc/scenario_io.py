@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
@@ -77,13 +77,11 @@ class MissingKeyError(ScenarioParseError):
         super().__init__(f"missing required key {key!r}")
 
 
-@dataclass(frozen=True)
-class ScenarioDocument:
-    """A parsed scenario file: the scenario plus optional run parameters."""
+class ScenarioDocument(namedtuple("ScenarioDocument", ("scenario", "population", "threshold"), defaults=(None, None))):
+    """A parsed scenario file: the Scenario plus optional run parameters, a population (an int) and a
+    threshold (a Probability), each None when the file does not set it."""
 
-    scenario: Scenario
-    population: int | None = None
-    threshold: Probability | None = None
+    __slots__ = ()
 
 
 def parse_rate(text: str) -> Fraction:

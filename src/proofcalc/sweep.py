@@ -2,11 +2,11 @@
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import PREPONDERANCE, RATE_NAMES, Outcome, Probability, RateLike, Scenario, _outcome, _reduced, leaf_joints_of
+from .core import PREPONDERANCE, RATE_NAMES, Probability, RateLike, Scenario, _outcome, _reduced, leaf_joints_of
 from .scenario_io import format_exact, format_sig
 
 SWEEPABLE_PARAMETERS = RATE_NAMES
@@ -17,20 +17,17 @@ class EmptyGridError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    """One grid point; posterior and outcome are None where the evidence is degenerate."""
+class SweepRow(namedtuple("SweepRow", ("value", "posterior", "outcome"))):
+    """One grid point: its value and posterior (Probabilities) and its Outcome; posterior and outcome are None
+    where the evidence is degenerate."""
 
-    value: Probability
-    posterior: Probability | None
-    outcome: Outcome | None
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class SweepTable:
-    swept_parameter: str
-    threshold: Probability
-    rows: tuple[SweepRow, ...]
+class SweepTable(namedtuple("SweepTable", ("swept_parameter", "threshold", "rows"))):
+    """A swept rate's name, the verdict threshold (a Probability) and a tuple of SweepRows."""
+
+    __slots__ = ()
 
 
 def _slot(parameter: str) -> int:
@@ -62,12 +59,12 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
         joint_hit, _, joint_false_alarm, _, _ = leaf_joints_of(*rates)
         marginal = joint_hit + joint_false_alarm
         if marginal == 0:
-            yield SweepRow(value, None, None)
+            yield tuple.__new__(SweepRow, (value, None, None))
             continue
         posterior = _reduced(joint_hit, marginal)
         if posterior._numerator * marginal != joint_hit * posterior._denominator:
             raise ValueError("posterior * evidence_marginal must equal joint_hit")
-        yield SweepRow(value, posterior, _outcome(joint_hit, marginal, threshold))
+        yield tuple.__new__(SweepRow, (value, posterior, _outcome(joint_hit, marginal, threshold)))
     if previous is None:
         raise EmptyGridError("sweep grid is empty")
 

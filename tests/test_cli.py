@@ -6,7 +6,6 @@ import re
 import subprocess
 import sys
 import xml.dom.minidom
-from dataclasses import replace
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -682,7 +681,7 @@ def test_a_flag_set_to_a_double_dash_takes_it_as_its_value(capsys, monkeypatch, 
     elif flag == "--out":
         assert (code, out, err) == (0, "", "") and (tmp_path / "--").stat().st_size > 0
     else:
-        scenario = replace(CASES[0].scenario, **{flag[2:].replace("-", "_"): "--"})
+        scenario = CASES[0].scenario._replace(**{flag[2:].replace("-", "_"): "--"})
         assert (code, out, err) == (0, render_tree_text(build_tree(scenario, 100)), "")
 
 
@@ -747,17 +746,42 @@ def test_numpy_is_imported_only_to_simulate(tmp_path):
     assert loaded("simulate", *RATES, "--samples", "100001") == ["proofcalc.oracle", "numpy"]
 
 
-def test_requests_load_neither_typing_nor_pathlib(tmp_path):
-    # -S skips site, whose .pth hooks (an editable install's, say) may import both modules before
-    # proofcalc runs; so PYTHONPATH names the directory that holds this proofcalc. simulate runs
-    # small enough to draw in Python, because NumPy lives in site-packages.
+def _loaded_by_each_request(modules, tmp_path):
+    """(subcommand, the modules of `modules` it loaded) for one request of each subcommand, each run with -S.
+
+    -S skips site, whose .pth hooks (an editable install's, say) may import any module before
+    proofcalc runs; so PYTHONPATH names the directory that holds this proofcalc. simulate runs
+    small enough to draw in Python, because NumPy lives in site-packages.
+    """
     env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(proofcalc.__file__))}
     sweep = ("--param", "base_rate", "--from", "0", "--to", "1", "--steps", "3", "--out", str(tmp_path / "s.csv"))
     svg = ("--format", "svg-tree", "--out", str(tmp_path / "t.svg"))
     for command, *flags in (
         ("posterior",), ("verdict",), ("tree",), ("render", *svg), ("sweep", *sweep), ("simulate", "--samples", "10"),
     ):
-        assert _loaded(("typing", "pathlib"), command, *RATES, *flags, options=("-S",), env=env) == [], command
+        yield command, _loaded(modules, command, *RATES, *flags, options=("-S",), env=env)
+
+
+def test_requests_load_neither_typing_nor_pathlib(tmp_path):
+    for command, loaded in _loaded_by_each_request(("typing", "pathlib"), tmp_path):
+        assert loaded == [], command
+
+
+def test_requests_load_neither_dataclasses_nor_inspect(tmp_path):
+    # dataclasses imports inspect, and with it ast, dis and tokenize: about 11 ms of a request on Python 3.11.
+    # The records are named tuples, so no subcommand needs either. A Python whose argparse loads one of them
+    # itself is let off that one: the floor is a child, also run with -S, that only builds a one-argument parser.
+    modules = ("dataclasses", "inspect")
+    floor = subprocess.run(
+        [sys.executable, "-S", "-c",
+         "import argparse, sys\n"
+         "argparse.ArgumentParser().add_argument('x')\n"
+         "print('loaded:', *(name for name in sys.argv[1:] if name in sys.modules))\n",
+         *modules],
+        capture_output=True, text=True, check=True,
+    ).stdout.split()[1:]
+    for command, loaded in _loaded_by_each_request(modules, tmp_path):
+        assert set(loaded) <= set(floor), command
 
 
 def test_the_package_loads_each_name_from_its_module_on_first_use(tmp_path):

@@ -1,7 +1,8 @@
 """Posterior arithmetic, and threshold verdicts with their error profiles."""
 
+import copy
 import math
-from dataclasses import replace
+import pickle
 from fractions import Fraction
 from pathlib import Path
 
@@ -21,8 +22,11 @@ from proofcalc import (
     compute_posterior,
     decide,
     minimal_integral_population,
+    monte_carlo_posterior,
+    parse_scenario,
     verdict_error_profile,
 )
+from proofcalc.sweep import sweep
 
 from cases import CASE_IDS, CASES, display_matches
 
@@ -199,13 +203,13 @@ def test_posterior_is_strictly_monotone_in_each_rate():
     grid = [Fraction(i, 10) for i in range(1, 10)]
     anchor = Scenario(0.4, 0.8, 0.1)
 
-    rising = [compute_posterior(replace(anchor, base_rate=v)).posterior for v in grid]
+    rising = [compute_posterior(anchor._replace(base_rate=v)).posterior for v in grid]
     assert all(a < b for a, b in zip(rising, rising[1:]))
 
-    rising = [compute_posterior(replace(anchor, hit_rate=v)).posterior for v in grid]
+    rising = [compute_posterior(anchor._replace(hit_rate=v)).posterior for v in grid]
     assert all(a < b for a, b in zip(rising, rising[1:]))
 
-    falling = [compute_posterior(replace(anchor, false_alarm_rate=v)).posterior for v in grid]
+    falling = [compute_posterior(anchor._replace(false_alarm_rate=v)).posterior for v in grid]
     assert all(a > b for a, b in zip(falling, falling[1:]))
 
 
@@ -245,7 +249,7 @@ def test_compute_posterior_matches_a_naive_derivation(base, hit, alarm):
     assert breakdown.joint_false_alarm == joint_false_alarm
     assert breakdown.evidence_marginal == marginal
     assert breakdown.posterior == joint_hit / marginal
-    assert all(type(value) is Probability for value in vars(breakdown).values())
+    assert all(type(value) is Probability for value in breakdown)
 
 
 @settings(deadline=None)
@@ -283,3 +287,60 @@ def test_a_verdict_is_wrong_with_the_mass_on_the_other_side_of_its_outcome(base,
     assert (verdict.error_kind is ErrorKind.FALSE_ALARM_VERDICT) == moving
     assert verdict.wrong_verdict_probability == (1 - posterior if moving else posterior)
     assert type(verdict.wrong_verdict_probability) is Probability
+
+
+def _records():
+    """One value of each public record type, by name, each made by the function that returns it."""
+    scenario = Scenario("0.4", "0.8", "0.1")
+    breakdown = compute_posterior(scenario)
+    table = sweep(scenario, "base_rate", ["0", "1/2", "1"])
+    return {
+        "Scenario": scenario,
+        "PosteriorBreakdown": breakdown,
+        "Verdict": decide(breakdown),
+        "ScenarioDocument": parse_scenario("base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\npopulation = 7\n"),
+        "FrequencyTree": build_tree(scenario, 7),
+        "SweepRow": table.rows[1],
+        "SweepTable": table,
+        "SimResult": monte_carlo_posterior(scenario, 1000, seed=1),
+    }
+
+
+RECORDS = _records()
+
+
+@pytest.mark.parametrize("name", sorted(RECORDS))
+def test_a_record_pickles_and_refuses_assignment(name):
+    record = RECORDS[name]
+    assert type(record).__name__ == name
+    assert type(record)(*record) == record  # a kernel's record passes the checks of a hand-built one
+    loaded = pickle.loads(pickle.dumps(record))
+    assert type(loaded) is type(record) and loaded == record
+    with pytest.raises(AttributeError):
+        setattr(record, record._fields[0], record[0])
+    with pytest.raises(AttributeError):
+        record.note = "a record has no attributes besides its fields"
+
+
+def test_replace_runs_the_checks_of_the_constructor():
+    with pytest.raises(ValueError) as by_hand:
+        Scenario("3/2", "0.8", "0.1")
+    tree = RECORDS["FrequencyTree"]
+    refusals = [
+        (RECORDS["Scenario"], {"base_rate": "3/2"}, str(by_hand.value)),
+        (RECORDS["PosteriorBreakdown"], {"posterior": Fraction(1, 2)},
+         "posterior * evidence_marginal must equal joint_hit"),
+        (tree, {"hits": tree.hits + 1}, "hypothesis leaves do not sum to the hypothesis count"),
+        (RECORDS["SimResult"], {"samples_conditioned": 0}, "need 0 < samples_conditioned <= samples_total"),
+    ]
+    replacers = [lambda record, **changes: record._replace(**changes)]
+    if hasattr(copy, "replace"):  # Python 3.13 and later
+        replacers.append(copy.replace)
+    for replace in replacers:
+        for record, changes, message in refusals:
+            with pytest.raises(ValueError) as refused:
+                replace(record, **changes)
+            assert str(refused.value) == message
+        # What passes is converted as the constructor converts it.
+        assert replace(RECORDS["Scenario"], base_rate="1/2") == Scenario("1/2", "0.8", "0.1")
+        assert type(replace(RECORDS["Scenario"], base_rate="1/2").base_rate) is Probability

@@ -1,7 +1,6 @@
 """Frequency trees: exact counts, largest-remainder rounding, shortcut posterior."""
 
 import random
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -219,14 +218,14 @@ AT_CAP = (Fraction(10**999 + 7, 10**1000 - 1), Fraction(10**1000 - 3, 10**1000 -
 
 
 def field_values(value):
-    return [getattr(value, field.name) for field in fields(value)]
+    return [getattr(value, name) for name in value._fields]
 
 
 @settings(deadline=None)
 @given(TREE_RATES, TREE_RATES, TREE_RATES, st.integers(1, 10**6))
 @example(*AT_CAP, 10**1000 - 1)
 def test_kernel_values_pass_the_checks_of_their_constructors(base, hit, alarm, population):
-    # build_tree and compute_posterior skip the __post_init__ checks; building each value by hand runs them.
+    # build_tree and compute_posterior skip the constructor checks; building each value by hand runs them.
     scenario = Scenario(base, hit, alarm)
     for rounding in ROUNDING_POLICIES:
         tree = build_tree(scenario, population, rounding=rounding)

@@ -3,7 +3,6 @@
 import csv
 import io
 import itertools
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -64,7 +63,7 @@ def test_every_row_reproduces_compute_posterior():
     grid = [Fraction(i, 20) for i in range(21)]
     table = sweep(STANDARD, "false_alarm_rate", grid)
     for row in table.rows:
-        variant = replace(STANDARD, false_alarm_rate=row.value)
+        variant = STANDARD._replace(false_alarm_rate=row.value)
         assert row.posterior == compute_posterior(variant).posterior
 
 
@@ -161,7 +160,7 @@ def test_csv_rows_reparse_to_the_printed_posterior():
     assert len(rows) == 25
     for record in rows:
         assert record["param"] == "base_rate"
-        variant = replace(STANDARD, base_rate=parse_rate(record["value"]))
+        variant = STANDARD._replace(base_rate=parse_rate(record["value"]))
         recomputed = compute_posterior(variant).posterior
         assert format_sig(recomputed) == record["posterior"]
         expected = "for-moving-party" if recomputed > Fraction(1, 2) else "for-defendant"
@@ -190,7 +189,7 @@ def test_every_row_is_compute_posterior_and_decide_at_its_point(rates, parameter
     assert table.threshold == threshold and len(table.rows) == len(grid)
     for value, row in zip(grid, table.rows):
         assert row.value == value and type(row.value) is Probability
-        variant = replace(scenario, **{parameter: value})
+        variant = scenario._replace(**{parameter: value})
         try:
             breakdown = compute_posterior(variant)
         except DegenerateEvidence:
