@@ -98,7 +98,7 @@ def build_tree(
 
     *joints, denominator = leaf_joints(scenario)
     expected = [population * joint for joint in joints]
-    exact = all(count % denominator == 0 for count in expected)
+    exact = math.gcd(*expected, denominator) == denominator  # the denominator divides all four
     if rounding == EXACT_RATIONAL:
         hits, quiet_hyp, alarms, quiet_comp = expected
         row2 = [_as_count(hits + quiet_hyp, denominator), _as_count(alarms + quiet_comp, denominator)]
@@ -106,10 +106,10 @@ def build_tree(
         residuals = _NO_RESIDUALS
     else:
         base, hit, alarm = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
-        hyp = _half_up(population * base.numerator, base.denominator)
+        hyp = _half_up(population * base._numerator, base._denominator)
         comp = population - hyp
-        hits = _half_up(hyp * hit.numerator, hit.denominator)
-        alarms = _half_up(comp * alarm.numerator, alarm.denominator)
+        hits = _half_up(hyp * hit._numerator, hit._denominator)
+        alarms = _half_up(comp * alarm._numerator, alarm._denominator)
         row2 = [hyp, comp]
         leaves = [hits, hyp - hits, alarms, comp - alarms]
         residuals = _NO_RESIDUALS if exact else tuple(
@@ -131,10 +131,12 @@ def minimal_integral_population(scenario: Scenario, cap: int) -> int | None:
 
     Returns None when no such population exists within the cap. The answer
     is the least common multiple of the leaf probabilities' denominators,
-    since N * (a/b) is integral exactly when b divides N.
+    since N * (a/b) is integral exactly when b divides N. Over the common
+    denominator D that is D / gcd(D, j1, ..., j4): D divides each N * j
+    exactly when it divides N * gcd(j1, ..., j4).
     """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
     *joints, denominator = leaf_joints(scenario)
-    needed = math.lcm(*(denominator // math.gcd(joint, denominator) for joint in joints))
+    needed = denominator // math.gcd(*joints, denominator)
     return needed if needed <= cap else None

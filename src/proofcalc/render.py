@@ -1,13 +1,15 @@
 """Deterministic renderers: text trees, SVG trees, SVG proportion bars.
 
 Every renderer is a pure function of its inputs and emits byte-identical
-output across runs and platforms. The text tree is built line by line, its
-rows that depend only on the column width kept in a bounded cache. Each SVG
-template is built once, as literal pieces with a slot for each value that a
-call fills and joins once. All geometry is integers in hundredths of a
-pixel, the canvas divides exactly into the template's coordinates, and bar
-positions and percentages are exact integer ratios of the leaf joints,
-rounded once, ties to even, which keeps goldens stable.
+output across runs and platforms. The text tree is built line by line, each
+row's fields centred by `str.format` with the counts and labels passed as
+arguments, never into the format string; its rows that depend only on the
+column width are kept in a bounded cache. Each SVG template is built once,
+as literal pieces with a slot for each value that a call fills and joins
+once. All geometry is integers in hundredths of a pixel, the canvas divides
+exactly into the template's coordinates, and bar positions and percentages
+are exact integer ratios of the leaf joints, each rounded once, ties to
+even, and written as a decimal by one function, which keeps goldens stable.
 """
 
 from __future__ import annotations
@@ -18,6 +20,8 @@ from .core import Scenario, compute_posterior, leaf_joints
 from .scenario_io import check_label, format_fixed
 
 ROLE_LABELS = ("hits", "quiet hypothesis", "false alarms", "quiet complement")
+#: The widest role label: no leaf column is narrower than this plus two.
+_ROLE_WIDTH = max(map(len, ROLE_LABELS))
 
 #: SVG canvas in pixels, count and label font sizes, and the hypothesis and complement colours.
 WIDTH, HEIGHT = 640, 400
@@ -47,8 +51,12 @@ def _signed(value: Fraction) -> str:
 
 
 def _fields(width: int, *texts: str) -> str:
-    """Each text in a field `width` wide, the smaller half of its spare columns on the left; no trailing spaces."""
-    return "".join((" " * ((width - len(text)) // 2) + text).ljust(width) for text in texts).rstrip()
+    """Each text in a field `width` wide, the smaller half of its spare columns on the left; no trailing spaces.
+
+    `str.format`'s `^` centres that way. The texts go in as arguments, never into the format string, so a
+    label holding `{0}` or `{label}` is drawn as it is.
+    """
+    return ("{:^%d}" % width * len(texts)).format(*texts).rstrip()
 
 
 @lru_cache(maxsize=64)  # bounded: a long label widens the columns, and each width would keep its rows
@@ -72,13 +80,10 @@ def render_tree_text(tree: FrequencyTree) -> str:
     row2 = (str(tree.hypothesis_count), str(tree.complement_count))
     label = check_label("hypothesis_label", tree.hypothesis_label)
     row2_labels = (label, f"not ({label})")
-    leaf_cells = tuple(str(leaf) for leaf in tree.leaves)
+    leaf_cells = tuple(map(str, tree.leaves))
     # Every text gets at least two spare columns in its field (colw, 2·colw or 4·colw wide), so none overflows it.
     # The population needs no term of its own: a row-2 count has all but one of its digits, in half its field.
-    colw = max(
-        max(len(s) for s in leaf_cells + ROLE_LABELS) + 2,
-        -(-(max(len(s) for s in row2 + row2_labels) + 2) // 2),
-    )
+    colw = max(max(_ROLE_WIDTH, *map(len, leaf_cells)) + 2, -(-(max(map(len, row2 + row2_labels)) + 2) // 2))
 
     links, forks, roles = _fixed_rows(colw)
     text = "\n".join([
@@ -100,9 +105,13 @@ _X0, _BAR, _Y = WIDTH * 100 // 16, WIDTH * 100 * 7 // 8, HEIGHT * 100 // 32
 
 
 def _fixed(numerator: int, denominator: int, places: int) -> str:
-    """numerator/denominator rounded to an integer, ties to even as `round` does, then / 10**places as text."""
+    """numerator/denominator >= 0 rounded to an integer, ties to even as `round` does, then / 10**places as
+    text without trailing zeros, as `format_fixed` writes it: the rounding and the writing in one call."""
     quotient, remainder = divmod(numerator, denominator)
-    return format_fixed(quotient + (2 * remainder + (quotient & 1) > denominator), places)
+    whole, frac = divmod(quotient + (2 * remainder + (quotient & 1) > denominator), 10**places)
+    if not frac:
+        return str(whole)
+    return f"{whole}." + str(frac).zfill(places).rstrip("0")
 
 
 def _svg(parts: list[str]) -> str:
@@ -211,15 +220,15 @@ def render_proportion_bars_svg(scenario: Scenario) -> bytes:
         compute_posterior(scenario)  # raises DegenerateEvidence with the kernel's message
     # Hundredths of a pixel: the top split is _X0 + _BAR·hypothesis/total, and the hit bar,
     # hit/total wide, ends at the bottom split, _X0 + _BAR·hit/marginal.
-    fields = dict(
-        top=_fixed(_X0 * total + _BAR * hypothesis, total, 2), top_hit=_fixed(_BAR * hypothesis, total, 2),
-        top_rest=_fixed(_BAR * (total - hypothesis), total, 2), base=_fixed(1000 * hypothesis, total, 1),
-        split=_fixed(_X0 * marginal + _BAR * hit, marginal, 2), hit=_fixed(_BAR * hit, total, 2),
-        left=_fixed(_X0 * marginal * total + _BAR * hit * (total - marginal), marginal * total, 2),
-        alarm=_fixed(_BAR * alarm, total, 2), posterior=_fixed(1000 * hit, marginal, 1),
-        label=_escape(check_label("hypothesis_label", scenario.hypothesis_label)),
-        evidence=_escape(check_label("evidence_label", scenario.evidence_label)),
-    )
+    fields = {
+        "top": _fixed(_X0 * total + _BAR * hypothesis, total, 2), "top_hit": _fixed(_BAR * hypothesis, total, 2),
+        "top_rest": _fixed(_BAR * (total - hypothesis), total, 2), "base": _fixed(1000 * hypothesis, total, 1),
+        "split": _fixed(_X0 * marginal + _BAR * hit, marginal, 2), "hit": _fixed(_BAR * hit, total, 2),
+        "left": _fixed(_X0 * marginal * total + _BAR * hit * (total - marginal), marginal * total, 2),
+        "alarm": _fixed(_BAR * alarm, total, 2), "posterior": _fixed(1000 * hit, marginal, 1),
+        "label": _escape(check_label("hypothesis_label", scenario.hypothesis_label)),
+        "evidence": _escape(check_label("evidence_label", scenario.evidence_label)),
+    }
     parts = list(_bars_svg_template())
     parts[1::2] = map(fields.__getitem__, parts[1::2])
     return "".join(parts).encode("utf-8")

@@ -97,12 +97,8 @@ def parse_rate(text: str) -> Fraction:
     # Only a text longer than the budget can hold more digits than it, so short ones skip the count.
     if len(text) > 4 * MAX_RATE_DIGITS and sum(char.isdigit() for char in text) > 4 * MAX_RATE_DIGITS:
         raise RangeError(_RATE_TOO_LARGE)
-    ratio = _plain_ratio(text)
-    if ratio is not None:
-        if ratio[1] == 0:
-            raise ValueError(f"zero denominator in rate {text!r}")
-        rate = _reduced(*ratio, Fraction)
-    else:
+    rate = _plain_rate(text)
+    if rate is None:
         try:
             scale = abs(int(text.removesuffix("%").lower().partition("e")[2] or 0))
         except ValueError:  # no integer exponent (Fraction rejects the text) or too long a one
@@ -113,13 +109,13 @@ def parse_rate(text: str) -> Fraction:
             rate = Fraction(text[:-1].strip()) / 100 if text.endswith("%") else Fraction(text)
         except ZeroDivisionError:
             raise ValueError(f"zero denominator in rate {text!r}") from None
-    if abs(rate.numerator) >= _RATE_LIMIT or rate.denominator >= _RATE_LIMIT:
+    if abs(rate._numerator) >= _RATE_LIMIT or rate._denominator >= _RATE_LIMIT:
         raise RangeError(_RATE_TOO_LARGE)
     return rate
 
 
-def _plain_ratio(text: str) -> tuple[int, int] | None:
-    """The unreduced numerator and denominator of a plain spelling (see the module docstring), else None."""
+def _plain_rate(text: str) -> Fraction | None:
+    """The reduced Fraction of a plain spelling (see the module docstring), else None; ValueError for "n/0"."""
     if not text.isascii():
         return None
     body = text.removesuffix("%")
@@ -127,11 +123,15 @@ def _plain_ratio(text: str) -> tuple[int, int] | None:
     if slash:
         if len(body) < len(text) or not (numerator.isdigit() and denominator.isdigit()):
             return None
-        return int(numerator), int(denominator)
-    whole, _, places = body.partition(".")
-    if not (whole.isdigit() and (places.isdigit() or not places)):
-        return None
-    return int(whole + places), 10 ** len(places) * (100 if len(body) < len(text) else 1)
+        numerator, denominator = int(numerator), int(denominator)
+        if not denominator:
+            raise ValueError(f"zero denominator in rate {text!r}")
+    else:
+        whole, _, places = body.partition(".")
+        if not (whole.isdigit() and (places.isdigit() or not places)):
+            return None
+        numerator, denominator = int(whole + places), 10 ** len(places) * (100 if len(body) < len(text) else 1)
+    return _reduced(numerator, denominator, Fraction)
 
 
 def read_rate(name: str, text: str, line: int | None = None) -> Probability:
@@ -232,7 +232,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     lines = {}
     for number, raw in enumerate(text.removeprefix("\ufeff").split("\n"), 1):
         line = raw.strip()
-        if not line or line.startswith("#"):
+        if not line or line[0] == "#":
             continue
         if "=" not in line:
             raise ScenarioSyntaxError(f"expected 'key = value', got {raw.rstrip()!r}", number)

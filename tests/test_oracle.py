@@ -360,7 +360,9 @@ def test_monte_carlo_spans_block_boundaries_consistently():
     assert whole == chunked
 
 
-def test_a_repeat_numpy_call_in_a_thread_allocates_no_buffers():
+def test_a_repeat_numpy_call_in_a_thread_allocates_no_buffers(monkeypatch):
+    # No buffers left by an earlier test: the first call below makes them at the current block size.
+    monkeypatch.setattr(oracle, "_per_thread", None)
     pytest.importorskip("numpy")
     # A first call makes about 690 kB of block buffers; a call making them again would peak near 430 kB.
     thresholds = [_threshold53(rate) for rate in (0.4, 0.8, 0.1)]
@@ -505,6 +507,20 @@ def test_more_than_a_billion_samples_are_refused_before_either_kernel_runs(monke
         monte_carlo_posterior(CASES[0].scenario, 10**9 + 1)
 
 
+def test_exactly_a_billion_samples_pass_the_cap(monkeypatch):
+    calls = []
+
+    def fixed_counts(seed, samples, *thresholds):
+        calls.append(samples)
+        return 400, 320  # conditioned, hits: what a run would count, without drawing a sample
+
+    monkeypatch.setattr(oracle, "_counts_python", fixed_counts)
+    monkeypatch.setattr(oracle, "_counts_numpy", fixed_counts)
+    result = monte_carlo_posterior(CASES[0].scenario, 10**9)
+    assert calls == [10**9]
+    assert (result.samples_total, result.samples_conditioned, result.estimate) == (10**9, 400, Fraction(4, 5))
+
+
 def test_no_conditioned_samples_is_degenerate_evidence():
     assert issubclass(NoConditionedSamples, DegenerateEvidence)
 
@@ -524,3 +540,13 @@ def test_sim_result_validates_its_counts():
             samples_total=10,
             samples_conditioned=5,
         )
+
+
+def test_sim_result_accepts_every_sample_conditioned():
+    result = SimResult(estimate=Fraction(1, 2), standard_error=0.1, samples_total=10, samples_conditioned=10)
+    assert result.samples_conditioned == result.samples_total == 10
+
+
+def test_sim_result_accepts_a_zero_standard_error():
+    result = SimResult(estimate=Fraction(1), standard_error=0.0, samples_total=10, samples_conditioned=5)
+    assert result.standard_error == 0.0

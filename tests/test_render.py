@@ -378,11 +378,16 @@ LABEL_CHARS = st.characters(
 )
 #: Labels of 0-120 such characters, with tab, non-ASCII, CJK and markup characters made common.
 TREE_LABELS = st.text(st.one_of(st.sampled_from("\t é中文字&<> a"), LABEL_CHARS), max_size=120)
+#: TREE_LABELS, and labels built from `{`, `}`, `{0}` and `{label}`, which a template fill or a format
+#: string must copy as they are.
+BRACE_LABELS = st.one_of(
+    TREE_LABELS, st.lists(st.sampled_from(["{", "}", "{0}", "{label}", "&", "<x>", " "]), max_size=8).map("".join)
+)
 TREE_POPULATIONS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**1000 - 1))
 
 
 @settings(deadline=None)
-@given(TREE_RATES, TREE_RATES, TREE_RATES, TREE_LABELS, TREE_POPULATIONS, st.sampled_from(ROUNDING_POLICIES))
+@given(TREE_RATES, TREE_RATES, TREE_RATES, BRACE_LABELS, TREE_POPULATIONS, st.sampled_from(ROUNDING_POLICIES))
 # The reference's column width is the largest of four terms; render_tree_text keeps only the two that
 # can decide it. The floor of 10 and the population term never do: "quiet complement" alone needs 18
 # columns, and one of the two row-2 counts has at least all but one of the population's digits, in
@@ -393,6 +398,8 @@ TREE_POPULATIONS = st.one_of(st.integers(1, 10**6), st.integers(1, 10**1000 - 1)
 @example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "é中&<>\t" * 20, 100, LARGEST_REMAINDER)  # a row-2 label
 @example(Fraction(1, 10**12), Fraction(1), Fraction(0), "c", 10**1000 - 1, EXACT_RATIONAL)  # a row-2 count
 @example(Fraction(1, 2), Fraction(1, 2), Fraction(1, 2), "d", 10**999, LARGEST_REMAINDER)  # the population at its cap
+@example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "{0} & <x>", 100, LARGEST_REMAINDER)  # str.format fields
+@example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "{label}", 10, EXACT_RATIONAL)
 def test_text_tree_bytes_equal_the_reference(base, hit, alarm, label, population, rounding):
     tree = build_tree(Scenario(base, hit, alarm, hypothesis_label=label), population, rounding)
     assert render_tree_text(tree) == _reference_tree_text(tree)
@@ -439,14 +446,8 @@ def _reference_tree_svg(tree) -> bytes:
     return template.format(*counts).encode("utf-8")
 
 
-#: TREE_LABELS, and labels built from `{`, `}`, `{0}` and `{label}`, which a template fill must copy as they are.
-SVG_TREE_LABELS = st.one_of(
-    TREE_LABELS, st.lists(st.sampled_from(["{", "}", "{0}", "{label}", "&", "<x>", " "]), max_size=8).map("".join)
-)
-
-
 @settings(deadline=None)
-@given(TREE_RATES, TREE_RATES, TREE_RATES, SVG_TREE_LABELS, TREE_POPULATIONS, st.sampled_from(ROUNDING_POLICIES))
+@given(TREE_RATES, TREE_RATES, TREE_RATES, BRACE_LABELS, TREE_POPULATIONS, st.sampled_from(ROUNDING_POLICIES))
 @example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "{0} & <x>", 100, LARGEST_REMAINDER)
 @example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), "{label}", 10, EXACT_RATIONAL)
 @example(Fraction(1, 3), Fraction(1, 7), Fraction(1, 10**12 - 1), "}{", 10, EXACT_RATIONAL)  # p/q leaf counts
