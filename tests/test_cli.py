@@ -11,7 +11,6 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-import proofcalc
 from proofcalc import (
     ROUNDING_POLICIES, build_tree, compute_posterior, parse_scenario, render_proportion_bars_svg, render_tree_svg,
     render_tree_text,
@@ -20,7 +19,7 @@ from proofcalc.cli import SVG_BARS, SVG_TREE, main
 from proofcalc.sweep import SWEEPABLE_PARAMETERS
 
 from cases import CASES
-from conftest import check_golden
+from conftest import check_golden, run_strict
 
 RATES = ["--base-rate", "0.4", "--hit-rate", "0.8", "--false-alarm-rate", "0.1"]
 LOW_PRIOR = ["--base-rate", "0.1", "--hit-rate", "0.8", "--false-alarm-rate", "0.1"]
@@ -178,12 +177,11 @@ def test_sweep_memory_does_not_grow_with_the_step_count(tmp_path):
     peaks = {}
     for steps in (10, 100_000):
         target = tmp_path / f"{steps}.csv"
-        result = subprocess.run(
-            [sys.executable, "-c", launcher, *RATES, "--param", "hit_rate", "--from", "0", "--to", "1",
-             "--steps", str(steps), "--out", str(target)],
-            capture_output=True, text=True, check=False,
+        result = run_strict(
+            "-c", launcher, *RATES, "--param", "hit_rate", "--from", "0", "--to", "1",
+            "--steps", str(steps), "--out", str(target), capture_output=True, text=True,
         )
-        assert result.returncode == 0, result.stderr
+        assert (result.returncode, result.stderr) == (0, ""), result.stderr
         assert target.read_text().count("\n") == steps + 1
         peaks[steps] = int(result.stdout) / 1024
     assert peaks[100_000] - peaks[10] < 10, peaks
@@ -200,19 +198,34 @@ def test_simulate_is_deterministic_given_the_seed(capsys):
     assert other_seed != first
 
 
-def test_the_readme_simulate_example_prints_what_the_readme_shows(capsys):
+def _readme_transcripts():
+    """{subcommand: [(argv, the text README shows it print), ...]} for each ``` block that starts `$ proofcalc`."""
     with open(os.path.join(os.path.dirname(__file__), "..", "README.md"), encoding="utf-8") as file:
-        readme = file.read()
-    block = readme.split("\n### simulate\n", 1)[1].split("```\n", 1)[1].split("\n```", 1)[0]
-    lines = block.splitlines(keepends=True)
-    last = next(i for i, line in enumerate(lines) if not line.rstrip("\n").endswith("\\"))
-    argv = "".join(lines[: last + 1]).replace("\\\n", " ").split()
-    # 100,000 samples: the whole Python budget in a fresh process, or six full NumPy blocks of 2^14 and
-    # one partial block once NumPy is loaded. Both kernels print the same bytes.
-    assert argv[:2] == ["$", "proofcalc"] and "100000" in argv
-    code, out, err = run(capsys, *argv[2:])
-    assert code == 0 and err == ""
-    assert out.encode("utf-8") == ("".join(lines[last + 1 :]) + "\n").encode("utf-8")
+        blocks = re.findall(r"^```\n(\$ proofcalc .*?)^```$", file.read(), re.MULTILINE | re.DOTALL)
+    transcripts = {}
+    for block in blocks:
+        steps = []
+        for line in block.replace("\\\n", " ").splitlines(keepends=True):
+            if line.startswith("$ "):
+                steps.append((line[2:].split(), []))
+            else:
+                steps[-1][1].append(line)
+        transcripts[steps[0][0][1]] = [(argv, "".join(shown)) for argv, shown in steps]
+    return transcripts
+
+
+@pytest.mark.parametrize("subcommand", ["posterior", "verdict", "tree", "sweep", "simulate"])
+def test_a_readme_transcript_prints_what_the_readme_shows(tmp_path, subcommand):
+    # The sweep block writes sweep.csv in the working directory, then shows it with `cat`. simulate's
+    # 100,000 samples are the whole Python budget in a fresh process; both kernels print the same bytes.
+    for argv, shown in _readme_transcripts()[subcommand]:
+        if argv[0] == "cat":
+            assert (tmp_path / argv[1]).read_bytes() == shown.encode("utf-8")
+            continue
+        assert argv[0] == "proofcalc"
+        result = run_strict("-m", *argv, cwd=tmp_path, capture_output=True)
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert result.stdout == shown.encode("utf-8")
 
 
 def test_simulate_rejects_more_than_a_billion_samples(capsys, monkeypatch):
@@ -470,10 +483,9 @@ def test_a_label_flag_outside_xml_characters_is_refused(capsys, tmp_path, flag, 
 
 def test_a_label_from_argv_bytes_that_are_not_utf8_names_its_flag(tmp_path):
     out_path = tmp_path / "tree.svg"
-    result = subprocess.run(
-        [sys.executable, "-m", "proofcalc", "render", *RATES, "--format", "svg-tree", "--out", str(out_path),
-         "--hypothesis-label", b"\xff"],
-        capture_output=True, check=False,
+    result = run_strict(
+        "-m", "proofcalc", "render", *RATES, "--format", "svg-tree", "--out", str(out_path),
+        "--hypothesis-label", b"\xff", capture_output=True,
     )
     assert result.returncode == 2 and result.stdout == b""
     assert result.stderr == b"error: --hypothesis-label may not contain '\\udcff', which XML 1.0 cannot carry\n"
@@ -587,9 +599,9 @@ def test_an_endless_scenario_file_exits_2_with_one_line_in_bounded_memory():
     def limit_memory():
         resource.setrlimit(resource.RLIMIT_AS, (400 << 20, 400 << 20))
 
-    result = subprocess.run(
-        [sys.executable, "-m", "proofcalc", "posterior", "--scenario", "/dev/zero"],
-        capture_output=True, text=True, preexec_fn=limit_memory, check=False,
+    result = run_strict(
+        "-m", "proofcalc", "posterior", "--scenario", "/dev/zero", capture_output=True, text=True,
+        preexec_fn=limit_memory,
     )
     assert result.returncode == 2 and result.stdout == ""
     assert result.stderr == "error: --scenario: a scenario file may have at most 1048576 characters\n"
@@ -639,6 +651,23 @@ def test_usage_errors_from_argparse_exit_2(capsys):
         main([])
     assert excinfo.value.code == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["", "posterior", "verdict", "tree", "render", "sweep", "simulate"])
+def test_help_exits_0_and_wraps_to_columns(capsys, monkeypatch, command):
+    # argparse's layout changes between Pythons, so this compares one Python's two widths, not bytes.
+    texts = []
+    for columns in ("60", "200"):
+        monkeypatch.setenv("COLUMNS", columns)
+        with pytest.raises(SystemExit) as excinfo:
+            main([*command.split(), "--help"])
+        out, err = capsys.readouterr()
+        assert (excinfo.value.code, err) == (0, "")
+        assert out.startswith(f"usage: proofcalc {command}".rstrip())
+        texts.append(out)
+    narrow, wide = texts
+    assert len(narrow.splitlines()) > len(wide.splitlines())
+    assert max(map(len, wide.splitlines())) > 60
 
 
 #: Flags each command needs besides the rates, by name, with values that run.
@@ -717,12 +746,9 @@ _LOADED = (
 )
 
 
-def _loaded(modules, *argv, options=(), env=None):
-    result = subprocess.run(
-        [sys.executable, *options, "-c", _LOADED, ",".join(modules), *argv],
-        capture_output=True, text=True, env=env, check=False,
-    )
-    assert result.returncode == 0, result.stderr
+def _loaded(modules, *argv, options=()):
+    result = run_strict(*options, "-c", _LOADED, ",".join(modules), *argv, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
     return result.stdout.splitlines()[-1].split()[1:]
 
 
@@ -750,16 +776,15 @@ def _loaded_by_each_request(modules, tmp_path):
     """(subcommand, the modules of `modules` it loaded) for one request of each subcommand, each run with -S.
 
     -S skips site, whose .pth hooks (an editable install's, say) may import any module before
-    proofcalc runs; so PYTHONPATH names the directory that holds this proofcalc. simulate runs
-    small enough to draw in Python, because NumPy lives in site-packages.
+    proofcalc runs; run_strict's PYTHONPATH still finds this proofcalc. simulate runs small enough
+    to draw in Python, because NumPy lives in site-packages.
     """
-    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(proofcalc.__file__))}
     sweep = ("--param", "base_rate", "--from", "0", "--to", "1", "--steps", "3", "--out", str(tmp_path / "s.csv"))
     svg = ("--format", "svg-tree", "--out", str(tmp_path / "t.svg"))
     for command, *flags in (
         ("posterior",), ("verdict",), ("tree",), ("render", *svg), ("sweep", *sweep), ("simulate", "--samples", "10"),
     ):
-        yield command, _loaded(modules, command, *RATES, *flags, options=("-S",), env=env)
+        yield command, _loaded(modules, command, *RATES, *flags, options=("-S",))
 
 
 def test_requests_load_neither_typing_nor_pathlib(tmp_path):
@@ -770,15 +795,15 @@ def test_requests_load_neither_typing_nor_pathlib(tmp_path):
 def test_requests_load_neither_dataclasses_nor_inspect(tmp_path):
     # dataclasses imports inspect, and with it ast, dis and tokenize: about 11 ms of a request on Python 3.11.
     # The records are named tuples, so no subcommand needs either. A Python whose argparse loads one of them
-    # itself is let off that one: the floor is a child, also run with -S, that only builds a one-argument parser.
+    # itself is let off that one: the floor, started as the requests are (run_strict with -S), only builds a
+    # one-argument parser.
     modules = ("dataclasses", "inspect")
-    floor = subprocess.run(
-        [sys.executable, "-S", "-c",
-         "import argparse, sys\n"
-         "argparse.ArgumentParser().add_argument('x')\n"
-         "print('loaded:', *(name for name in sys.argv[1:] if name in sys.modules))\n",
-         *modules],
-        capture_output=True, text=True, check=True,
+    floor = run_strict(
+        "-S", "-c",
+        "import argparse, sys\n"
+        "argparse.ArgumentParser().add_argument('x')\n"
+        "print('loaded:', *(name for name in sys.argv[1:] if name in sys.modules))\n",
+        *modules, capture_output=True, text=True, check=True,
     ).stdout.split()[1:]
     for command, loaded in _loaded_by_each_request(modules, tmp_path):
         assert set(loaded) <= set(floor), command
@@ -806,11 +831,8 @@ def test_the_package_loads_each_name_from_its_module_on_first_use(tmp_path):
         "             '--steps', '3', '--out', sys.argv[1]]) == 0\n"
         "assert proofcalc.sweep is sys.modules['proofcalc.sweep'], 'after'\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "sweep.csv"), *RATES],
-        capture_output=True, text=True, check=False,
-    )
-    assert result.returncode == 0, result.stderr
+    result = run_strict("-c", script, str(tmp_path / "sweep.csv"), *RATES, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
 
 
 @pytest.mark.parametrize(
@@ -886,11 +908,8 @@ def test_no_network_or_xml_module_is_imported(tmp_path):
         "          if name in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
-    result = subprocess.run(
-        [sys.executable, "-c", script, str(tmp_path / "tree.svg"), *RATES],
-        capture_output=True, text=True, check=False,
-    )
-    assert result.returncode == 0, result.stderr
+    result = run_strict("-c", script, str(tmp_path / "tree.svg"), *RATES, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
 
 
 #: The environment without PYTHONUNBUFFERED: with it set, a failed write to stdout fails at once
@@ -900,9 +919,8 @@ PRINTING = ["posterior", "verdict", "tree", "simulate"]
 
 
 def _run_into(stdout, command):
-    return subprocess.run(
-        [sys.executable, "-m", "proofcalc", command, *RATES],
-        stdout=stdout, stderr=subprocess.PIPE, text=True, env=BUFFERED, check=False,
+    return run_strict(
+        "-m", "proofcalc", command, *RATES, stdout=stdout, stderr=subprocess.PIPE, text=True, env=BUFFERED
     )
 
 
@@ -927,15 +945,86 @@ def test_a_closed_pipe_on_stdout_exits_2_with_one_line(command):
     assert result.stderr.startswith(f"error: [Errno {errno.EPIPE}]") and result.stderr.count("\n") == 1
 
 
-def test_module_entry_point_round_trip():
-    result = subprocess.run(
-        [sys.executable, "-m", "proofcalc", "posterior", *RATES],
-        capture_output=True,
-        text=True,
-        check=False,
-    )
-    assert result.returncode == 0
-    assert "16/19" in result.stdout
+# ------------------------------------------------ each subcommand in a fresh process under -X dev -W error
+
+#: The files in each strict request's working directory.
+_STRICT_FILES = {
+    # Each rate spelling (decimal, percent, fraction), a population and a threshold.
+    "bus.scenario": b"base_rate = 0.4\nhit_rate = 80%\nfalse_alarm_rate = 1/10\npopulation = 1000\nthreshold = 0.75\n",
+    # Labels that hold template braces and markup.
+    "braces.scenario":
+        b"base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\nhypothesis_label = {0} & <x>\nevidence_label = {label}\n",
+    # A label line holding byte 0xe9 (Latin-1 "é"), which is not UTF-8.
+    "latin1.scenario": b"base_rate = 0.4\nhit_rate = 0.8\nfalse_alarm_rate = 0.1\nhypothesis_label = caf\xe9\n",
+    # The --out file of a refused sweep, which must be left as it is.
+    "kept.csv": b"kept\n",
+}
+_R = " ".join(RATES)
+_ONE_ERROR_LINE = "error: [^\n]*\n"
+
+
+def _invalid_choice(flag):
+    """argparse's usage block and its line for a choice it does not know, as it writes them for '--'."""
+    return f"(?s)usage: .*: error: argument {flag}: invalid choice: '--'[^\n]*\n"
+
+
+#: (id, request, its exit code, a pattern its whole stderr must match)
+_STRICT_REQUESTS = [
+    # Clean runs: exit 0 with nothing on stderr. Each SVG written must parse as XML.
+    ("posterior", f"posterior {_R}", 0, ""),
+    ("verdict-threshold", f"verdict {_R} --threshold 0.9", 0, ""),
+    ("tree-exact", f"tree {_R} --rounding exact-rational", 0, ""),
+    ("render-svg-tree", f"render {_R} --format svg-tree --out tree.svg", 0, ""),
+    ("render-svg-bars", f"render {_R} --format svg-bars --out bars.svg", 0, ""),
+    ("render-braces-svg-tree", "render --scenario braces.scenario --format svg-tree --out braces-tree.svg", 0, ""),
+    ("render-braces-svg-bars", "render --scenario braces.scenario --format svg-bars --out braces-bars.svg", 0, ""),
+    ("sweep", f"sweep {_R} --param base_rate --from 0 --to 1 --steps 5 --out sweep.csv", 0, ""),
+    # 1,000 and 100,000 samples draw in Python; 200,000 take the NumPy kernel, which runs with no
+    # np.errstate (so a wraparound warning fails here), or, without NumPy, the Python one. The last
+    # two runs put the hit rate below the false-alarm rate.
+    ("simulate-1000", f"simulate {_R} --samples 1000", 0, ""),
+    ("simulate-100000", f"simulate {_R} --samples 100000", 0, ""),
+    ("simulate-200000", f"simulate {_R} --samples 200000", 0, ""),
+    ("simulate-low-hit-100000", "simulate --base-rate 0.4 --hit-rate 0.3 --false-alarm-rate 0.6 --samples 100000", 0, ""),
+    ("simulate-low-hit-200000", "simulate --base-rate 0.4 --hit-rate 0.3 --false-alarm-rate 0.6 --samples 200000", 0, ""),
+    ("posterior-file", "posterior --scenario bus.scenario", 0, ""),
+    ("verdict-file", "verdict --scenario bus.scenario", 0, ""),
+    ("tree-file-exact", "tree --scenario bus.scenario --rounding exact-rational", 0, ""),
+    # Refusals, each with one stderr line: a rate out of range, a population below 1, a flag that
+    # overrides a file's value out of range, degenerate evidence, a "--flag=--" value (which argparse
+    # before 3.13 stores as []), and a scenario file that is not UTF-8, refused at the line of its byte.
+    ("posterior-rate-out-of-range", "posterior --base-rate 1.5 --hit-rate 0.8 --false-alarm-rate 0.1", 2, _ONE_ERROR_LINE),
+    ("tree-population-0", f"tree {_R} --population 0", 2, _ONE_ERROR_LINE),
+    ("verdict-file-threshold-2", "verdict --scenario bus.scenario --threshold 2", 2, _ONE_ERROR_LINE),
+    ("posterior-degenerate", "posterior --base-rate 0.4 --hit-rate 0 --false-alarm-rate 0", 3, _ONE_ERROR_LINE),
+    ("simulate-samples=--", f"simulate {_R} --samples=--", 2, _ONE_ERROR_LINE),
+    ("tree-file-not-utf8", "tree --scenario latin1.scenario", 2, "error: line 4: [^\n]*\n"),
+    # A "--flag=--" value of each flag with choices, which argparse before 3.13 passed on unchecked:
+    # argparse's usage block, before render or sweep opens its --out file.
+    ("render-format=--", f"render {_R} --format=-- --out dashes.svg", 2, _invalid_choice("--format")),
+    ("sweep-param=--", f"sweep {_R} --param=-- --from 0 --to 1 --steps 5 --out kept.csv", 2, _invalid_choice("--param")),
+    ("tree-rounding=--", f"tree {_R} --rounding=--", 2, _invalid_choice("--rounding")),
+]
+
+
+@pytest.mark.parametrize("command, code, stderr", [case[1:] for case in _STRICT_REQUESTS],
+                         ids=[case[0] for case in _STRICT_REQUESTS])
+def test_a_request_in_a_strict_process(tmp_path, command, code, stderr):
+    # Under -X dev -W error an unclosed file, or a deprecation (in core's reads of Fraction's slots,
+    # say), fails the request or writes a warning to stderr, which no row allows.
+    for name, data in _STRICT_FILES.items():
+        (tmp_path / name).write_bytes(data)
+    before = {path.name: path.read_bytes() for path in tmp_path.iterdir()}
+    argv = command.split()
+    result = run_strict("-m", "proofcalc", *argv, cwd=tmp_path, capture_output=True, text=True)
+    assert result.returncode == code, result.stderr
+    assert re.fullmatch(stderr, result.stderr), result.stderr
+    if code:
+        # A refusal prints nothing and creates, writes or changes no file.
+        assert result.stdout == ""
+        assert {path.name: path.read_bytes() for path in tmp_path.iterdir()} == before
+    elif argv[-1].endswith(".svg"):
+        xml.dom.minidom.parse(str(tmp_path / argv[-1]))
 
 
 # ------------------------------------------------ the CLI contract over generated values

@@ -1,7 +1,6 @@
 """Enumeration and Monte Carlo cross-checks of the analytic posterior."""
 
 import math
-import subprocess
 import sys
 import threading
 import tracemalloc
@@ -27,6 +26,7 @@ import proofcalc.oracle as oracle
 from proofcalc.oracle import _counts_numpy, _counts_python, _threshold53, splitmix64
 
 from cases import CASE_IDS, CASES
+from conftest import run_strict
 
 
 def uniform53(seed, index):
@@ -432,10 +432,8 @@ _SMALL_CALLS_THEN_ONE_PAST_THE_BUDGET = (
 
 def test_the_kernel_is_chosen_by_the_call_not_by_earlier_calls():
     pytest.importorskip("numpy")  # the child process imports it from the same installation
-    result = subprocess.run(
-        [sys.executable, "-c", _SMALL_CALLS_THEN_ONE_PAST_THE_BUDGET], capture_output=True, text=True, check=False
-    )
-    assert result.returncode == 0, result.stderr
+    result = run_strict("-c", _SMALL_CALLS_THEN_ONE_PAST_THE_BUDGET, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
     assert result.stdout.split() == ["False", "True"]
 
 
@@ -469,8 +467,8 @@ _WITHOUT_NUMPY = (
 
 
 def test_without_numpy_only_a_call_past_the_budget_looks_for_it():
-    result = subprocess.run([sys.executable, "-c", _WITHOUT_NUMPY], capture_output=True, text=True, check=False)
-    assert result.returncode == 0, result.stderr
+    result = run_strict("-c", _WITHOUT_NUMPY, capture_output=True, text=True)
+    assert (result.returncode, result.stderr) == (0, ""), result.stderr
     assert result.stdout.split() == ["0", "1", "True"]
 
 

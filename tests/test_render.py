@@ -20,7 +20,6 @@ from proofcalc import (
     render_tree_text,
 )
 import proofcalc.render as render
-from proofcalc.scenario_io import format_fixed
 
 from cases import BARS_POSTERIOR, BARS_SCENARIO, CASE_IDS, CASES
 from conftest import check_golden
@@ -210,11 +209,17 @@ def test_bars_degenerate_evidence_raises():
 def _reference_bars_svg(scenario: Scenario) -> bytes:
     """The bars renderer as it was before its template: Fraction geometry, quantized per coordinate.
 
-    Frozen here as the reference for the template renderer's bytes; it shares no helper with `render`.
+    Frozen here as the reference for the template renderer's bytes; it shares no helper with `render`,
+    and writes its numbers itself rather than with `scenario_io.format_fixed`, which `render` uses.
     """
 
+    def fixed(value, places):
+        """`value` rounded to `places` decimals, ties to even, written without trailing zeros."""
+        whole, frac = divmod(round(value * 10**places), 10**places)
+        return f"{whole}.{frac:0{places}}".rstrip("0").rstrip(".")
+
     def coord(value):
-        return format_fixed(round(value * 100), 2)
+        return fixed(value, 2)
 
     def text(x, y, content, fill, anchor="middle"):
         content = content.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
@@ -257,7 +262,7 @@ def _reference_bars_svg(scenario: Scenario) -> bytes:
     parts.append(text(x0, h * 2 / 16, scenario.hypothesis_label, blue, "start"))
     parts.append(text(x0 + bar_w, h * 2 / 16, f"not ({scenario.hypothesis_label})", orange, "end"))
     for x, y, share in ((top_split, top_y + bar_h + h / 32, base), (bottom_split, bottom_y - h / 32, posterior)):
-        parts.append(text(x, y, format_fixed(round(share * 1000), 1) + "%", "#000000"))
+        parts.append(text(x, y, fixed(share * 100, 1) + "%", "#000000"))
     parts.append(text(x0, h * 29 / 32, f"hits ({scenario.evidence_label})", blue, "start"))
     parts.append(text(x0 + bar_w, h * 29 / 32, "false alarms", orange, "end"))
     parts.append("</svg>")
