@@ -84,7 +84,7 @@ class ScenarioDocument(namedtuple("ScenarioDocument", ("scenario", "population",
     __slots__ = ()
 
 
-def parse_rate(text: str) -> Fraction:
+def parse_rate(text: str, *, cls: type = Fraction) -> Fraction:
     """Convert '0.4', '40%' or '2/5' to an exact Fraction.
 
     Raises ValueError on anything else (including 'inf'/'nan'), and
@@ -92,12 +92,14 @@ def parse_rate(text: str) -> Fraction:
     MAX_RATE_DIGITS digits. Texts with more than four times that many digits
     or an exponent past it ('1e-20000') are refused before a number is built:
     int() reads that many, and format_exact never writes more for a rate.
+    A plain spelling is built as `cls`, a subclass of Fraction, without that
+    class's own checks; read_rate passes Probability and checks the range.
     """
     text = text.strip()
     # Only a text longer than the budget can hold more digits than it, so short ones skip the count.
     if len(text) > 4 * MAX_RATE_DIGITS and sum(char.isdigit() for char in text) > 4 * MAX_RATE_DIGITS:
         raise RangeError(_RATE_TOO_LARGE)
-    rate = _plain_rate(text)
+    rate = _plain_rate(text, cls)
     if rate is None:
         try:
             scale = abs(int(text.removesuffix("%").lower().partition("e")[2] or 0))
@@ -114,8 +116,8 @@ def parse_rate(text: str) -> Fraction:
     return rate
 
 
-def _plain_rate(text: str) -> Fraction | None:
-    """The reduced Fraction of a plain spelling (see the module docstring), else None; ValueError for "n/0"."""
+def _plain_rate(text: str, cls: type) -> Fraction | None:
+    """The reduced `cls` of a plain spelling (see the module docstring), else None; ValueError for "n/0"."""
     if not text.isascii():
         return None
     body = text.removesuffix("%")
@@ -131,7 +133,7 @@ def _plain_rate(text: str) -> Fraction | None:
         if not (whole.isdigit() and (places.isdigit() or not places)):
             return None
         numerator, denominator = int(whole + places), 10 ** len(places) * (100 if len(body) < len(text) else 1)
-    return _reduced(numerator, denominator, Fraction)
+    return _reduced(numerator, denominator, cls)
 
 
 def read_rate(name: str, text: str, line: int | None = None) -> Probability:
@@ -143,15 +145,14 @@ def read_rate(name: str, text: str, line: int | None = None) -> Probability:
     in `text` as one space and none at its ends, so it stays on one line.
     """
     try:
-        rate = parse_rate(text)
+        rate = parse_rate(text, cls=Probability)
     except RangeError as exc:
         raise RangeError(f"{name}: {exc}", line) from None
     except ValueError:
         raise ScenarioSyntaxError(f"{name} must be a rate such as 0.4, 40% or 2/5, got {text!r}", line) from None
-    try:
-        return Probability(rate)
-    except ValueError:
-        raise RangeError(f"{name} must be in [0, 1], got {' '.join(text.split())}", line) from None
+    if not 0 <= rate._numerator <= rate._denominator:
+        raise RangeError(f"{name} must be in [0, 1], got {' '.join(text.split())}", line)
+    return Probability(rate)  # copies the slots of a Fraction; returns a Probability as it is
 
 
 def read_integer(name: str, text: str, line: int | None = None, digits: int = MAX_INTEGER_DIGITS) -> int:
@@ -310,20 +311,24 @@ def format_fixed(scaled: int, places: int) -> str:
 
 def format_exact(value: Fraction) -> str:
     """Lossless text form: a terminating decimal when one exists, else 'p/q'."""
-    denominator = value.denominator
+    numerator, denominator = value.as_integer_ratio()
+    if denominator & 1 and denominator % 5:  # no factor 2 or 5, as at most grid points
+        return f"{numerator}/{denominator}" if denominator > 1 else str(numerator)
     twos = (denominator & -denominator).bit_length() - 1
     reduced = denominator >> twos
     # 5^e has floor(e·log2(5)) + 1 bits, so the only power of five `reduced` can be is this one.
     fives = round(reduced.bit_length() / _BITS_PER_FIVE) if reduced % 5 == 0 else 0
     if reduced != 5**fives:
-        return f"{value.numerator}/{denominator}"
+        return f"{numerator}/{denominator}"
     places = max(twos, fives)
-    return format_fixed(value.numerator * 10**places // denominator, places)
+    return format_fixed(numerator * 10**places // denominator, places)
 
 
 def format_sig(value: Fraction) -> str:
     """Decimal form rounded to 6 significant figures (ties to even), exactly."""
-    if value == 0:
+    numerator, denominator = value.as_integer_ratio()
+    if not numerator:
         return "0"
-    quotient = _SIG_CONTEXT.divide(Decimal(value.numerator), Decimal(value.denominator))
-    return format(quotient.normalize(_SIG_CONTEXT), "f")
+    quotient = _SIG_CONTEXT.divide(Decimal(numerator), Decimal(denominator)).normalize(_SIG_CONTEXT)
+    text = str(quotient)  # in exponent form ("1E-7", "1.2E+5") only below 10^-6 or for a whole number ending in 0
+    return format(quotient, "f") if "E" in text else text

@@ -40,8 +40,9 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
                threshold: RateLike = PREPONDERANCE) -> Iterator[SweepRow]:
     """The posterior and outcome at each grid value of `parameter`, yielded as the grid is read.
 
-    The two fixed rates stay integers; each grid value's numerator and
-    denominator take the swept rate's place in `core.leaf_joints_of`, so a
+    `core.leaf_joints_of` runs twice, with the swept rate at 1 and at 0; each
+    joint is linear in that rate, so at a grid value n/d it is n·J(1) +
+    (d - n)·J(0), the kernel's own integers from four multiplications, and a
     row costs one gcd and no Scenario. Arguments are checked as the rows are
     read: the grid must be nonempty and strictly increasing (EmptyGridError,
     ValueError). Grid points with zero evidence mass are marked, not fatal.
@@ -49,14 +50,19 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
     slot = _slot(parameter)
     threshold = Probability(threshold)
     rates = [x for name in SWEEPABLE_PARAMETERS for x in getattr(scenario, name).as_integer_ratio()]
+    rates[slot:slot + 2] = 1, 1
+    hit_at_1, _, false_alarm_at_1, _, _ = leaf_joints_of(*rates)
+    rates[slot] = 0
+    hit_at_0, _, false_alarm_at_0, _, _ = leaf_joints_of(*rates)
     previous = None
     for value in grid:
         value = Probability(value)
         n, d = value._numerator, value._denominator
         if previous is not None and n * previous._denominator <= previous._numerator * d:
             raise ValueError("sweep grid values must be strictly increasing")
-        previous, rates[slot], rates[slot + 1] = value, n, d
-        joint_hit, _, joint_false_alarm, _, _ = leaf_joints_of(*rates)
+        previous = value
+        joint_hit = n * hit_at_1 + (d - n) * hit_at_0
+        joint_false_alarm = n * false_alarm_at_1 + (d - n) * false_alarm_at_0
         marginal = joint_hit + joint_false_alarm
         if marginal == 0:
             yield tuple.__new__(SweepRow, (value, None, None))
@@ -111,9 +117,9 @@ def write_sweep_rows(parameter: str, rows: Iterable[SweepRow], stream) -> None:
     _slot(parameter)
     stream.write("param,value,posterior,verdict\n")
     stream.writelines(
-        f"{parameter},{format_exact(row.value)},degenerate,none\n" if row.posterior is None
-        else f"{parameter},{format_exact(row.value)},{format_sig(row.posterior)},{row.outcome.value}\n"
-        for row in rows
+        f"{parameter},{format_exact(value)},degenerate,none\n" if posterior is None
+        else f"{parameter},{format_exact(value)},{format_sig(posterior)},{outcome._value_}\n"
+        for value, posterior, outcome in rows
     )
 
 

@@ -24,7 +24,7 @@ from proofcalc import (
     parse_scenario,
     serialize_scenario,
 )
-from proofcalc.scenario_io import MAX_RATE_DIGITS, format_fixed
+from proofcalc.scenario_io import MAX_RATE_DIGITS, format_fixed, read_rate
 
 STANDARD = """\
 # the standard bus scenario
@@ -281,6 +281,20 @@ def _read(parse, text):
     return type(rate), rate.numerator, rate.denominator
 
 
+def reference_read_rate(text):
+    """read_rate in two steps, fraction_parse_rate and then Probability's range check: the reference for its one build."""
+    try:
+        rate = fraction_parse_rate(text)
+    except RangeError as exc:
+        raise RangeError(f"rate: {exc}") from None
+    except ValueError:
+        raise ScenarioSyntaxError(f"rate must be a rate such as 0.4, 40% or 2/5, got {text!r}") from None
+    try:
+        return Probability(rate)
+    except ValueError:
+        raise RangeError(f"rate must be in [0, 1], got {' '.join(text.split())}") from None
+
+
 DIGITS = "0123456789"
 #: Digit runs: short ones, and ones around the 4,000-digit guard with leading zeros or nines.
 _DIGIT_RUNS = st.one_of(
@@ -318,9 +332,14 @@ _OTHER_RATES = st.lists(
 @example("", "0" * 4000 + "1", "")
 @example("", "1." + "0" * 3999, "")
 @example("", "9" * 1001 + "/" + "9" * 1001, "")
+@example("", "3/2", "")
+@example("", "150%", "")
+@example("", "-0.4", "")
+@example("", "2" * 1001, "")  # read_rate checks the digit cap before [0, 1]
 def test_parse_rate_reads_every_text_as_fraction_does(before, text, after):
     text = before + text + after
     assert _read(parse_rate, text) == _read(fraction_parse_rate, text)
+    assert _read(lambda text: read_rate("rate", text), text) == _read(reference_read_rate, text)
 
 
 def test_rate_size_cap():
@@ -369,6 +388,13 @@ def test_format_exact_prefers_terminating_decimals():
     assert format_exact(Fraction(1)) == "1"
     assert format_exact(Fraction(1, 3)) == "1/3"
     assert format_exact(Fraction(99, 166)) == "99/166"
+    # Denominators with no factor 2 or 5 are written at once.
+    assert format_exact(Fraction(7, 9)) == "7/9"
+    assert format_exact(Fraction(5, 1)) == format_exact(5) == "5"
+    assert format_exact(Fraction(-5, 1)) == "-5"
+    odd = 10**999 + 1  # 1,000 digits, odd, and no multiple of 5
+    assert format_exact(Fraction(1, odd)) == f"1/{odd}"
+    assert format_exact(Fraction(odd - 2, odd)) == f"{odd - 2}/{odd}"
 
 
 @settings(deadline=None)
@@ -415,6 +441,56 @@ def test_format_sig_ties_to_even_whatever_the_callers_decimal_context():
         assert format_sig(Fraction(16, 19)) == "0.842105"
         assert format_sig(Fraction(1, 10**2000)) == "0." + "0" * 1999 + "1"
     assert {value: format_sig(value) for value in ties} == ties
+
+
+def sig6_reference(value):
+    """`value` (nonzero) rounded to 6 significant figures, ties to even, as decimal text, in integers alone."""
+    sign, numerator, denominator = "-" if value < 0 else "", abs(value.numerator), value.denominator
+    exponent = len(str(numerator)) - len(str(denominator))  # 10^exponent <= |value| < 10^(exponent + 1)
+    while numerator * 10 ** max(-exponent, 0) < denominator * 10 ** max(exponent, 0):
+        exponent -= 1
+    while numerator * 10 ** max(-exponent - 1, 0) >= denominator * 10 ** max(exponent + 1, 0):
+        exponent += 1
+    shift = exponent - 5  # the place of the sixth significant digit
+    scaled_numerator, scaled_denominator = numerator * 10 ** max(-shift, 0), denominator * 10 ** max(shift, 0)
+    digits, remainder = divmod(scaled_numerator, scaled_denominator)
+    if 2 * remainder > scaled_denominator or (2 * remainder == scaled_denominator and digits % 2):
+        digits += 1
+    while digits % 10 == 0:
+        digits, shift = digits // 10, shift + 1
+    text = str(digits)
+    if shift >= 0:
+        return sign + text + "0" * shift
+    if len(text) > -shift:
+        return f"{sign}{text[:shift]}.{text[shift:]}"
+    return f"{sign}0.{'0' * (-shift - len(text))}{text}"
+
+
+#: Magnitudes from 10^-12 to 10^8: a mantissa in [1, 10] times a power of ten.
+_SIG_VALUES = st.builds(
+    lambda mantissa, power, negative: (-1 if negative else 1) * mantissa * Fraction(10) ** power,
+    st.fractions(1, 10, max_denominator=10**9), st.integers(-12, 7), st.booleans(),
+)
+#: Exact ties: a six-digit figure and a half, at any of those places.
+_SIG_TIES = st.builds(
+    lambda digits, power, negative: (-1 if negative else 1) * Fraction(2 * digits + 1, 2) * Fraction(10) ** power,
+    st.integers(10**5, 10**6 - 1), st.integers(-17, 2), st.booleans(),
+)
+
+
+@given(st.one_of(_SIG_VALUES, _SIG_TIES))
+@example(Fraction(1, 10**6))  # str() of the Decimal still writes 0.000001
+@example(Fraction(1, 10**7))  # and 1E-7 here
+@example(Fraction(9999995, 10**13))  # 9.999995e-7 ties to even upward, onto 10^-6
+@example(Fraction(9999985, 10**13))  # and 9.999985e-7 down, staying below it
+@example(Fraction(-1234565, 10**13))
+@example(Fraction(10))  # 1E+1
+@example(Fraction(120000))
+@example(Fraction(10**8))
+@example(Fraction(-99999950))
+@example(Fraction(1, 10**12))
+def test_format_sig_matches_an_integer_reference(value):
+    assert format_sig(value) == sig6_reference(value)
 
 
 @given(st.one_of(st.integers(-(10**6), 10**6), st.integers(-(10**60), 10**60)), st.integers(0, 4))

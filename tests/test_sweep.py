@@ -167,6 +167,9 @@ def test_csv_rows_reparse_to_the_printed_posterior():
         assert record["verdict"] == expected
 
 
+#: Three rates whose numerators and denominators have 1,000 digits each.
+LONG = (Fraction(10**999 + 7, 10**1000 - 3), Fraction(8 * 10**999 + 1, 10**1000 - 1), Fraction(10**999 - 1, 10**1000 - 7))
+
 # Rates with denominators up to 10^12, and the endpoints 0 and 1.
 RATES = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1)]),
@@ -183,6 +186,11 @@ RATES = st.one_of(
 )
 @example((Fraction(2, 5), Fraction(0), Fraction(0)), "base_rate", [Fraction(0), Fraction(1)], Fraction(1, 2))
 @example((Fraction(2, 5), Fraction(4, 5), Fraction(0)), "hit_rate", [Fraction(0), Fraction(1)], Fraction(1))
+# The swept rate's two ends, where the joints are the kernel's J(0) and J(1) themselves, among 1,000-digit rates.
+@example(LONG, "base_rate", [Fraction(0), Fraction(1)], LONG[0])
+@example(LONG, "hit_rate", [Fraction(0), Fraction(1)], LONG[1])
+@example(LONG, "false_alarm_rate", [Fraction(0), Fraction(1)], LONG[2])
+@example(LONG, "base_rate", [Fraction(0), LONG[2], Fraction(1)], Fraction(1, 2))
 def test_every_row_is_compute_posterior_and_decide_at_its_point(rates, parameter, grid, threshold):
     scenario = Scenario(*rates)
     table = sweep(scenario, parameter, grid, threshold)
