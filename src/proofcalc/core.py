@@ -21,7 +21,7 @@ from fractions import Fraction
 # Fraction's private slots, _numerator and _denominator, are read on measured hot paths, and break first if a Python
 # release renames them: here in Probability.__new__, PosteriorBreakdown.__new__, leaf_joints, _reduced (which
 # writes them), _outcome and decide; in scenario_io.parse_rate and read_rate; in freqtree.build_tree; in
-# sweep.sweep_rows, for each grid value and posterior; and in render._signed and render_tree_text.
+# sweep.sweep_rows, for each grid value; and in render._signed and render_tree_text.
 
 RateLike = "Probability | Fraction | int | float | str"
 

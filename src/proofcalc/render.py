@@ -9,7 +9,7 @@ as literal pieces with a slot for each value that a call fills and joins
 once. All geometry is integers in hundredths of a pixel, the canvas divides
 exactly into the template's coordinates, and bar positions and percentages
 are exact integer ratios of the leaf joints, each rounded once, ties to
-even, and written as a decimal by one function, which keeps goldens stable.
+even, and written by `scenario_io.format_fixed`, which keeps goldens stable.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ COMPLEMENT_COLOR = "#d97706"
 
 def _coord(value: int | str) -> str:
     """A coordinate in hundredths of a pixel as pixels, trimming trailing zeros; a template field stays."""
-    return value if isinstance(value, str) else format_fixed(value, 2)
+    return value if isinstance(value, str) else format_fixed(value, 1, 2)
 
 
 def _escape(text: str) -> str:
@@ -102,16 +102,6 @@ _FONT = "Helvetica, Arial, sans-serif"
 #: SVG geometry in hundredths of a pixel: the bars' left edge (a 16th of the width), the top bar's
 #: width, and a 32nd of the height. Each divides the canvas exactly.
 _X0, _BAR, _Y = WIDTH * 100 // 16, WIDTH * 100 * 7 // 8, HEIGHT * 100 // 32
-
-
-def _fixed(numerator: int, denominator: int, places: int) -> str:
-    """numerator/denominator >= 0 rounded to an integer, ties to even as `round` does, then / 10**places as
-    text without trailing zeros, as `format_fixed` writes it: the rounding and the writing in one call."""
-    quotient, remainder = divmod(numerator, denominator)
-    whole, frac = divmod(quotient + (2 * remainder + (quotient & 1) > denominator), 10**places)
-    if not frac:
-        return str(whole)
-    return f"{whole}." + str(frac).zfill(places).rstrip("0")
 
 
 def _svg(parts: list[str]) -> str:
@@ -221,11 +211,12 @@ def render_proportion_bars_svg(scenario: Scenario) -> bytes:
     # Hundredths of a pixel: the top split is _X0 + _BAR·hypothesis/total, and the hit bar,
     # hit/total wide, ends at the bottom split, _X0 + _BAR·hit/marginal.
     fields = {
-        "top": _fixed(_X0 * total + _BAR * hypothesis, total, 2), "top_hit": _fixed(_BAR * hypothesis, total, 2),
-        "top_rest": _fixed(_BAR * (total - hypothesis), total, 2), "base": _fixed(1000 * hypothesis, total, 1),
-        "split": _fixed(_X0 * marginal + _BAR * hit, marginal, 2), "hit": _fixed(_BAR * hit, total, 2),
-        "left": _fixed(_X0 * marginal * total + _BAR * hit * (total - marginal), marginal * total, 2),
-        "alarm": _fixed(_BAR * alarm, total, 2), "posterior": _fixed(1000 * hit, marginal, 1),
+        "top": format_fixed(_X0 * total + _BAR * hypothesis, total, 2),
+        "top_hit": format_fixed(_BAR * hypothesis, total, 2), "base": format_fixed(1000 * hypothesis, total, 1),
+        "top_rest": format_fixed(_BAR * (total - hypothesis), total, 2), "alarm": format_fixed(_BAR * alarm, total, 2),
+        "split": format_fixed(_X0 * marginal + _BAR * hit, marginal, 2), "hit": format_fixed(_BAR * hit, total, 2),
+        "left": format_fixed(_X0 * marginal * total + _BAR * hit * (total - marginal), marginal * total, 2),
+        "posterior": format_fixed(1000 * hit, marginal, 1),
         "label": _escape(check_label("hypothesis_label", scenario.hypothesis_label)),
         "evidence": _escape(check_label("evidence_label", scenario.evidence_label)),
     }

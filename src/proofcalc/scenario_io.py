@@ -300,13 +300,14 @@ def _rate_text(key: str, rate: Fraction) -> str:
     return format_exact(read_rate(key, format_exact(rate)))
 
 
-def format_fixed(scaled: int, places: int) -> str:
-    """scaled / 10**places as decimal text, without trailing zeros after the point."""
-    sign = "-" if scaled < 0 else ""
-    whole, frac = divmod(abs(scaled), 10**places)
-    if frac == 0:
-        return f"{sign}{whole}"
-    return f"{sign}{whole}." + str(frac).zfill(places).rstrip("0")
+def format_fixed(numerator: int, denominator: int, places: int) -> str:
+    """numerator/denominator >= 0 rounded to an integer, ties to even as `round` does, then / 10**places as
+    decimal text without trailing zeros after the point: the rounding and the writing in one call."""
+    quotient, remainder = divmod(numerator, denominator)
+    whole, frac = divmod(quotient + (2 * remainder + (quotient & 1) > denominator), 10**places)
+    if not frac:
+        return str(whole)
+    return f"{whole}." + str(frac).zfill(places).rstrip("0")
 
 
 def format_exact(value: Fraction) -> str:
@@ -321,7 +322,7 @@ def format_exact(value: Fraction) -> str:
     if reduced != 5**fives:
         return f"{numerator}/{denominator}"
     places = max(twos, fives)
-    return format_fixed(numerator * 10**places // denominator, places)
+    return ("-" if numerator < 0 else "") + format_fixed(abs(numerator) * 10**places, denominator, places)
 
 
 def format_sig(value: Fraction) -> str:

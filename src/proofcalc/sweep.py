@@ -67,10 +67,7 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
         if marginal == 0:
             yield tuple.__new__(SweepRow, (value, None, None))
             continue
-        posterior = _reduced(joint_hit, marginal)
-        if posterior._numerator * marginal != joint_hit * posterior._denominator:
-            raise ValueError("posterior * evidence_marginal must equal joint_hit")
-        yield tuple.__new__(SweepRow, (value, posterior, _outcome(joint_hit, marginal, threshold)))
+        yield tuple.__new__(SweepRow, (value, _reduced(joint_hit, marginal), _outcome(joint_hit, marginal, threshold)))
     if previous is None:
         raise EmptyGridError("sweep grid is empty")
 

@@ -209,8 +209,8 @@ def test_bars_degenerate_evidence_raises():
 def _reference_bars_svg(scenario: Scenario) -> bytes:
     """The bars renderer as it was before its template: Fraction geometry, quantized per coordinate.
 
-    Frozen here as the reference for the template renderer's bytes; it shares no helper with `render`,
-    and writes its numbers itself rather than with `scenario_io.format_fixed`, which `render` uses.
+    Frozen here as the reference for the template renderer's bytes; it shares no helper with `render`, and
+    writes its numbers itself rather than with `scenario_io.format_fixed`, which writes every decimal of `render`.
     """
 
     def fixed(value, places):

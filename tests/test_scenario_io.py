@@ -414,6 +414,12 @@ def test_format_exact_of_power_of_ten_factors_and_the_rest(twos, fives, rest, nu
     assert ("/" in text) == (rest // math.gcd(numerator, rest) > 1)  # the part of rest left after reducing
 
 
+def test_format_exact_writes_the_sign_of_a_negative_decimal():
+    assert format_exact(Fraction(-1, 2)) == "-0.5"
+    assert format_exact(Fraction(-3, 8)) == "-0.375"
+    assert format_exact(Fraction(-6, 5)) == "-1.2"
+
+
 def test_format_exact_is_lossless_under_parse_rate():
     rng = random.Random(77)
     for _ in range(500):
@@ -500,7 +506,30 @@ def test_format_sig_matches_an_integer_reference(value):
 @example(10**40, 3)
 @example(-120, 2)
 def test_format_fixed_writes_the_scaled_value_without_trailing_zeros(scaled, places):
-    text = format_fixed(scaled, places)
-    assert Fraction(text) == Fraction(scaled, 10**places)
+    text = format_fixed(abs(scaled), 1, places)
+    assert Fraction(text) == Fraction(abs(scaled), 10**places)
     if "." in text:
         assert not text.endswith(("0", "."))
+
+
+def fixed_reference(numerator, denominator, places):
+    """round(numerator/denominator), ties to even, over 10**places: its digits, a point before the last `places`."""
+    digits = str(round(Fraction(numerator, denominator))).zfill(places + 1)
+    whole, frac = digits[:len(digits) - places], digits[len(digits) - places:].rstrip("0")
+    return f"{whole}.{frac}" if frac else whole
+
+
+@given(
+    st.one_of(st.integers(0, 10**6), st.integers(0, 10**60)),
+    st.one_of(st.integers(1, 1000), st.integers(1, 10**40)),
+    st.integers(0, 4),
+)
+@example(5, 2, 1)  # 2.5 ties to the even 2: 0.2
+@example(7, 2, 2)  # 3.5 ties to the even 4: 0.04
+@example(10**40 + 3, 2, 3)  # a tie on an odd quotient past a float's precision, up to the even one
+@example(12300, 1, 2)  # d = 1: no rounding, trailing zeros dropped
+@example(5, 2, 0)
+@example(25, 2, 1)
+@example(1, 3, 2)  # rounds down to 0
+def test_format_fixed_rounds_ties_to_even_as_a_fraction_reference(numerator, denominator, places):
+    assert format_fixed(numerator, denominator, places) == fixed_reference(numerator, denominator, places)

@@ -231,15 +231,6 @@ def test_a_grid_fault_is_raised_where_the_grid_has_it():
         sweep(STANDARD, "base_rate", [big, Fraction(big.numerator * 3, big.denominator * 3)])
 
 
-def test_the_posterior_identity_is_checked_per_row(monkeypatch):
-    import proofcalc.sweep as sweep_module
-
-    reduced = sweep_module._reduced
-    monkeypatch.setattr(sweep_module, "_reduced", lambda n, d: reduced(n, d + 1))
-    with pytest.raises(ValueError, match="posterior \\* evidence_marginal must equal joint_hit"):
-        sweep(STANDARD, "base_rate", ["0.5"])
-
-
 def test_grid_points_are_made_lazily_and_checked_at_the_call():
     points = grid_points(Fraction(0), Fraction(1), MAX_STEPS)
     assert iter(points) is points
