@@ -29,12 +29,10 @@ import sys
 from fractions import Fraction
 
 from .core import (
-    LARGEST_REMAINDER, PREPONDERANCE, RATE_NAMES, ROUNDING_POLICIES, DegenerateEvidence, Scenario,
+    LARGEST_REMAINDER, PREPONDERANCE, RATE_NAMES, ROUNDING_POLICIES, DegenerateEvidence, Scenario, _check_count,
     compute_posterior, decide,
 )
-from .scenario_io import (
-    LABEL_KEYS, READERS, ScenarioDocument, format_sig, parse_scenario, read_count, read_integer, read_rate,
-)
+from .scenario_io import LABEL_KEYS, READERS, ScenarioDocument, format_sig, parse_scenario, read_integer, read_rate
 
 # freqtree, render, sweep and oracle (and NumPy, if installed) are imported in the subcommands that use them,
 # so that the other subcommands start without loading them.
@@ -62,7 +60,9 @@ class _Choice(argparse.Action):
         setattr(namespace, self.dest, values)
 
 
-def _scenario_options(parser: argparse.ArgumentParser) -> None:
+def _scenario_options() -> argparse.ArgumentParser:
+    """A parent parser holding the scenario flags that every subcommand takes."""
+    parser = argparse.ArgumentParser(add_help=False)
     group = parser.add_argument_group(
         "scenario source", "either --scenario PATH or all three inline rates"
     )
@@ -72,6 +72,7 @@ def _scenario_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--false-alarm-rate", metavar="RATE", help="p(E|not H)")
     group.add_argument("--hypothesis-label", metavar="TEXT", help="display label for H")
     group.add_argument("--evidence-label", metavar="TEXT", help="display label for E")
+    return parser
 
 
 def _load_document(args: argparse.Namespace) -> ScenarioDocument:
@@ -174,7 +175,7 @@ def _cmd_render(args: argparse.Namespace) -> None:
 def _cmd_sweep(args: argparse.Namespace) -> None:
     from .sweep import MAX_STEPS, grid_points, sweep_rows, write_sweep_rows
 
-    steps = read_count("--steps", args.steps, MAX_STEPS)
+    steps = _check_count("--steps", read_integer("--steps", args.steps), MAX_STEPS)
 
     document = _load_document(args)
     # Every check runs before the file is opened: the grid is strictly increasing and inside [0, 1].
@@ -187,7 +188,8 @@ def _cmd_sweep(args: argparse.Namespace) -> None:
 def _cmd_simulate(args: argparse.Namespace) -> list[Field]:
     from .oracle import _MAX_SAMPLES, monte_carlo_posterior
 
-    samples, seed = read_count("--samples", args.samples, _MAX_SAMPLES), read_integer("--seed", args.seed)
+    samples = _check_count("--samples", read_integer("--samples", args.samples), _MAX_SAMPLES)
+    seed = read_integer("--seed", args.seed)
 
     document = _load_document(args)
     exact = compute_posterior(document.scenario).posterior
@@ -208,32 +210,28 @@ def build_parser() -> argparse.ArgumentParser:
         "SVG diagrams, sensitivity sweeps and simulation oracles.",
     )
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
+    scenario = [_scenario_options()]
 
     p = sub.add_parser(
-        "posterior", help="print the posterior breakdown as decimals and exact fractions"
+        "posterior", parents=scenario, help="print the posterior breakdown as decimals and exact fractions"
     )
-    _scenario_options(p)
     p.set_defaults(func=_cmd_posterior)
 
-    p = sub.add_parser("verdict", help="apply a standard-of-proof threshold")
-    _scenario_options(p)
+    p = sub.add_parser("verdict", parents=scenario, help="apply a standard-of-proof threshold")
     p.add_argument("--threshold", metavar="T", help="decision threshold (default 0.5)")
     p.set_defaults(func=_cmd_verdict)
 
-    p = sub.add_parser("tree", help="print the natural-frequency tree as text")
-    _scenario_options(p)
+    p = sub.add_parser("tree", parents=scenario, help="print the natural-frequency tree as text")
     _tree_options(p)
     p.set_defaults(func=_cmd_tree)
 
-    p = sub.add_parser("render", help="write an SVG diagram")
-    _scenario_options(p)
+    p = sub.add_parser("render", parents=scenario, help="write an SVG diagram")
     p.add_argument("--format", action=_Choice, choices=(SVG_TREE, SVG_BARS), required=True)
     p.add_argument("--out", metavar="PATH", required=True, help="output file")
     _tree_options(p, f"; {SVG_TREE} only")
     p.set_defaults(func=_cmd_render)
 
-    p = sub.add_parser("sweep", help="vary one rate over a grid, write posteriors as CSV")
-    _scenario_options(p)
+    p = sub.add_parser("sweep", parents=scenario, help="vary one rate over a grid, write posteriors as CSV")
     p.add_argument("--param", action=_Choice, choices=RATE_NAMES, required=True)
     p.add_argument("--from", dest="start", metavar="A", required=True, help="first grid value")
     p.add_argument("--to", dest="stop", metavar="B", required=True, help="last grid value")
@@ -241,8 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", metavar="PATH.csv", required=True, help="output CSV file")
     p.set_defaults(func=_cmd_sweep)
 
-    p = sub.add_parser("simulate", help="estimate the posterior by seeded Monte Carlo")
-    _scenario_options(p)
+    p = sub.add_parser("simulate", parents=scenario, help="estimate the posterior by seeded Monte Carlo")
     p.add_argument("--samples", metavar="K", default="100000")
     p.add_argument("--seed", metavar="S", default="0")
     p.set_defaults(func=_cmd_simulate)

@@ -20,8 +20,9 @@ from fractions import Fraction
 
 # Fraction's private slots, _numerator and _denominator, are read on measured hot paths, and break first if a Python
 # release renames them: here in Probability.__new__, PosteriorBreakdown.__new__, leaf_joints, _reduced (which
-# writes them), _outcome and decide; in scenario_io.parse_rate and read_rate; in freqtree.build_tree; in
-# sweep.sweep_rows, for each grid value; and in render._signed and render_tree_text.
+# writes them), _outcome and decide; in scenario_io.parse_rate and read_rate, which also sets the class of the new
+# Fraction it checks to Probability (sound while Probability adds no slots); in freqtree.build_tree; and in
+# sweep.sweep_rows, for each grid value.
 
 RateLike = "Probability | Fraction | int | float | str"
 
@@ -182,6 +183,15 @@ def _check_population(population: int) -> None:
         raise ValueError("population must be a positive integer")
     if population >= _POPULATION_LIMIT:
         raise ValueError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
+
+
+def _check_count(name: str, value: int, most: int) -> int:
+    """`value` if it is a count from 1 to `most`, else ValueError naming `name`: the one home of that rule."""
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value > most:
+        raise ValueError(f"{name} must be at most {most}")
+    return value
 
 
 def _reduced(numerator: int, denominator: int, cls: type = Probability) -> Fraction:

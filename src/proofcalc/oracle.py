@@ -40,7 +40,7 @@ import math
 import sys
 from collections import namedtuple
 
-from .core import DegenerateEvidence, Probability, Scenario, _Checked, _check_population, _reduced
+from .core import DegenerateEvidence, Probability, Scenario, _Checked, _check_count, _check_population, _reduced
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -295,10 +295,7 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
     Raises NoConditionedSamples when no draw satisfied the evidence, and
     ValueError when samples is below 1 or above 10^9.
     """
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if samples > _MAX_SAMPLES:
-        raise ValueError(f"samples must be at most {_MAX_SAMPLES}")
+    _check_count("samples", samples, _MAX_SAMPLES)
     thresholds = (
         _threshold53(float(scenario.base_rate)),
         _threshold53(float(scenario.hit_rate)),

@@ -41,9 +41,9 @@ def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
 
 
-def _signed(value: Fraction) -> str:
-    """`value` as `str` writes it, `+` first when positive, read from its slots as `core` reads them."""
-    numerator, denominator = value._numerator, value._denominator
+def _signed(value: Fraction | int) -> str:
+    """`value`, a Fraction or an int, as `str` writes it, `+` first when positive."""
+    numerator, denominator = value.as_integer_ratio()
     return ("+" if numerator > 0 else "") + (f"{numerator}/{denominator}" if denominator != 1 else str(numerator))
 
 
@@ -90,7 +90,7 @@ def render_tree_text(tree: FrequencyTree) -> str:
         _fields(4 * colw, pop), links, _fields(2 * colw, *row2), _fields(2 * colw, *row2_labels), forks,
         _fields(colw, *leaf_cells), roles, "",
     ])
-    if any(r._numerator for r in tree.rounding_residuals):
+    if any(tree.rounding_residuals):
         text += f"rounding residuals (count - expected): {', '.join(map(_signed, tree.rounding_residuals))}\n"
     return text
 

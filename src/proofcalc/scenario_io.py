@@ -84,22 +84,21 @@ class ScenarioDocument(namedtuple("ScenarioDocument", ("scenario", "population",
     __slots__ = ()
 
 
-def parse_rate(text: str, *, cls: type = Fraction) -> Fraction:
-    """Convert '0.4', '40%' or '2/5' to an exact Fraction.
+def parse_rate(text: str) -> Fraction:
+    """Convert '0.4', '40%' or '2/5' to a new, exact Fraction.
 
     Raises ValueError on anything else (including 'inf'/'nan'), and
     RangeError when the reduced numerator or denominator has more than
     MAX_RATE_DIGITS digits. Texts with more than four times that many digits
     or an exponent past it ('1e-20000') are refused before a number is built:
     int() reads that many, and format_exact never writes more for a rate.
-    A plain spelling is built as `cls`, a subclass of Fraction, without that
-    class's own checks; read_rate passes Probability and checks the range.
+    The range [0, 1] is not checked: read_rate checks it.
     """
     text = text.strip()
     # Only a text longer than the budget can hold more digits than it, so short ones skip the count.
     if len(text) > 4 * MAX_RATE_DIGITS and sum(char.isdigit() for char in text) > 4 * MAX_RATE_DIGITS:
         raise RangeError(_RATE_TOO_LARGE)
-    rate = _plain_rate(text, cls)
+    rate = _plain_rate(text)
     if rate is None:
         try:
             scale = abs(int(text.removesuffix("%").lower().partition("e")[2] or 0))
@@ -116,8 +115,8 @@ def parse_rate(text: str, *, cls: type = Fraction) -> Fraction:
     return rate
 
 
-def _plain_rate(text: str, cls: type) -> Fraction | None:
-    """The reduced `cls` of a plain spelling (see the module docstring), else None; ValueError for "n/0"."""
+def _plain_rate(text: str) -> Fraction | None:
+    """The reduced Fraction of a plain spelling (see the module docstring), else None; ValueError for "n/0"."""
     if not text.isascii():
         return None
     body = text.removesuffix("%")
@@ -133,7 +132,7 @@ def _plain_rate(text: str, cls: type) -> Fraction | None:
         if not (whole.isdigit() and (places.isdigit() or not places)):
             return None
         numerator, denominator = int(whole + places), 10 ** len(places) * (100 if len(body) < len(text) else 1)
-    return _reduced(numerator, denominator, cls)
+    return _reduced(numerator, denominator, Fraction)
 
 
 def read_rate(name: str, text: str, line: int | None = None) -> Probability:
@@ -143,16 +142,19 @@ def read_rate(name: str, text: str, line: int | None = None) -> Probability:
     [0, 1], and ScenarioSyntaxError when it does not parse; each names `name`
     (and `line`, when given). The range message shows each run of whitespace
     in `text` as one space and none at its ends, so it stays on one line.
+    The Fraction parse_rate builds is checked here and becomes the Probability.
     """
     try:
-        rate = parse_rate(text, cls=Probability)
+        rate = parse_rate(text)
     except RangeError as exc:
         raise RangeError(f"{name}: {exc}", line) from None
     except ValueError:
         raise ScenarioSyntaxError(f"{name} must be a rate such as 0.4, 40% or 2/5, got {text!r}", line) from None
     if not 0 <= rate._numerator <= rate._denominator:
         raise RangeError(f"{name} must be in [0, 1], got {' '.join(text.split())}", line)
-    return Probability(rate)  # copies the slots of a Fraction; returns a Probability as it is
+    # parse_rate's Fraction is new and Probability adds no slots, so the checked value becomes one without a copy.
+    rate.__class__ = Probability
+    return rate
 
 
 def read_integer(name: str, text: str, line: int | None = None, digits: int = MAX_INTEGER_DIGITS) -> int:
@@ -180,19 +182,6 @@ def read_population(name: str, text: str, line: int | None = None) -> int:
     if population < 1:
         raise RangeError(f"{name} must be >= 1, got {population}", line)
     return population
-
-
-def read_count(name: str, text: str, most: int) -> int:
-    """The count `text` gives for flag `name`, as read_integer reads it, from 1 to `most`.
-
-    Raises RangeError naming `name` below 1 or above `most`.
-    """
-    count = read_integer(name, text)
-    if count < 1:
-        raise RangeError(f"{name} must be >= 1, got {count}")
-    if count > most:
-        raise RangeError(f"{name} must be at most {most}")
-    return count
 
 
 def check_label(name: str, text: str, line: int | None = None) -> str:
@@ -297,7 +286,9 @@ def _rate_text(key: str, rate: Fraction) -> str:
     """format_exact(rate) if read_rate reads it back for `key`, else ValueError naming `key`, for a float too."""
     if not isinstance(rate, (int, Fraction)):
         raise ValueError(f"{key} must be an int or Fraction, got {rate!r}")
-    return format_exact(read_rate(key, format_exact(rate)))
+    text = format_exact(rate)
+    read_rate(key, text)
+    return text
 
 
 def format_fixed(numerator: int, denominator: int, places: int) -> str:

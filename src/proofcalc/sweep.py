@@ -6,7 +6,9 @@ from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
 
-from .core import PREPONDERANCE, RATE_NAMES, Probability, RateLike, Scenario, _outcome, _reduced, leaf_joints_of
+from .core import (
+    PREPONDERANCE, RATE_NAMES, Probability, RateLike, Scenario, _check_count, _outcome, _reduced, leaf_joints_of,
+)
 from .scenario_io import format_exact, format_sig
 
 SWEEPABLE_PARAMETERS = RATE_NAMES
@@ -86,10 +88,7 @@ def grid_points(start: Fraction, stop: Fraction, steps: int) -> Iterator[Fractio
     A step count out of range, or two or more steps with stop not above
     start, raises ValueError at the call, before any point is made.
     """
-    if steps < 1:
-        raise ValueError("steps must be >= 1")
-    if steps > MAX_STEPS:
-        raise ValueError(f"steps must be at most {MAX_STEPS}")
+    _check_count("steps", steps, MAX_STEPS)
     start, stop = Fraction(start), Fraction(stop)
     if steps > 1 and not start < stop:
         raise ValueError("sweep grid values must be strictly increasing")

@@ -263,6 +263,8 @@ def test_oversized_rates_exit_2_before_a_number_is_built(capsys, monkeypatch, ra
     import proofcalc.scenario_io as scenario_io
 
     class Spy(scenario_io.Fraction):
+        __slots__ = ()  # as Fraction's layout: read_rate turns the Fraction it reads into a Probability in place
+
         def __new__(cls, value=0, *rest):
             if value == rate:
                 raise AssertionError("the rate cap let an oversized rate reach Fraction")
@@ -378,6 +380,8 @@ def test_a_rate_flag_that_does_not_parse_is_named(capsys, monkeypatch, tmp_path,
     import proofcalc.scenario_io as scenario_io
 
     class Spy(scenario_io.Fraction):
+        __slots__ = ()  # as Fraction's layout: read_rate turns the Fraction it reads into a Probability in place
+
         def __new__(cls, value=0, *rest):
             if value == "1e-5000":
                 raise AssertionError("the rate cap let an oversized rate reach Fraction")

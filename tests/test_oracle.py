@@ -505,6 +505,17 @@ def test_more_than_a_billion_samples_are_refused_before_either_kernel_runs(monke
         monte_carlo_posterior(CASES[0].scenario, 10**9 + 1)
 
 
+def test_fewer_than_one_sample_is_refused_before_either_kernel_runs(monkeypatch):
+    def never_simulate(*_):
+        raise AssertionError("the sample floor let a simulation start")
+
+    monkeypatch.setattr(oracle, "_counts_python", never_simulate)
+    monkeypatch.setattr(oracle, "_counts_numpy", never_simulate)
+    for samples in (0, -1):
+        with pytest.raises(ValueError, match=f"^samples must be >= 1, got {samples}$"):
+            monte_carlo_posterior(CASES[0].scenario, samples)
+
+
 def test_exactly_a_billion_samples_pass_the_cap(monkeypatch):
     calls = []
 

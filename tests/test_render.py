@@ -12,6 +12,7 @@ from proofcalc import (
     LARGEST_REMAINDER,
     ROUNDING_POLICIES,
     DegenerateEvidence,
+    FrequencyTree,
     Scenario,
     build_tree,
     compute_posterior,
@@ -76,6 +77,18 @@ def test_text_tree_residual_footer_only_when_rounded():
 
     rounded = render_tree_text(build_tree(Scenario(0.4, 0.95, 0.1), 10))
     assert "rounding residuals (count - expected): +1/5, -1/5, +2/5, -2/5" in rounded
+
+
+@pytest.mark.parametrize("residuals", [(0, 0, 0, 0), (1, -1, 0, 0), (2, 0, -3, 1)])
+def test_text_tree_writes_int_residuals_as_their_fractions(residuals):
+    # A tree built by hand may hold int residuals; they render as the equal Fractions do, footer and all.
+    counts = (100, 40, 60, 32, 8, 6, 54, True)
+    as_ints = render_tree_text(FrequencyTree(*counts, residuals))
+    assert as_ints == render_tree_text(FrequencyTree(*counts, tuple(map(Fraction, residuals))))
+    assert ("rounding residuals" in as_ints) is any(residuals)
+    mixed = (Fraction(1, 5), 0, -1, Fraction(4, 5))
+    assert render_tree_text(FrequencyTree(*counts, mixed)).endswith(
+        "rounding residuals (count - expected): +1/5, 0, -1, +4/5\n")
 
 
 def test_text_tree_is_line_feed_terminated_with_no_trailing_spaces():

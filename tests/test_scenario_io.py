@@ -251,6 +251,17 @@ def test_parse_rate_grammar():
             parse_rate(bad)
 
 
+def test_parse_rate_builds_a_plain_fraction_and_read_rate_the_checked_probability():
+    for text in ("0.4", "3/2", "1e-3", "150%"):
+        assert type(parse_rate(text)) is Fraction
+    # No caller can have parse_rate build a Probability that skipped the range check.
+    with pytest.raises(TypeError):
+        parse_rate("3/2", cls=Probability)
+    for text in ("0.4", "2/5", "40%", "4e-1"):
+        rate = read_rate("rate", text)
+        assert type(rate) is Probability and rate == Fraction(2, 5)
+
+
 TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
 
 

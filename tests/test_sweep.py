@@ -239,6 +239,9 @@ def test_grid_points_are_made_lazily_and_checked_at_the_call():
         with pytest.raises(ValueError, match="strictly increasing"):
             grid_points(start, stop, 2)
         assert list(grid_points(start, stop, 1)) == [start]
-    with pytest.raises(ValueError, match="at most 100000"):
+    with pytest.raises(ValueError, match="^steps must be at most 100000$"):
         grid_points(Fraction(0), Fraction(1), MAX_STEPS + 1)
+    for steps in (0, -5):
+        with pytest.raises(ValueError, match=f"^steps must be >= 1, got {steps}$"):
+            grid_points(Fraction(0), Fraction(1), steps)
     assert list(grid_points(Fraction(1, 3), Fraction(1, 2), 3)) == [Fraction(1, 3), Fraction(5, 12), Fraction(1, 2)]
