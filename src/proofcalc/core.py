@@ -21,8 +21,9 @@ from fractions import Fraction
 # Fraction's private slots, _numerator and _denominator, are read on measured hot paths, and break first if a Python
 # release renames them: here in Probability.__new__, PosteriorBreakdown.__new__, leaf_joints, _reduced (which
 # writes them), _outcome and decide; in scenario_io.parse_rate and read_rate, which also sets the class of the new
-# Fraction it checks to Probability (sound while Probability adds no slots); in freqtree.build_tree; and in
-# sweep.sweep_rows, for each grid value.
+# Fraction it checks to Probability (sound while Probability adds no slots); in freqtree.build_tree; in
+# sweep.sweep_rows, for each grid value and the threshold, and for each posterior, whose slots it writes; and in
+# sweep.write_sweep_rows, for each row's value and posterior. render reads none.
 
 RateLike = "Probability | Fraction | int | float | str"
 
@@ -237,7 +238,7 @@ def decide(breakdown: PosteriorBreakdown, threshold: RateLike = PREPONDERANCE) -
 
     "More likely than not" is a strict inequality: a posterior exactly equal
     to the threshold rules for the defendant, because the burden rests on
-    the moving party. `_outcome` is this rule, and `sweep` applies it too.
+    the moving party. `_outcome` is this rule, and `sweep_rows` applies it inline.
 
     A verdict for the moving party is wrong exactly when the hypothesis is
     false (probability 1 - posterior, a false-alarm verdict); a verdict for

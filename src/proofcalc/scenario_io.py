@@ -24,7 +24,6 @@ from __future__ import annotations
 import math
 import re
 from collections import namedtuple
-from decimal import ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 
 from .core import (
@@ -40,8 +39,6 @@ _RATE_TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerato
 #: Digits an integer may have: past Python's default int-from-text limit, int() refuses it.
 MAX_INTEGER_DIGITS = 4300
 _BITS_PER_FIVE = math.log2(5)
-#: format_sig's arithmetic: its own context, so the caller's decimal context cannot change its text.
-_SIG_CONTEXT = Context(prec=6, rounding=ROUND_HALF_EVEN)
 #: A character a label may not hold: outside XML 1.0's Char production, or one of its line breaks.
 #: Spelled as the four runs it holds; the complement of Char's ranges takes ten times as long to compile.
 _NOT_LABEL_CHAR = re.compile(r"[\x00-\x08\n-\x1f\ud800-\udfff\ufffe\uffff]")
@@ -301,9 +298,9 @@ def format_fixed(numerator: int, denominator: int, places: int) -> str:
     return f"{whole}." + str(frac).zfill(places).rstrip("0")
 
 
-def format_exact(value: Fraction) -> str:
-    """Lossless text form: a terminating decimal when one exists, else 'p/q'."""
-    numerator, denominator = value.as_integer_ratio()
+def _exact_text(numerator: int, denominator: int) -> str:
+    """Lossless text of the reduced numerator/denominator (denominator > 0): a terminating decimal when one
+    exists, else 'p/q'."""
     if denominator & 1 and denominator % 5:  # no factor 2 or 5, as at most grid points
         return f"{numerator}/{denominator}" if denominator > 1 else str(numerator)
     twos = (denominator & -denominator).bit_length() - 1
@@ -312,15 +309,47 @@ def format_exact(value: Fraction) -> str:
     fives = round(reduced.bit_length() / _BITS_PER_FIVE) if reduced % 5 == 0 else 0
     if reduced != 5**fives:
         return f"{numerator}/{denominator}"
+    # The division is exact, and the value is reduced and not whole, so its last digit is not 0.
     places = max(twos, fives)
-    return ("-" if numerator < 0 else "") + format_fixed(abs(numerator) * 10**places, denominator, places)
+    digits = str(abs(numerator) * 10**places // denominator).zfill(places + 1)
+    return f"{'-' if numerator < 0 else ''}{digits[:-places]}.{digits[-places:]}"
+
+
+def _sig_text(numerator: int, denominator: int) -> str:
+    """numerator/denominator (denominator > 0) rounded to 6 significant figures, ties to even, as fixed-point
+    text without trailing zeros after the point: in integers alone, so no decimal context can change it."""
+    if numerator <= 0:
+        return "-" + _sig_text(-numerator, denominator) if numerator else "0"
+    # The decimal exponent estimated from the bit lengths (log10 2 ~ 0.30103): exact or one low for values of
+    # under 4,000 digits, as in Steele and White's printing of floats. The loop corrects it either way.
+    exponent = (numerator.bit_length() - denominator.bit_length() - 1) * 30103 // 100000
+    while True:  # one divmod, a second when the estimate was off: six digits, 10^5 <= digits < 10^6
+        places = 5 - exponent
+        if places >= 0:
+            scale, divisor = 10**places, denominator
+            digits, remainder = divmod(numerator * scale, divisor)
+        else:
+            scale, divisor = 1, denominator * 10**-places
+            digits, remainder = divmod(numerator, divisor)
+        if digits >= 1000000:
+            exponent += 1
+        elif digits < 100000:
+            exponent -= 1
+        else:
+            break
+    digits += 2 * remainder + (digits & 1) > divisor
+    if digits < scale:  # below 1, the usual case: format_fixed's text for a whole part of 0, without its divmods
+        return "0." + str(digits).zfill(places).rstrip("0")
+    return format_fixed(digits, 1, max(places, 0)) + "0" * -places
+
+
+def format_exact(value: Fraction) -> str:
+    """Lossless text form: a terminating decimal when one exists, else 'p/q'."""
+    numerator, denominator = value.as_integer_ratio()
+    return _exact_text(numerator, denominator)
 
 
 def format_sig(value: Fraction) -> str:
     """Decimal form rounded to 6 significant figures (ties to even), exactly."""
     numerator, denominator = value.as_integer_ratio()
-    if not numerator:
-        return "0"
-    quotient = _SIG_CONTEXT.divide(Decimal(numerator), Decimal(denominator)).normalize(_SIG_CONTEXT)
-    text = str(quotient)  # in exponent form ("1E-7", "1.2E+5") only below 10^-6 or for a whole number ending in 0
-    return format(quotient, "f") if "E" in text else text
+    return _sig_text(numerator, denominator)

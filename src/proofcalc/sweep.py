@@ -5,11 +5,10 @@ from __future__ import annotations
 from collections import namedtuple
 from collections.abc import Iterable, Iterator
 from fractions import Fraction
+from math import gcd
 
-from .core import (
-    PREPONDERANCE, RATE_NAMES, Probability, RateLike, Scenario, _check_count, _outcome, _reduced, leaf_joints_of,
-)
-from .scenario_io import format_exact, format_sig
+from .core import PREPONDERANCE, RATE_NAMES, Outcome, Probability, RateLike, Scenario, _check_count, leaf_joints_of
+from .scenario_io import _exact_text, _sig_text
 
 SWEEPABLE_PARAMETERS = RATE_NAMES
 MAX_STEPS = 10**5
@@ -45,12 +44,17 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
     `core.leaf_joints_of` runs twice, with the swept rate at 1 and at 0; each
     joint is linear in that rate, so at a grid value n/d it is n·J(1) +
     (d - n)·J(0), the kernel's own integers from four multiplications, and a
-    row costs one gcd and no Scenario. Arguments are checked as the rows are
-    read: the grid must be nonempty and strictly increasing (EmptyGridError,
-    ValueError). Grid points with zero evidence mass are marked, not fatal.
+    row costs one gcd and no Scenario. The posterior's two slots are filled
+    here, as `core._reduced` fills them, and the outcome is `core._outcome`'s
+    rule on them, cross-multiplied with the threshold's integers, read once.
+    Arguments are checked as the rows are read: the grid must be nonempty and
+    strictly increasing (EmptyGridError, ValueError). Grid points with zero
+    evidence mass are marked, not fatal.
     """
     slot = _slot(parameter)
     threshold = Probability(threshold)
+    cut, cut_denominator = threshold._numerator, threshold._denominator
+    moving, defendant = Outcome.FOR_MOVING_PARTY, Outcome.FOR_DEFENDANT
     rates = [x for name in SWEEPABLE_PARAMETERS for x in getattr(scenario, name).as_integer_ratio()]
     rates[slot:slot + 2] = 1, 1
     hit_at_1, _, false_alarm_at_1, _, _ = leaf_joints_of(*rates)
@@ -69,7 +73,12 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
         if marginal == 0:
             yield tuple.__new__(SweepRow, (value, None, None))
             continue
-        yield tuple.__new__(SweepRow, (value, _reduced(joint_hit, marginal), _outcome(joint_hit, marginal, threshold)))
+        divisor = gcd(joint_hit, marginal)
+        posterior = object.__new__(Probability)
+        posterior._numerator = numerator = joint_hit // divisor
+        posterior._denominator = denominator = marginal // divisor
+        outcome = moving if numerator * cut_denominator > cut * denominator else defendant
+        yield tuple.__new__(SweepRow, (value, posterior, outcome))
     if previous is None:
         raise EmptyGridError("sweep grid is empty")
 
@@ -107,14 +116,17 @@ def write_sweep_rows(parameter: str, rows: Iterable[SweepRow], stream) -> None:
     """CSV with header param,value,posterior,verdict, one line per row as it arrives.
 
     Values are written losslessly (format_exact) so re-parsing a row and
-    recomputing the posterior reproduces the printed figure exactly. No cell
-    needs quoting: `parameter` must be a rate name (ValueError before any write).
+    recomputing the posterior reproduces the printed figure exactly; the
+    posterior is written as format_sig writes it. Both are written from the
+    rows' Fraction slots. No cell needs quoting: `parameter` must be a rate
+    name (ValueError before any write).
     """
     _slot(parameter)
     stream.write("param,value,posterior,verdict\n")
     stream.writelines(
-        f"{parameter},{format_exact(value)},degenerate,none\n" if posterior is None
-        else f"{parameter},{format_exact(value)},{format_sig(posterior)},{outcome._value_}\n"
+        f"{parameter},{_exact_text(value._numerator, value._denominator)},degenerate,none\n" if posterior is None
+        else f"{parameter},{_exact_text(value._numerator, value._denominator)},"
+        f"{_sig_text(posterior._numerator, posterior._denominator)},{outcome._value_}\n"
         for value, posterior, outcome in rows
     )
 

@@ -39,6 +39,9 @@ CASES = (
 
 CASE_IDS = [case.label for case in CASES]
 
+#: Three rates whose numerators and denominators have 1,000 digits each, the cap.
+LONG = (Fraction(10**999 + 7, 10**1000 - 3), Fraction(8 * 10**999 + 1, 10**1000 - 1), Fraction(10**999 - 1, 10**1000 - 7))
+
 BARS_SCENARIO = Scenario("0.33", "0.6", "0.2")
 BARS_POSTERIOR = Fraction(99, 166)  # 0.198 / 0.332, about 0.5964
 

@@ -18,6 +18,7 @@ from proofcalc import (
     ScenarioDocument,
     ScenarioParseError,
     ScenarioSyntaxError,
+    compute_posterior,
     format_exact,
     format_sig,
     parse_rate,
@@ -25,6 +26,8 @@ from proofcalc import (
     serialize_scenario,
 )
 from proofcalc.scenario_io import MAX_RATE_DIGITS, format_fixed, read_rate
+
+from cases import LONG
 
 STANDARD = """\
 # the standard bus scenario
@@ -262,6 +265,19 @@ def test_parse_rate_builds_a_plain_fraction_and_read_rate_the_checked_probabilit
         assert type(rate) is Probability and rate == Fraction(2, 5)
 
 
+def test_probability_keeps_fractions_layout_that_read_rate_relies_on():
+    # read_rate sets the class of parse_rate's new Fraction to Probability, which holds only while the two
+    # layouts are the same: a field or a __dict__ on Probability would make every rate a TypeError.
+    assert Fraction.__slots__ == ("_numerator", "_denominator")
+    assert Probability.__slots__ == ()
+    assert "__dict__" not in dir(Probability(1, 2))
+    for text in ("0.4", "2/5", "40%", "4e-1"):
+        rate = read_rate("rate", text)
+        assert type(rate) is Probability
+        assert not hasattr(rate, "__dict__")
+        assert (rate._numerator, rate._denominator) == (2, 5)
+
+
 TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerator and denominator"
 
 
@@ -418,6 +434,10 @@ def test_format_exact_prefers_terminating_decimals():
 @example(3337, 0, 1, 1)
 @example(3321, 999, 1, 1)
 @example(3400, 3400, 1, -(10**12))
+@example(12, 12, 1, -7)  # -7/10^12: a negative value, twelve places deep
+@example(0, 0, 1, -5)  # whole numbers: -5, and 48/16 and -375/125 once reduced
+@example(4, 0, 1, 48)
+@example(0, 3, 1, -375)
 def test_format_exact_of_power_of_ten_factors_and_the_rest(twos, fives, rest, numerator):
     value = Fraction(numerator, 2**twos * 5**fives * rest)
     text = format_exact(value)
@@ -429,6 +449,7 @@ def test_format_exact_writes_the_sign_of_a_negative_decimal():
     assert format_exact(Fraction(-1, 2)) == "-0.5"
     assert format_exact(Fraction(-3, 8)) == "-0.375"
     assert format_exact(Fraction(-6, 5)) == "-1.2"
+    assert format_exact(Fraction(-7, 10**12)) == "-0.000000000007"
 
 
 def test_format_exact_is_lossless_under_parse_rate():
@@ -506,6 +527,14 @@ _SIG_TIES = st.builds(
 @example(Fraction(10**8))
 @example(Fraction(-99999950))
 @example(Fraction(1, 10**12))
+@example(compute_posterior(Scenario(*LONG)).posterior)  # 2,998 digits over 2,998: a sweep posterior at the caps
+@example(LONG[0])  # a rate at the 1,000-digit cap, where the exponent estimate is one low
+@example(Fraction(10**12 - 1, 10**12))  # just below 10^0, rounded up onto it
+@example(Fraction(10**12 + 1, 10**11))  # just above 10^1, where the estimate is one low
+@example(Fraction(2**13321, 2**20 - 1))  # just below 10^4004, where 30103/100000 > log10(2) makes it one high
+@example(Fraction(9999995, 10**7))  # 0.9999995 ties to even upward: the carry at 10^6
+@example(Fraction(-16, 19))
+@example(-120)  # an int
 def test_format_sig_matches_an_integer_reference(value):
     assert format_sig(value) == sig6_reference(value)
 

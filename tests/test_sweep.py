@@ -3,6 +3,7 @@
 import csv
 import io
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -27,7 +28,7 @@ from proofcalc import (
 )
 from proofcalc.sweep import MAX_STEPS, SWEEPABLE_PARAMETERS, sweep
 
-from cases import CASES
+from cases import CASES, LONG
 
 STANDARD = CASES[0].scenario  # (0.4, 0.8, 0.1)
 
@@ -167,9 +168,6 @@ def test_csv_rows_reparse_to_the_printed_posterior():
         assert record["verdict"] == expected
 
 
-#: Three rates whose numerators and denominators have 1,000 digits each.
-LONG = (Fraction(10**999 + 7, 10**1000 - 3), Fraction(8 * 10**999 + 1, 10**1000 - 1), Fraction(10**999 - 1, 10**1000 - 7))
-
 # Rates with denominators up to 10^12, and the endpoints 0 and 1.
 RATES = st.one_of(
     st.sampled_from([Fraction(0), Fraction(1)]),
@@ -245,3 +243,23 @@ def test_grid_points_are_made_lazily_and_checked_at_the_call():
         with pytest.raises(ValueError, match=f"^steps must be >= 1, got {steps}$"):
             grid_points(Fraction(0), Fraction(1), steps)
     assert list(grid_points(Fraction(1, 3), Fraction(1, 2), 3)) == [Fraction(1, 3), Fraction(5, 12), Fraction(1, 2)]
+
+
+def test_a_sweep_at_the_caps_stays_within_its_time_a_point():
+    """A 500-point base_rate sweep with CSV between 1,000-digit ends, over LONG's other two rates.
+
+    The best of three runs took 0.37-0.39 ms a point, and up to 0.58 ms on a busy machine (2-core Xeon VM,
+    Python 3.11.7), against 0.86-0.91 ms when format_sig divided in Decimal. The bound, 3 ms a point, is over
+    5x the slowest of these.
+    """
+    scenario = Scenario(*LONG)
+
+    def timed():
+        stream = io.StringIO()
+        start = time.perf_counter()
+        write_sweep_rows("base_rate", sweep_rows(scenario, "base_rate", grid_points(LONG[0], LONG[1], 500)), stream)
+        return time.perf_counter() - start, stream.getvalue()
+
+    seconds, text = min(timed() for _ in range(3))
+    assert text.count("\n") == 501 and len(text) == 2_016_593
+    assert seconds / 500 < 3e-3
