@@ -25,13 +25,17 @@ Two kernels count the same stream. _counts_python runs a block of up to
 _LANES samples at once in the 128-bit lanes of Python ints: one state to a
 lane, SplitMix64's mix as whole-int shifts, xors and multiplies, and each
 lane's compare read from one bit of a subtraction. _counts_numpy mixes
-blocks of draws in NumPy uint64 arrays, in buffers that each thread keeps
-between calls. A call draws in Python while NumPy is not loaded and it asks
-for at most _PYTHON_SAMPLE_BUDGET samples; any other call takes the NumPy
-kernel, or draws in Python where NumPy is not installed. So a one-shot run of
-up to that many samples never pays for importing NumPy, and a process that
-has loaded NumPy always takes the vectorized kernel, which alone imports
-NumPy and threading.
+blocks of draws in NumPy uint64 arrays. Each thread keeps a kit between
+calls: the NumPy ufuncs, the block buffers, and the views of a full block
+and of the last partial block it cut. So a call looks up no NumPy name and
+allocates no array, and it cuts no view when its last block is as long as
+that partial one: repeated calls of one size cut none. A call draws in
+Python while NumPy is not loaded and it asks for at most
+_PYTHON_SAMPLE_BUDGET samples; any other call takes the NumPy kernel, or
+draws in Python where NumPy is not installed. So a one-shot run of up to
+that many samples never pays for importing NumPy, and a process that has
+loaded NumPy always takes the vectorized kernel, which alone imports NumPy
+and threading.
 """
 
 from __future__ import annotations
@@ -195,16 +199,22 @@ def _counts_python(seed: int, samples: int, base: int, hit: int, alarm: int) -> 
 
 
 class _NumpyKit:
-    """One thread's NumPy block buffers and uint64 operands for blocks of `size` samples, kept between calls.
+    """One thread's NumPy ufuncs, block buffers, their views and uint64 operands for blocks of `size` samples.
 
     The operands are 0-d uint64 arrays, which a ufunc takes faster than NumPy scalars: the mix's
     shifts and multipliers, made once, and the three thresholds and two block starts, set in place.
+    A thread keeps its kit between calls. The views of a full block are cut once, and those of the
+    last partial block cut are kept, keyed by its length, so that repeated calls of one size cut no view.
     """
 
     def __init__(self, np, size: int):
         # Sample j mixes counter 2j+1 (hypothesis) and 2j+2 (evidence): within a block each stream
         # advances by 2*GOLDEN_GAMMA a sample, and the evidence stream runs GOLDEN_GAMMA ahead.
         self.size = size
+        self.ufuncs = (
+            np.add, np.right_shift, np.bitwise_xor, np.multiply, np.bitwise_and,
+            np.less, np.less_equal, np.greater, np.count_nonzero,
+        )
         draws = np.empty(2 * size, dtype=np.uint64)
         self.buffers = (
             np.arange(size, dtype=np.uint64) * np.uint64(2 * GOLDEN_GAMMA & _MASK_64),
@@ -212,73 +222,85 @@ class _NumpyKit:
             np.empty_like(draws),
             *(np.empty(size, dtype=bool) for _ in range(3)),
         )
+        self.cut_size = 0
         self.full = self.cut(size)
         self.mix = tuple(np.array(value, dtype=np.uint64) for value in (30, 27, 31, _MIX_1, _MIX_2))
         self.limits = tuple(np.empty((), dtype=np.uint64) for _ in range(5))
 
     def cut(self, block: int) -> tuple:
-        """Views for `block` samples: steps, draws, scratch, hypothesis draws, evidence draws and three flag arrays."""
-        steps, draws, scratch, *flags = self.buffers
-        return (
-            steps[:block], draws[: 2 * block], scratch[: 2 * block], draws[:block], draws[block : 2 * block],
-            *(flag[:block] for flag in flags),
-        )
+        """Views for `block` samples: steps, draws, scratch, hypothesis draws, evidence draws and three flag arrays.
+
+        The views last cut are kept and served again while `block` is their length.
+        """
+        if block != self.cut_size:
+            steps, draws, scratch, *flags = self.buffers
+            self.cut_size, self.cut_views = block, (
+                steps[:block], draws[: 2 * block], scratch[: 2 * block], draws[:block], draws[block : 2 * block],
+                *(flag[:block] for flag in flags),
+            )
+        return self.cut_views
 
 
 def _counts_numpy(seed: int, samples: int, base: int, hit: int, alarm: int) -> tuple[int, int]:
     """(conditioned, hits) over samples 0..samples-1 in NumPy blocks, each evidence draw tested on both thresholds.
 
-    The block buffers belong to the calling thread and outlive the call: a thread makes them on
-    its first call and again when _BLOCK_SAMPLES changes, so its later calls allocate no array.
-    Wraparound mod 2^64 is the algorithm, and integer ufuncs on arrays wrap without a warning.
+    The kit belongs to the calling thread and outlives the call: a thread imports NumPy and makes
+    it on its first call, and makes it again when _BLOCK_SAMPLES changes, so its later calls
+    allocate no array and look up no NumPy name. Wraparound mod 2^64 is the algorithm, and integer
+    ufuncs on arrays wrap without a warning.
     """
     global _per_thread
-    import numpy as np
-
-    if _per_thread is None:
-        import threading
-
-        _per_thread = threading.local()
-    kit = getattr(_per_thread, "kit", None)
+    kit = getattr(_per_thread, "kit", None)  # a thread that has no kit yet, or no threading.local yet
     if kit is None or kit.size != _BLOCK_SAMPLES:
-        kit = _per_thread.kit = _NumpyKit(np, _BLOCK_SAMPLES)
+        import numpy
+
+        if _per_thread is None:
+            import threading
+
+            _per_thread = threading.local()
+        kit = _per_thread.kit = _NumpyKit(numpy, _BLOCK_SAMPLES)
+    add, right_shift, xor, multiply, bitwise_and, less, less_equal, greater, count_nonzero = kit.ufuncs
     by_30, by_27, by_31, mix_1, mix_2 = kit.mix
     base_limit, hit_limit, alarm_limit, hypothesis_start, evidence_start = kit.limits
 
     # x >> 11 < T exactly when x <= T * 2^11 - 1, a bound that fits in uint64 for T in [1, 2^53].
     # T = 0, a rate of exactly 0, selects nothing, and so does x < 0.
-    thresholds = (base, hit, alarm)
-    base_test, hit_test, alarm_test = (np.less_equal if t else np.less for t in thresholds)
-    for limit, t in zip(kit.limits, thresholds):
-        limit[()] = max((t << 11) - 1, 0)
+    base_test = less_equal if base else less
+    hit_test = less_equal if hit else less
+    alarm_test = less_equal if alarm else less
+    base_limit[()] = max((base << 11) - 1, 0)
+    hit_limit[()] = max((hit << 11) - 1, 0)
+    alarm_limit[()] = max((alarm << 11) - 1, 0)
 
+    # Each ufunc takes its output positionally, which NumPy dispatches faster than out= or an in-place operator.
+    size, full = kit.size, kit.full
     false_alarms = hits = 0
-    for done in range(0, samples, kit.size):
-        block = samples - done
-        views = kit.full if block >= kit.size else kit.cut(block)
+    for done in range(0, samples, size):
+        views = full if samples - done >= size else kit.cut(samples - done)
         steps, z, scratch, x_hypothesis, x_evidence, hypothesis, by_hit, by_alarm = views
         start = seed + (2 * done + 1) * GOLDEN_GAMMA
         hypothesis_start[()] = start & _MASK_64
         evidence_start[()] = (start + GOLDEN_GAMMA) & _MASK_64
-        np.add(steps, hypothesis_start, out=x_hypothesis)
-        np.add(steps, evidence_start, out=x_evidence)
-        np.right_shift(z, by_30, out=scratch)
-        z ^= scratch
-        z *= mix_1
-        np.right_shift(z, by_27, out=scratch)
-        z ^= scratch
-        z *= mix_2
-        np.right_shift(z, by_31, out=scratch)
-        z ^= scratch
+        add(steps, hypothesis_start, x_hypothesis)
+        add(steps, evidence_start, x_evidence)
+        right_shift(z, by_30, scratch)
+        xor(z, scratch, z)
+        multiply(z, mix_1, z)
+        right_shift(z, by_27, scratch)
+        xor(z, scratch, z)
+        multiply(z, mix_2, z)
+        right_shift(z, by_31, scratch)
+        xor(z, scratch, z)
 
-        base_test(x_hypothesis, base_limit, out=hypothesis)
-        hit_test(x_evidence, hit_limit, out=by_hit)
-        alarm_test(x_evidence, alarm_limit, out=by_alarm)
-        by_hit &= hypothesis
+        base_test(x_hypothesis, base_limit, hypothesis)
+        hit_test(x_evidence, hit_limit, by_hit)
+        alarm_test(x_evidence, alarm_limit, by_alarm)
+        bitwise_and(by_hit, hypothesis, by_hit)
         # On booleans, by_alarm > hypothesis is by_alarm and not hypothesis.
-        np.greater(by_alarm, hypothesis, out=by_alarm)
-        hits += int(np.count_nonzero(by_hit))
-        false_alarms += int(np.count_nonzero(by_alarm))
+        greater(by_alarm, hypothesis, by_alarm)
+        # count_nonzero gives a NumPy integer: int() keeps the counts, and the estimate's slots, Python ints.
+        hits += int(count_nonzero(by_hit))
+        false_alarms += int(count_nonzero(by_alarm))
     return hits + false_alarms, hits
 
 

@@ -224,6 +224,7 @@ def test_monte_carlo_matches_a_scalar_replay_at_edge_rates(monkeypatch, edge_uni
         result = monte_carlo_posterior(scenario, samples, seed=EDGE_SEED)
         assert result.samples_conditioned == conditioned
         assert result.estimate == Fraction(hypothesis_hits, conditioned)
+        assert {type(result.estimate.numerator), type(result.estimate.denominator)} == {int}
 
 
 KERNEL_RATES = st.sampled_from([0.0, 1.0, 2.0**-53, 1 - 2.0**-53]) | st.floats(0, 1)
@@ -263,6 +264,8 @@ def test_the_python_and_numpy_kernels_count_the_same_samples(seed, samples, bloc
     finally:
         oracle._BLOCK_SAMPLES, oracle._LANES = original
     assert packed == vectorized
+    # Python ints, not NumPy integers, which compare equal to them but have another repr.
+    assert {type(count) for count in packed + vectorized} == {int}
 
 
 def test_the_packed_lanes_count_what_a_draw_by_draw_replay_counts():
@@ -358,6 +361,10 @@ def test_monte_carlo_spans_block_boundaries_consistently():
     finally:
         oracle._BLOCK_SAMPLES = original
     assert whole == chunked
+    # One thread's calls whose last blocks differ in length, one length coming back after another:
+    # views kept for one length and served for another would drop or repeat samples.
+    for samples in (10**4, 7, 10**4, (1 << 14) + 3, 10**4 - 1):
+        assert _counts_numpy(5, samples, *thresholds) == _counts_python(5, samples, *thresholds)
 
 
 def test_a_repeat_numpy_call_in_a_thread_allocates_no_buffers(monkeypatch):

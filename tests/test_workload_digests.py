@@ -30,11 +30,14 @@ def workloads():
 @pytest.mark.parametrize(("name", "seed"), [
     *[("exact-batch", seed) for seed in (1, 2, 3)],
     *[("oracle-check", seed) for seed in (1, 2, 3)],
-    ("cli-oneshot", 1),  # a fresh process a request, and a NumPy-importing reference start every other one
+    ("cli-oneshot", 1),  # a fresh process a request
 ])
-def test_a_workload_writes_its_baseline_bytes(workloads, name, seed):
+def test_a_workload_writes_its_baseline_bytes(workloads, name, seed, monkeypatch):
     if name == "oracle-check":
         pytest.importorskip("numpy")  # its steps time a NumPy reference loop between their calls
+    if name == "cli-oneshot":
+        # Its reference start, an interpreter importing NumPy, is only timed and is outside the digest.
+        monkeypatch.setattr(workloads, "DEPENDENCY_IMPORTS", "pass")
     workload = workloads.WORKLOADS[name](seed, BENCH.parent)
     try:
         workload.setup()  # as bench/run.py runs it: set-up, steps until enough, then the checks
