@@ -265,12 +265,10 @@ def _counts_numpy(seed: int, samples: int, base: int, hit: int, alarm: int) -> t
 
     # x >> 11 < T exactly when x <= T * 2^11 - 1, a bound that fits in uint64 for T in [1, 2^53].
     # T = 0, a rate of exactly 0, selects nothing, and so does x < 0.
-    base_test = less_equal if base else less
-    hit_test = less_equal if hit else less
-    alarm_test = less_equal if alarm else less
-    base_limit[()] = max((base << 11) - 1, 0)
-    hit_limit[()] = max((hit << 11) - 1, 0)
-    alarm_limit[()] = max((alarm << 11) - 1, 0)
+    thresholds = (base, hit, alarm)
+    base_test, hit_test, alarm_test = (less_equal if t else less for t in thresholds)
+    for limit, t in zip(kit.limits, thresholds):
+        limit[()] = max((t << 11) - 1, 0)
 
     # Each ufunc takes its output positionally, which NumPy dispatches faster than out= or an in-place operator.
     size, full = kit.size, kit.full

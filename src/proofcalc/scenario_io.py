@@ -39,9 +39,9 @@ _RATE_TOO_LARGE = f"a rate may have at most {MAX_RATE_DIGITS} digits in numerato
 #: Digits an integer may have: past Python's default int-from-text limit, int() refuses it.
 MAX_INTEGER_DIGITS = 4300
 _BITS_PER_FIVE = math.log2(5)
-#: The regex of a character a label may not hold, compiled by the first check_label call: most
-#: requests check no label, and compiling it takes most of a millisecond.
-_NOT_LABEL_CHAR = None
+#: A character a label may not hold: outside XML 1.0's Char production, or one of its line breaks.
+#: Spelled as the four runs it holds; the complement of Char's ranges takes ten times as long to compile.
+_NOT_LABEL_CHAR = re.compile(r"[\x00-\x08\n-\x1f\ud800-\udfff\ufffe\uffff]")
 #: The keys whose values are display labels.
 LABEL_KEYS = ("hypothesis_label", "evidence_label")
 
@@ -191,11 +191,6 @@ def check_label(name: str, text: str, line: int | None = None) -> str:
     Raises ScenarioSyntaxError naming `name` and the first such character
     (and `line`, when given) otherwise.
     """
-    global _NOT_LABEL_CHAR
-    if _NOT_LABEL_CHAR is None:
-        # Outside XML 1.0's Char production, or one of its line breaks. Spelled as the four runs it
-        # holds; the complement of Char's ranges takes ten times as long to compile.
-        _NOT_LABEL_CHAR = re.compile(r"[\x00-\x08\n-\x1f\ud800-\udfff\ufffe\uffff]")
     refused = _NOT_LABEL_CHAR.search(text)
     if refused is None:
         return text
