@@ -22,8 +22,9 @@ from fractions import Fraction
 # release renames them: here in Probability.__new__, PosteriorBreakdown.__new__, leaf_joints, _reduced (which
 # writes them), _outcome and decide; in scenario_io.parse_rate and read_rate, which also sets the class of the new
 # Fraction it checks to Probability (sound while Probability adds no slots); in freqtree.build_tree; in
-# sweep.sweep_rows, for each grid value and the threshold, and for each posterior, whose slots it writes; and in
-# sweep.write_sweep_rows, for each row's value and posterior. render reads none.
+# sweep.sweep_rows, for each grid value and the threshold, and for each posterior, whose slots it writes; in
+# sweep.write_sweep_rows, for each row's value and posterior; and in oracle.monte_carlo_posterior, for each rate.
+# render reads none.
 
 RateLike = "Probability | Fraction | int | float | str"
 
@@ -102,8 +103,9 @@ class Scenario(_Checked, namedtuple("Scenario", (*RATE_NAMES, "hypothesis_label"
 
     def __new__(cls, base_rate: RateLike, hit_rate: RateLike, false_alarm_rate: RateLike,
                 hypothesis_label: str = "runs on Main Street", evidence_label: str = "is blue"):
-        rates = Probability(base_rate), Probability(hit_rate), Probability(false_alarm_rate)
-        return tuple.__new__(cls, (*rates, hypothesis_label, evidence_label))
+        if not type(base_rate) is type(hit_rate) is type(false_alarm_rate) is Probability:  # else each is checked
+            base_rate, hit_rate, false_alarm_rate = map(Probability, (base_rate, hit_rate, false_alarm_rate))
+        return tuple.__new__(cls, (base_rate, hit_rate, false_alarm_rate, hypothesis_label, evidence_label))
 
 
 class PosteriorBreakdown(_Checked, namedtuple(

@@ -3,7 +3,8 @@
 Two routes that never touch the conditional-probability formula:
 
 * enumerate_posterior counts the four kinds of individual in a concrete
-  population and divides those showing both by those showing the evidence.
+  population, in integers, and divides those showing both by those showing
+  the evidence.
 * monte_carlo_posterior samples individuals with a seeded deterministic
   generator and reports the conditioned frequency with a binomial
   standard error.
@@ -113,8 +114,8 @@ def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
     """Posterior by counting an explicit population, no formula involved.
 
     Counts the individuals of each (hypothesis, evidence) kind in the
-    population and returns those showing both over those showing the
-    evidence: hits over hits plus false alarms.
+    population, in integers, and returns those showing both over those
+    showing the evidence: hits over hits plus false alarms.
 
     Raises NonIntegralCounts when the population does not split into whole
     individuals, DegenerateEvidence when nobody shows the evidence,
@@ -123,22 +124,24 @@ def enumerate_posterior(scenario: Scenario, population: int) -> Probability:
     """
     _check_population(population)
     # Derived here, not by core.leaf_joints: an oracle sharing code with what it checks checks nothing.
-    base, hit, alarm = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
-    # Hits, quiet hypothesis, false alarms and quiet complement: the four kinds of individual.
+    (b, d_base), (h, d_hit), (a, d_alarm) = (rate.as_integer_ratio() for rate in scenario[:3])
+    # Hits, quiet hypothesis, false alarms and quiet complement: the four kinds of individual, each the population
+    # times two rates n1/d1 and n2/d2, so population·n1·n2 divided by d1·d2, whole when that leaves no remainder.
+    hypothesis, complement = population * b, population * (d_base - b)
     counts = (
-        population * base * hit,
-        population * base * (1 - hit),
-        population * (1 - base) * alarm,
-        population * (1 - base) * (1 - alarm),
+        divmod(hypothesis * h, d_base * d_hit),
+        divmod(hypothesis * (d_hit - h), d_base * d_hit),
+        divmod(complement * a, d_base * d_alarm),
+        divmod(complement * (d_alarm - a), d_base * d_alarm),
     )
-    if any(count.denominator != 1 for count in counts):
+    if any(remainder for _, remainder in counts):
         raise NonIntegralCounts(
             f"population {population} does not apportion this scenario into whole individuals"
         )
-    hits, _, false_alarms, _ = counts
+    (hits, _), _, (false_alarms, _), _ = counts
     if not hits + false_alarms:
         raise DegenerateEvidence("no individual in the population shows the evidence")
-    return Probability(hits, hits + false_alarms)
+    return _reduced(hits, hits + false_alarms)
 
 
 def _lanes(count: int) -> tuple[int, int]:
@@ -316,11 +319,8 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
     ValueError when samples is below 1 or above 10^9.
     """
     _check_count("samples", samples, _MAX_SAMPLES)
-    thresholds = (
-        _threshold53(float(scenario.base_rate)),
-        _threshold53(float(scenario.hit_rate)),
-        _threshold53(float(scenario.false_alarm_rate)),
-    )
+    # The three rates, each read as the double nearest it: int / int rounds correctly, as float() of a Fraction does.
+    thresholds = [_threshold53(rate._numerator / rate._denominator) for rate in scenario[:3]]
     # get() is None both when NumPy is not loaded and when a None entry blocks its import.
     if sys.modules.get("numpy") is None and samples <= _PYTHON_SAMPLE_BUDGET:
         conditioned, hits = _counts_python(seed, samples, *thresholds)

@@ -3,8 +3,8 @@
 Every renderer is a pure function of its inputs and emits byte-identical
 output across runs and platforms. The text tree is built line by line, each
 row's fields centred by `str.format` with the counts and labels passed as
-arguments, never into the format string; its rows that depend only on the
-column width are kept in a bounded cache. Each SVG template is built once,
+arguments, never into the format string; a bounded cache keeps, per column
+width, its fixed rows and its row formats. Each SVG template is built once,
 as literal pieces with a slot for each value that a call fills and joins
 once. All geometry is integers in hundredths of a pixel, the canvas divides
 exactly into the template's coordinates, and bar positions and percentages
@@ -50,22 +50,16 @@ def _signed(value: Fraction | int) -> str:
 # --- text tree -------------------------------------------------------------
 
 
-def _fields(width: int, *texts: str) -> str:
-    """Each text in a field `width` wide, the smaller half of its spare columns on the left; no trailing spaces.
-
-    `str.format`'s `^` centres that way. The texts go in as arguments, never into the format string, so a
-    label holding `{0}` or `{label}` is drawn as it is.
-    """
-    return ("{:^%d}" % width * len(texts)).format(*texts).rstrip()
-
-
 @lru_cache(maxsize=64)  # bounded: a long label widens the columns, and each width would keep its rows
-def _fixed_rows(colw: int) -> tuple[str, str, str]:
-    """The rows that depend only on the column width: the row-2 connector, the leaf connectors, the role labels."""
+def _fixed_rows(colw: int) -> tuple[str, ...]:
+    """What depends only on the column width: the formats of a row of one, two and four fields (`^` centres
+    a text with the smaller half of its spare columns on the left), the row-2 connector, the leaf connectors
+    and the role labels."""
+    one, two, four = ("{:^%d}" % (4 * colw), "{:^%d}" % (2 * colw) * 2, "{:^%d}" % colw * 4)
     half = colw // 2
     fork = "+" + "-" * (colw - half - 1) + "+" + "-" * (half - 1) + "+"  # a leaf pair's centers and their parent's
     links = " " * colw + ("+" + "-" * (colw - 1)) * 2 + "+"  # the population's center and row 2's
-    return links, " " * half + fork + " " * (colw - 1) + fork, _fields(colw, *ROLE_LABELS)
+    return one, two, four, links, " " * half + fork + " " * (colw - 1) + fork, four.format(*ROLE_LABELS).rstrip()
 
 
 def render_tree_text(tree: FrequencyTree) -> str:
@@ -80,15 +74,15 @@ def render_tree_text(tree: FrequencyTree) -> str:
     row2 = (str(tree.hypothesis_count), str(tree.complement_count))
     label = check_label("hypothesis_label", tree.hypothesis_label)
     row2_labels = (label, f"not ({label})")
-    leaf_cells = tuple(map(str, tree.leaves))
+    leaf_cells = tuple(map(str, tree[3:7]))  # hits, quiet hypothesis, false alarms, quiet complement
     # Every text gets at least two spare columns in its field (colw, 2·colw or 4·colw wide), so none overflows it.
     # The population needs no term of its own: a row-2 count has all but one of its digits, in half its field.
     colw = max(max(_ROLE_WIDTH, *map(len, leaf_cells)) + 2, -(-(max(map(len, row2 + row2_labels)) + 2) // 2))
 
-    links, forks, roles = _fixed_rows(colw)
+    one, two, four, links, forks, roles = _fixed_rows(colw)
     text = "\n".join([
-        _fields(4 * colw, pop), links, _fields(2 * colw, *row2), _fields(2 * colw, *row2_labels), forks,
-        _fields(colw, *leaf_cells), roles, "",
+        one.format(pop).rstrip(), links, two.format(*row2).rstrip(), two.format(*row2_labels).rstrip(), forks,
+        four.format(*leaf_cells).rstrip(), roles, "",
     ])
     if any(tree.rounding_residuals):
         text += f"rounding residuals (count - expected): {', '.join(map(_signed, tree.rounding_residuals))}\n"

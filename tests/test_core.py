@@ -98,6 +98,24 @@ def test_scenario_coerces_rates_to_probabilities():
     assert scenario.false_alarm_rate == Fraction(1, 10)
 
 
+@given(st.lists(st.integers(1, 10**6).flatmap(lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))),
+                min_size=3, max_size=3))
+def test_a_scenario_of_probabilities_equals_one_of_their_spellings(rates):
+    probabilities = [Probability(rate) for rate in rates]
+    scenario = Scenario(*probabilities)
+    assert scenario == Scenario(*map(str, rates))
+    assert all(got is rate for got, rate in zip(scenario, probabilities))
+
+
+@pytest.mark.parametrize("bad", [Fraction(3, 2), Fraction(-1, 7), 1.5, -0.25, "5/4", "-0.1"], ids=repr)
+@pytest.mark.parametrize("position", range(3))
+def test_a_scenario_refuses_a_rate_outside_the_unit_interval_among_probabilities(bad, position):
+    rates = [Probability(1, 2)] * 3
+    rates[position] = bad
+    with pytest.raises(ValueError, match="probability must be in"):
+        Scenario(*rates)
+
+
 def test_equal_rates_return_the_base_rate():
     for base in (Fraction(1, 7), Fraction(2, 5), Fraction(9, 10)):
         for rate in (Fraction(1, 100), Fraction(1, 2), Fraction(1)):

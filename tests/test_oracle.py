@@ -15,6 +15,7 @@ from proofcalc import (
     DegenerateEvidence,
     NoConditionedSamples,
     NonIntegralCounts,
+    Probability,
     Scenario,
     SimResult,
     compute_posterior,
@@ -130,6 +131,47 @@ def test_enumeration_matches_the_formula_exactly_at_whole_populations(base, hit,
         # A population that needed does not divide splits some leaf into fractional individuals.
         with pytest.raises(NonIntegralCounts):
             enumerate_posterior(scenario, population + data.draw(st.integers(1, needed - 1)))
+
+
+def _fraction_enumeration(scenario, population):
+    """The enumeration in Fraction arithmetic, four counts of population times two rates: the reference."""
+    base, hit, alarm = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
+    counts = (
+        population * base * hit,
+        population * base * (1 - hit),
+        population * (1 - base) * alarm,
+        population * (1 - base) * (1 - alarm),
+    )
+    if any(count.denominator != 1 for count in counts):
+        raise NonIntegralCounts("reference")
+    hits, _, false_alarms, _ = counts
+    if not hits + false_alarms:
+        raise DegenerateEvidence("reference")
+    return hits / (hits + false_alarms)
+
+
+WIDE_RATES = st.one_of(
+    st.sampled_from([Fraction(0), Fraction(1)]),
+    st.integers(1, 10**12).flatmap(lambda d: st.builds(Fraction, st.integers(0, d), st.just(d))),
+)
+
+
+@settings(deadline=None)
+@given(WIDE_RATES, WIDE_RATES, WIDE_RATES, st.integers(1, 10**6))
+@example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), 10**999)  # 1,000 digits, whole counts
+@example(Fraction(2, 5), Fraction(4, 5), Fraction(1, 10), 10**1000 - 1)  # 1,000 digits, fractional counts
+@example(Fraction(1, 3), Fraction(0), Fraction(0), 3)
+def test_integer_enumeration_equals_the_fraction_reference(base, hit, alarm, population):
+    scenario = Scenario(base, hit, alarm)
+    try:
+        expected = _fraction_enumeration(scenario, population)
+    except (NonIntegralCounts, DegenerateEvidence) as refused:
+        with pytest.raises(ValueError) as excinfo:
+            enumerate_posterior(scenario, population)
+        assert excinfo.type is type(refused)
+    else:
+        got = enumerate_posterior(scenario, population)
+        assert got == expected and type(got) is Probability
 
 
 def test_enumeration_keeps_nothing_per_individual():

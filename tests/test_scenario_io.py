@@ -25,7 +25,7 @@ from proofcalc import (
     parse_scenario,
     serialize_scenario,
 )
-from proofcalc.scenario_io import MAX_RATE_DIGITS, format_fixed, read_rate
+from proofcalc.scenario_io import MAX_RATE_DIGITS, check_label, format_fixed, read_rate
 
 from cases import LONG
 
@@ -148,6 +148,27 @@ def test_a_label_outside_xml_characters_names_its_line(char):
 def test_labels_keep_every_xml_character_but_line_breaks():
     label = "\x7f\x80\x85\xa0\u2028\ud7ff\ue000\ufffd\U00010000\U0010ffff"
     assert parse_scenario(STANDARD + f"hypothesis_label = a{label}b\n").scenario.hypothesis_label == f"a{label}b"
+
+
+def _refused(char):
+    """Whether a label may not hold `char`: outside XML 1.0's Char production, or one of its line breaks."""
+    code = ord(char)
+    return not (code == 0x9 or 0x20 <= code <= 0xD7FF or 0xE000 <= code <= 0xFFFD or code >= 0x10000)
+
+
+@given(st.text(st.characters()))  # every category, lone surrogates included
+@example("a\tb\x7f\x85\u2028")
+@example("\ud7ff\ud800")
+@example("\ufffd\ufffe")
+@example("\uffff\x00")
+def test_check_label_returns_the_text_exactly_when_no_character_is_refused(text):
+    refused = [char for char in text if _refused(char)]
+    if not refused:
+        assert check_label("hypothesis_label", text) is text
+        return
+    with pytest.raises(ScenarioSyntaxError) as excinfo:
+        check_label("hypothesis_label", text)
+    assert repr(refused[0]) in str(excinfo.value)
 
 
 def test_only_newlines_end_a_scenario_line():
