@@ -22,8 +22,9 @@ from fractions import Fraction
 # release renames them: here in Probability.__new__, PosteriorBreakdown.__new__, leaf_joints, _reduced (which
 # writes them), _outcome and decide; in scenario_io.parse_rate and read_rate, which also sets the class of the new
 # Fraction it checks to Probability (sound while Probability adds no slots); in freqtree.build_tree; in
-# sweep.sweep_rows, for each grid value and the threshold, and for each posterior, whose slots it writes; in
-# sweep.write_sweep_rows, for each row's value and posterior; and in oracle.monte_carlo_posterior, for each rate.
+# sweep.sweep_rows, for each grid value and the threshold, and for each plain Fraction grid value in [0, 1] and
+# each posterior, whose slots it writes as Probability.__new__ and _reduced do; in sweep.write_sweep_rows, for each
+# row's value and posterior; and in oracle.monte_carlo_posterior, for each rate.
 # render reads none.
 
 RateLike = "Probability | Fraction | int | float | str"
@@ -179,8 +180,9 @@ def leaf_joints(scenario: Scenario) -> tuple[int, ...]:
 
 
 def _check_population(population: int) -> None:
-    """Raise TypeError unless `population` is an int, ValueError unless it is 1 to MAX_POPULATION_DIGITS digits."""
-    if not isinstance(population, int):
+    """Raise TypeError unless `population` is an int and not a bool, ValueError unless it is 1 to
+    MAX_POPULATION_DIGITS digits."""
+    if not isinstance(population, int) or isinstance(population, bool):
         raise TypeError(f"population must be an int, got {type(population).__name__}")
     if population < 1:
         raise ValueError("population must be a positive integer")
@@ -189,7 +191,10 @@ def _check_population(population: int) -> None:
 
 
 def _check_count(name: str, value: int, most: int) -> int:
-    """`value` if it is a count from 1 to `most`, else ValueError naming `name`: the one home of that rule."""
+    """`value` if it is a count from 1 to `most`, else ValueError naming `name`: the one home of that rule.
+    A bool, which compares as 0 or 1, is no count: TypeError naming `name`."""
+    if isinstance(value, bool):
+        raise TypeError(f"{name} must be an int, got bool")
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     if value > most:

@@ -319,7 +319,15 @@ def _exact_text(numerator: int, denominator: int) -> str:
 
 def _sig_text(numerator: int, denominator: int) -> str:
     """numerator/denominator (denominator > 0) rounded to 6 significant figures, ties to even, as fixed-point
-    text without trailing zeros after the point: in integers alone, so no decimal context can change it."""
+    text without trailing zeros after the point: in integers alone, so no decimal context can change it.
+
+    A value in [1/10, 1], most posteriors, has its six figures at six places: one divmod writes it. Every
+    other value has its decimal exponent estimated, and corrected, first."""
+    if numerator <= denominator and 10 * numerator >= denominator:
+        digits, remainder = divmod(numerator * 1000000, denominator)
+        digits += 2 * remainder + (digits & 1) > denominator
+        # 10^5 <= digits <= 10^6: no zeros to pad, and 10^6 only where the value rounds up onto 1.
+        return "0." + str(digits).rstrip("0") if digits < 1000000 else "1"
     if numerator <= 0:
         return "-" + _sig_text(-numerator, denominator) if numerator else "0"
     # The decimal exponent estimated from the bit lengths (log10 2 ~ 0.30103): exact or one low for values of

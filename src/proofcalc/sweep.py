@@ -47,9 +47,14 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
     row costs one gcd and no Scenario. The posterior's two slots are filled
     here, as `core._reduced` fills them, and the outcome is `core._outcome`'s
     rule on them, cross-multiplied with the threshold's integers, read once.
+    A grid value that is a plain Fraction in [0, 1] becomes its Probability
+    by the same copy of its two slots that `Probability.__new__` makes; a
+    Probability is kept, and any other value goes through `Probability(...)`,
+    which reads it or raises its error.
     Arguments are checked as the rows are read: the grid must be nonempty and
-    strictly increasing (EmptyGridError, ValueError). Grid points with zero
-    evidence mass are marked, not fatal.
+    strictly increasing (EmptyGridError, ValueError), each value compared
+    with the previous one's integers. Grid points with zero evidence mass are
+    marked, not fatal.
     """
     slot = _slot(parameter)
     threshold = Probability(threshold)
@@ -60,15 +65,22 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
     hit_at_1, _, false_alarm_at_1, _, _ = leaf_joints_of(*rates)
     rates[slot] = 0
     hit_at_0, _, false_alarm_at_0, _, _ = leaf_joints_of(*rates)
-    previous = None
+    # The previous grid value's numerator and denominator: -1/1 lies below every grid value, so the first passes.
+    last_n, last_d = -1, 1
     for value in grid:
-        value = Probability(value)
-        n, d = value._numerator, value._denominator
-        if previous is not None and n * previous._denominator <= previous._numerator * d:
+        if type(value) is Fraction and 0 <= value._numerator <= value._denominator:
+            # What Probability.__new__ does with a Fraction in range, without its class call.
+            n, d = value._numerator, value._denominator
+            value = object.__new__(Probability)
+            value._numerator, value._denominator = n, d
+        else:  # a Probability is kept; the rest, out-of-range Fractions among them, are read or refused by the class
+            value = Probability(value)
+            n, d = value._numerator, value._denominator
+        if n * last_d <= last_n * d:
             raise ValueError("sweep grid values must be strictly increasing")
-        previous = value
-        joint_hit = n * hit_at_1 + (d - n) * hit_at_0
-        joint_false_alarm = n * false_alarm_at_1 + (d - n) * false_alarm_at_0
+        last_n, last_d, rest = n, d, d - n
+        joint_hit = n * hit_at_1 + rest * hit_at_0
+        joint_false_alarm = n * false_alarm_at_1 + rest * false_alarm_at_0
         marginal = joint_hit + joint_false_alarm
         if marginal == 0:
             yield tuple.__new__(SweepRow, (value, None, None))
@@ -79,7 +91,7 @@ def sweep_rows(scenario: Scenario, parameter: str, grid: Iterable[RateLike],
         posterior._denominator = denominator = marginal // divisor
         outcome = moving if numerator * cut_denominator > cut * denominator else defendant
         yield tuple.__new__(SweepRow, (value, posterior, outcome))
-    if previous is None:
+    if last_n < 0:
         raise EmptyGridError("sweep grid is empty")
 
 

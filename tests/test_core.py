@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 from proofcalc import (
     EXACT_RATIONAL,
+    ROUNDING_POLICIES,
     DegenerateEvidence,
     ErrorKind,
     Outcome,
@@ -21,6 +22,8 @@ from proofcalc import (
     build_tree,
     compute_posterior,
     decide,
+    enumerate_posterior,
+    grid_points,
     minimal_integral_population,
     monte_carlo_posterior,
     parse_scenario,
@@ -362,3 +365,18 @@ def test_replace_runs_the_checks_of_the_constructor():
         # What passes is converted as the constructor converts it.
         assert replace(RECORDS["Scenario"], base_rate="1/2") == Scenario("1/2", "0.8", "0.1")
         assert type(replace(RECORDS["Scenario"], base_rate="1/2").base_rate) is Probability
+
+
+@pytest.mark.parametrize("flag", [True, False])
+def test_a_bool_is_no_count(flag):
+    """True and False compare as 1 and 0, yet neither is a population, a sample count or a step count."""
+    scenario = Scenario(1, 1, 0)
+    for rounding in ROUNDING_POLICIES:
+        with pytest.raises(TypeError, match="^population must be an int, got bool$"):
+            build_tree(scenario, flag, rounding)
+    with pytest.raises(TypeError, match="^population must be an int, got bool$"):
+        enumerate_posterior(scenario, flag)
+    with pytest.raises(TypeError, match="^samples must be an int, got bool$"):
+        monte_carlo_posterior(scenario, flag)
+    with pytest.raises(TypeError, match="^steps must be an int, got bool$"):
+        grid_points(Fraction(0), Fraction(1), flag)

@@ -556,6 +556,10 @@ _SIG_TIES = st.builds(
 @example(Fraction(9999995, 10**7))  # 0.9999995 ties to even upward: the carry at 10^6
 @example(Fraction(-16, 19))
 @example(-120)  # an int
+@example(Fraction(1, 10))  # the lower end of [1/10, 1], which one divmod writes at six places
+@example(Fraction(999999951, 10**10))  # just below it, left to the general path, which rounds it up onto 0.1
+@example(Fraction(1))  # the upper end
+@example(Fraction(10**999 + 1, 2 * 10**999 + 3))  # 1,000 digits over 1,000 inside [1/10, 1]
 def test_format_sig_matches_an_integer_reference(value):
     assert format_sig(value) == sig6_reference(value)
 

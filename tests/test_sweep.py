@@ -86,6 +86,24 @@ def test_grid_validation():
         sweep(STANDARD, "threshold", [Fraction(1, 2)])
     with pytest.raises(ValueError):
         sweep(STANDARD, "base_rate", [Fraction(-1, 2), Fraction(1, 2)])
+    with pytest.raises(ValueError) as refused:
+        Probability(Fraction(3, 2))
+    with pytest.raises(ValueError) as swept:
+        sweep(STANDARD, "base_rate", [Fraction(1, 2), Fraction(3, 2)])
+    assert str(swept.value) == str(refused.value) == "probability must be in [0, 1], got 3/2"
+
+
+@pytest.mark.parametrize("grid", [
+    [Fraction(0), Fraction(1, 3), Fraction(1)],
+    [Probability(0), Probability(1, 3), Probability(1)],
+    [0, 1],
+    ["0", "1/3", "0.5", "1"],
+    [0.0, 0.25, 1.0],
+], ids=lambda grid: type(grid[0]).__name__)
+def test_each_row_value_is_a_probability_equal_to_its_grid_value(grid):
+    rows = list(sweep_rows(STANDARD, "base_rate", grid))
+    assert [row.value for row in rows] == [Probability(value) for value in grid]
+    assert all(type(row.value) is Probability for row in rows)
 
 
 def test_grid_size_cap():
