@@ -4,20 +4,21 @@ A tree restates the scenario as absolute counts ("32 of 100 buses...") in
 three rows: the population, the hypothesis/complement split, and the four
 evidence leaves. Its defining property is conservation: every row sums
 exactly to its parent, whatever rounding was applied. The expected counts
-are population x the leaf joints of `core.leaf_joints`. Largest-remainder
+are population x the leaf joints of `core.leaf_joints`, and a tree is exact
+when its population is a multiple of the least integral population; both
+come from core's cache of the last scenario derived. Largest-remainder
 rounding splits each parent between its two children by rounding the first
 child's expected count half up, so ties go to the first branch.
 """
 
 from __future__ import annotations
 
-import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
     EXACT_RATIONAL, LARGEST_REMAINDER, ROUNDING_POLICIES,
-    DegenerateEvidence, Probability, Scenario, _Checked, _check_population, _reduced, _sums_to, leaf_joints,
+    DegenerateEvidence, Probability, Scenario, _Checked, _check_population, _derived, _reduced, _sums_to,
 )
 
 Count = int | Fraction
@@ -96,13 +97,17 @@ def build_tree(
     if rounding not in ROUNDING_POLICIES:
         raise ValueError(f"unknown rounding policy {rounding!r}; expected one of {ROUNDING_POLICIES}")
 
-    *joints, denominator = leaf_joints(scenario)
-    expected = [population * joint for joint in joints]
-    exact = math.gcd(*expected, denominator) == denominator  # the denominator divides all four
+    _, joints, least = _derived(scenario)
+    denominator = joints[4]
+    exact = population % least == 0  # the denominator divides all four expected counts
     if rounding == EXACT_RATIONAL:
-        hits, quiet_hyp, alarms, quiet_comp = expected
-        row2 = [_as_count(hits + quiet_hyp, denominator), _as_count(alarms + quiet_comp, denominator)]
-        leaves = [_as_count(count, denominator) for count in expected]
+        if exact:  # whole counts, each by one floor division
+            leaves = [population * joint // denominator for joint in joints[:4]]
+            row2 = [leaves[0] + leaves[1], leaves[2] + leaves[3]]
+        else:
+            hits, quiet_hyp, alarms, quiet_comp = expected = [population * joint for joint in joints[:4]]
+            row2 = [_as_count(hits + quiet_hyp, denominator), _as_count(alarms + quiet_comp, denominator)]
+            leaves = [_as_count(count, denominator) for count in expected]
         residuals = _NO_RESIDUALS
     else:
         base, hit, alarm = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
@@ -113,7 +118,7 @@ def build_tree(
         row2 = [hyp, comp]
         leaves = [hits, hyp - hits, alarms, comp - alarms]
         residuals = _NO_RESIDUALS if exact else tuple(
-            _reduced(a * denominator - e, denominator, Fraction) for a, e in zip(leaves, expected)
+            _reduced(a * denominator - population * j, denominator, Fraction) for a, j in zip(leaves, joints)
         )
     return tuple.__new__(FrequencyTree, (population, *row2, *leaves, exact, residuals, scenario.hypothesis_label))
 
@@ -133,10 +138,10 @@ def minimal_integral_population(scenario: Scenario, cap: int) -> int | None:
     is the least common multiple of the leaf probabilities' denominators,
     since N * (a/b) is integral exactly when b divides N. Over the common
     denominator D that is D / gcd(D, j1, ..., j4): D divides each N * j
-    exactly when it divides N * gcd(j1, ..., j4).
+    exactly when it divides N * gcd(j1, ..., j4). core derives it with the
+    joints, once for the last scenario.
     """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    *joints, denominator = leaf_joints(scenario)
-    needed = denominator // math.gcd(*joints, denominator)
+    needed = _derived(scenario)[2]
     return needed if needed <= cap else None

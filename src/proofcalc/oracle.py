@@ -315,10 +315,11 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
     conditioned draws. Both kernels give the same counts; see the module
     docstring for which one runs.
 
-    Raises NoConditionedSamples when no draw satisfied the evidence, and
-    ValueError when samples is below 1 or above 10^9.
+    Raises NoConditionedSamples when no draw satisfied the evidence,
+    ValueError when samples is below 1 or above 10^9, and TypeError when
+    it is not an integer (a NumPy integer is one).
     """
-    _check_count("samples", samples, _MAX_SAMPLES)
+    samples = _check_count("samples", samples, _MAX_SAMPLES)
     # The three rates, each read as the double nearest it: int / int rounds correctly, as float() of a Fraction does.
     thresholds = [_threshold53(rate._numerator / rate._denominator) for rate in scenario[:3]]
     # get() is None both when NumPy is not loaded and when a None entry blocks its import.

@@ -268,7 +268,7 @@ def serialize_scenario(document: ScenarioDocument) -> str:
         lines.append(f"{key} = {_rate_text(key, getattr(scenario, key))}")
     population = document.population
     if population is not None:
-        if not isinstance(population, int):
+        if not isinstance(population, int) or isinstance(population, bool):
             _check_population(population)  # raises its TypeError
         # Compared as an int first: str() refuses one of more than 4,300 digits without naming the key.
         if abs(population) >= _POPULATION_LIMIT:

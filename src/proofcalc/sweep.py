@@ -107,9 +107,10 @@ def grid_points(start: Fraction, stop: Fraction, steps: int) -> Iterator[Fractio
     """`steps` (1 to MAX_STEPS) exact rationals from start to stop inclusive, made as they are read.
 
     A step count out of range, or two or more steps with stop not above
-    start, raises ValueError at the call, before any point is made.
+    start, raises ValueError at the call, before any point is made, and a
+    step count that is not an integer raises TypeError.
     """
-    _check_count("steps", steps, MAX_STEPS)
+    steps = _check_count("steps", steps, MAX_STEPS)
     start, stop = Fraction(start), Fraction(stop)
     if steps > 1 and not start < stop:
         raise ValueError("sweep grid values must be strictly increasing")

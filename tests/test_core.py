@@ -3,6 +3,9 @@
 import copy
 import math
 import pickle
+import random
+import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -29,6 +32,8 @@ from proofcalc import (
     parse_scenario,
     verdict_error_profile,
 )
+import proofcalc.core as core
+from proofcalc.core import leaf_joints_of
 from proofcalc.sweep import sweep
 
 from cases import CASE_IDS, CASES, display_matches
@@ -380,3 +385,93 @@ def test_a_bool_is_no_count(flag):
         monte_carlo_posterior(scenario, flag)
     with pytest.raises(TypeError, match="^steps must be an int, got bool$"):
         grid_points(Fraction(0), Fraction(1), flag)
+
+
+@pytest.mark.parametrize("count", [100.0, Fraction(100), "100", 1e300], ids=repr)
+def test_a_count_that_is_not_an_integer_is_refused_by_name(count):
+    scenario = Scenario("0.4", "0.8", "0.1")
+    with pytest.raises(TypeError, match=f"^samples must be an int, got {type(count).__name__}$"):
+        monte_carlo_posterior(scenario, count)
+    with pytest.raises(TypeError, match=f"^steps must be an int, got {type(count).__name__}$"):
+        grid_points(Fraction(0), Fraction(1), count)
+
+
+def test_a_numpy_integer_count_is_taken_as_its_int():
+    numpy = pytest.importorskip("numpy")
+    scenario = Scenario("0.4", "0.8", "0.1")
+    result = monte_carlo_posterior(scenario, numpy.int64(1000), seed=3)
+    assert result == monte_carlo_posterior(scenario, 1000, seed=3)
+    assert type(result.samples_total) is int
+    assert list(grid_points(Fraction(0), Fraction(1), numpy.int32(3))) == [0, Fraction(1, 2), 1]
+    assert type(core._check_count("steps", numpy.uint8(7), 10)) is int
+    flag = numpy.bool_(True)  # no integer to operator.index
+    with pytest.raises(TypeError, match=f"^samples must be an int, got {type(flag).__name__}$"):
+        monte_carlo_posterior(scenario, flag)
+
+
+def own_joints(scenario):
+    """What `leaf_joints` must return for `scenario`: the kernel on its rates, with no cache in between."""
+    (b, d_base), (h, d_hit), (a, d_alarm) = (rate.as_integer_ratio() for rate in scenario[:3])
+    return leaf_joints_of(b, d_base, h, d_hit, a, d_alarm)
+
+
+def assert_derived_afresh(scenario):
+    joints = own_joints(scenario)
+    least = joints[4] // math.gcd(*joints)
+    assert core.leaf_joints(scenario) == joints
+    assert minimal_integral_population(scenario, cap=10**4000) == least
+    if joints[0] + joints[2]:
+        assert compute_posterior(scenario).posterior == Fraction(joints[0], joints[0] + joints[2])
+    for population in (least, least + 1):
+        tree = build_tree(scenario, population, EXACT_RATIONAL)
+        assert tree.leaves == tuple(Fraction(population * joint, joints[4]) for joint in joints[:4])
+        assert tree.counts_exact is (population % least == 0)
+
+
+def test_the_derivation_cache_answers_each_scenario_with_its_own_joints():
+    first, twin = Scenario("0.4", "0.8", "0.1"), Scenario("0.4", "0.8", "0.1")
+    assert first == twin and first is not twin
+    replaced = first._replace(base_rate="0.3")
+    others = [Scenario("1/3", "0.5", "0.25"), Scenario(0, 1, 1), Scenario(1, 0, 0), Scenario("0.4", "0.8", "0.2")]
+    for scenario in [first, twin, first, replaced, first, replaced, replaced, twin, *others, first, *others[::-1],
+                     replaced, others[0], replaced, twin]:
+        assert_derived_afresh(scenario)
+
+
+def test_the_derivation_cache_keeps_its_key_alive():
+    # Each scenario is dropped as the next one is made, so the next may be allocated where it was; a cache keyed
+    # by id alone would then answer it with the dropped scenario's joints.
+    spellings = [("0.4", "0.8", "0.1"), ("1/3", "0.5", "0.25"), ("0.9", "0.2", "0.7")]
+    for i in range(300):
+        scenario = Scenario(*spellings[i % 3])
+        assert core.leaf_joints(scenario) == own_joints(scenario)
+        del scenario
+
+
+def test_threads_each_see_their_own_scenarios_joints():
+    def work(worker, failures, barrier):
+        rng = random.Random(worker)
+        scenarios = [Scenario(*(Fraction(rng.randint(0, d), d) for d in (10, 97, 10**9 + 7))) for _ in range(8)]
+        expected = [(own_joints(scenario), minimal_integral_population(Scenario(*scenario), 10**40))
+                    for scenario in scenarios]
+        barrier.wait()
+        for _ in range(400):
+            for scenario, (joints, least) in zip(scenarios, expected):
+                got = (core.leaf_joints(scenario), minimal_integral_population(scenario, 10**40))
+                if got != (joints, least):
+                    failures.append((worker, scenario, got))
+                    return
+
+    failures, barrier = [], threading.Barrier(4, timeout=60)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter allows, so their calls interleave
+    try:
+        threads = [threading.Thread(target=work, args=(worker, failures, barrier)) for worker in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == []

@@ -1,5 +1,6 @@
 """Frequency trees: exact counts, largest-remainder rounding, shortcut posterior."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -21,6 +22,8 @@ from proofcalc import (
     posterior_from_tree,
 )
 
+import proofcalc.core as core
+from proofcalc.core import leaf_joints_of
 import proofcalc.freqtree as freqtree
 
 from cases import CASE_IDS, CASES
@@ -124,7 +127,9 @@ def test_build_tree_rejects_bad_arguments(monkeypatch):
     def never_count(*_):
         raise AssertionError("the population cap let a count be computed")
 
-    monkeypatch.setattr(freqtree, "leaf_joints", never_count)
+    # What build_tree derives through, the cached entry, and the kernel a cache miss runs.
+    monkeypatch.setattr(freqtree, "_derived", never_count)
+    monkeypatch.setattr(core, "leaf_joints_of", never_count)
     for rounding in ROUNDING_POLICIES:
         with pytest.raises(ValueError, match="population may have at most 1000 digits"):
             build_tree(CASES[0].scenario, population=at_cap + 1, rounding=rounding)
@@ -278,3 +283,31 @@ def test_minimal_integral_population_matches_a_direct_scan():
             Fraction(rng.randint(0, 10), 10),
         )
         assert minimal_integral_population(scenario, cap=200) == scan(scenario, 200)
+
+
+def gcd_rule(scenario, population):
+    """counts_exact by its definition: D divides each expected numerator, population x joint, so their gcd."""
+    (b, d_base), (h, d_hit), (a, d_alarm) = (rate.as_integer_ratio() for rate in scenario[:3])
+    *joints, denominator = leaf_joints_of(b, d_base, h, d_hit, a, d_alarm)
+    return math.gcd(*(population * joint for joint in joints), denominator) == denominator
+
+
+@settings(deadline=None)
+@given(TREE_RATES, TREE_RATES, TREE_RATES, st.integers(1, 10**6))
+@example(*AT_CAP, 10**1000 - 1)
+# Least populations of 1,000 digits, 10^999 and 2·10^999, at them, one below them, and at a multiple.
+@example(Fraction(1, 10**999), Fraction(0), Fraction(1), 10**999)
+@example(Fraction(1, 10**999), Fraction(0), Fraction(1), 10**999 - 1)
+@example(Fraction(1, 10**999), Fraction(0), Fraction(1), 9 * 10**999)
+@example(Fraction(10**999 - 1, 10**999), Fraction(1, 2), Fraction(1, 2), 2 * 10**999)
+@example(Fraction(10**999 - 1, 10**999), Fraction(1, 2), Fraction(1, 2), 10**999)
+def test_counts_exact_is_the_gcd_rule(base, hit, alarm, population):
+    scenario = Scenario(base, hit, alarm)
+    exact = gcd_rule(scenario, population)
+    for rounding in ROUNDING_POLICIES:
+        assert build_tree(scenario, population, rounding).counts_exact is exact
+    # The same, on a scenario equal to this one but not it, after the cache has taken this one.
+    twin = Scenario(base, hit, alarm)
+    assert build_tree(twin, population, EXACT_RATIONAL).counts_exact is exact
+    # The least integral population divides exactly the populations the rule calls exact.
+    assert (population % minimal_integral_population(scenario, cap=10**4000) == 0) is exact
