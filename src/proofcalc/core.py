@@ -4,16 +4,15 @@ Everything here is computed with rational arithmetic, so posteriors like
 32/38 stay exact until somebody formats them for display. One kernel,
 `leaf_joints_of`, derives the four leaf joints as integers from the rates'
 numerators and denominators; `compute_posterior`, `freqtree` and `sweep` build on it.
-`leaf_joints` runs it on a scenario, and keeps what it derived for the last scenario,
-with that scenario's least integral population, so a report's five calls on one
-scenario derive them once. `decide` returns one `Verdict`: the outcome, and the
-chance and kind of its error. The records are named tuples; the kernels build theirs
-with `tuple.__new__`, skipping the checks that a record built by hand goes through.
-All types are immutable values and all operations are pure functions but for that
-one-entry cache, keyed by the scenario's identity. The entry is replaced as one tuple,
-so a thread reads a whole old entry or a whole new one, and it holds its scenario, so
-no other object can take that id while it is the key. Every operation is safe to call
-from any number of threads.
+`leaf_joints` runs it on a scenario, and keeps the joints it derived for the last
+scenario, so a report's five calls on one scenario derive them once. `decide` returns
+one `Verdict`: the outcome, and the chance and kind of its error. The records are
+named tuples; the kernels build theirs with `tuple.__new__`, skipping the checks that
+a record built by hand goes through. All types are immutable values and all operations
+are pure functions but for that one-entry cache, `(scenario, joints)`, keyed by the
+scenario's identity. The entry is replaced as one tuple, so a thread reads a whole old
+entry or a whole new one, and it holds its scenario, so no other object can take that
+id while it is the key. Every operation is safe to call from any number of threads.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from collections import namedtuple
 from fractions import Fraction
 
 # Fraction's private slots, _numerator and _denominator, are read on measured hot paths, and break first if a Python
-# release renames them: here in Probability.__new__, PosteriorBreakdown.__new__, _derive, _reduced (which
+# release renames them: here in Probability.__new__, PosteriorBreakdown.__new__, leaf_joints, _reduced (which
 # writes them), _outcome and decide; in scenario_io.parse_rate and read_rate, which also sets the class of the new
 # Fraction it checks to Probability (sound while Probability adds no slots); in freqtree.build_tree; in
 # sweep.sweep_rows, for each grid value and the threshold, and for each plain Fraction grid value in [0, 1] and
@@ -110,8 +109,7 @@ class Scenario(_Checked, namedtuple("Scenario", (*RATE_NAMES, "hypothesis_label"
 
     def __new__(cls, base_rate: RateLike, hit_rate: RateLike, false_alarm_rate: RateLike,
                 hypothesis_label: str = "runs on Main Street", evidence_label: str = "is blue"):
-        if not type(base_rate) is type(hit_rate) is type(false_alarm_rate) is Probability:  # else each is checked
-            base_rate, hit_rate, false_alarm_rate = map(Probability, (base_rate, hit_rate, false_alarm_rate))
+        base_rate, hit_rate, false_alarm_rate = map(Probability, (base_rate, hit_rate, false_alarm_rate))
         return tuple.__new__(cls, (base_rate, hit_rate, false_alarm_rate, hypothesis_label, evidence_label))
 
 
@@ -179,33 +177,22 @@ def leaf_joints_of(b: int, d_base: int, h: int, d_hit: int, a: int, d_alarm: int
     return hyp * h, hyp * (d_hit - h), comp * a, comp * (d_alarm - a), d_base * d_hit * d_alarm
 
 
-#: The last scenario derived, its leaf joints and its least integral population, replaced as one tuple. The
-#: entry holds its scenario, so no other object can take that id while it is the key; the first field of the
-#: empty entry is an object no caller holds.
-_last_derived: tuple = (object(), (), 1)
-
-
-def _derive(scenario: Scenario) -> tuple:
-    """The entry (scenario, leaf joints, least) for `scenario`, derived and stored. `least`, D // gcd(j1, j2,
-    j3, j4, D), is the least population whose four leaf counts are all whole (`minimal_integral_population`)."""
-    global _last_derived
-    b, h, a = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
-    joints = leaf_joints_of(b._numerator, b._denominator, h._numerator, h._denominator, a._numerator, a._denominator)
-    entry = _last_derived = (scenario, joints, joints[4] // math.gcd(*joints))
-    return entry
+#: The last scenario derived and its leaf joints, replaced as one tuple. The entry holds its scenario, so no other
+#: object can take that id while it is the key; the first field of the empty entry is an object no caller holds.
+_last_derived: tuple = (object(), ())
 
 
 def leaf_joints(scenario: Scenario) -> tuple[int, ...]:
     """`leaf_joints_of` on a scenario's three rates, read from Fraction's slots; derived once for the last
     scenario asked about, whose entry is looked up by identity."""
+    global _last_derived
     entry = _last_derived
-    return (entry if entry[0] is scenario else _derive(scenario))[1]
-
-
-def _derived(scenario: Scenario) -> tuple:
-    """The entry (scenario, leaf joints, least) for `scenario`: the cached one when `scenario` is its key."""
-    entry = _last_derived
-    return entry if entry[0] is scenario else _derive(scenario)
+    if entry[0] is scenario:
+        return entry[1]
+    b, h, a = scenario.base_rate, scenario.hit_rate, scenario.false_alarm_rate
+    joints = leaf_joints_of(b._numerator, b._denominator, h._numerator, h._denominator, a._numerator, a._denominator)
+    _last_derived = (scenario, joints)
+    return joints
 
 
 def _check_population(population: int) -> None:
@@ -219,17 +206,21 @@ def _check_population(population: int) -> None:
         raise ValueError(f"population may have at most {MAX_POPULATION_DIGITS} digits")
 
 
-def _check_count(name: str, value: int, most: int) -> int:
-    """`value` as an int if it is a count from 1 to `most`, else ValueError naming `name`: the one home of that
-    rule. A value `operator.index` refuses (a float, a Fraction), or a bool, which it takes as 0 or 1, is no
-    count: TypeError naming `name`. An integer type such as NumPy's passes as its int."""
-    if type(value) is not int:
+def _as_int(name: str, value: int) -> int:
+    """`value` as an int, else TypeError naming `name`: a value `operator.index` refuses (a float, a Fraction,
+    a str, None), or a bool, which it takes as 0 or 1. An integer type such as NumPy's passes as its int."""
+    if not isinstance(value, bool):
         try:
-            if isinstance(value, bool):
-                raise TypeError
-            value = operator.index(value)
+            return operator.index(value)
         except TypeError:
-            raise TypeError(f"{name} must be an int, got {type(value).__name__}") from None
+            pass
+    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
+def _check_count(name: str, value: int, most: int) -> int:
+    """`value` as an int if it is a count from 1 to `most`, else ValueError naming `name`, or `_as_int`'s
+    TypeError: the one home of that rule."""
+    value = _as_int(name, value)
     if value < 1:
         raise ValueError(f"{name} must be >= 1, got {value}")
     if value > most:

@@ -4,21 +4,23 @@ A tree restates the scenario as absolute counts ("32 of 100 buses...") in
 three rows: the population, the hypothesis/complement split, and the four
 evidence leaves. Its defining property is conservation: every row sums
 exactly to its parent, whatever rounding was applied. The expected counts
-are population x the leaf joints of `core.leaf_joints`, and a tree is exact
-when its population is a multiple of the least integral population; both
-come from core's cache of the last scenario derived. Largest-remainder
-rounding splits each parent between its two children by rounding the first
-child's expected count half up, so ties go to the first branch.
+are population x the leaf joints of `core.leaf_joints`, which caches them for
+the last scenario derived, and a tree is exact when its population is a
+multiple of the least integral population, D // gcd(j1, j2, j3, j4, D) over
+the joints' common denominator D. Largest-remainder rounding splits each
+parent between its two children by rounding the first child's expected
+count half up, so ties go to the first branch.
 """
 
 from __future__ import annotations
 
+import math
 from collections import namedtuple
 from fractions import Fraction
 
 from .core import (
     EXACT_RATIONAL, LARGEST_REMAINDER, ROUNDING_POLICIES,
-    DegenerateEvidence, Probability, Scenario, _Checked, _check_population, _derived, _reduced, _sums_to,
+    DegenerateEvidence, Probability, Scenario, _Checked, _check_population, _reduced, _sums_to, leaf_joints,
 )
 
 Count = int | Fraction
@@ -97,9 +99,9 @@ def build_tree(
     if rounding not in ROUNDING_POLICIES:
         raise ValueError(f"unknown rounding policy {rounding!r}; expected one of {ROUNDING_POLICIES}")
 
-    _, joints, least = _derived(scenario)
+    joints = leaf_joints(scenario)
     denominator = joints[4]
-    exact = population % least == 0  # the denominator divides all four expected counts
+    exact = population % (denominator // math.gcd(*joints)) == 0  # the denominator divides all four expected counts
     if rounding == EXACT_RATIONAL:
         if exact:  # whole counts, each by one floor division
             leaves = [population * joint // denominator for joint in joints[:4]]
@@ -138,10 +140,10 @@ def minimal_integral_population(scenario: Scenario, cap: int) -> int | None:
     is the least common multiple of the leaf probabilities' denominators,
     since N * (a/b) is integral exactly when b divides N. Over the common
     denominator D that is D / gcd(D, j1, ..., j4): D divides each N * j
-    exactly when it divides N * gcd(j1, ..., j4). core derives it with the
-    joints, once for the last scenario.
+    exactly when it divides N * gcd(j1, ..., j4).
     """
     if cap < 1:
         raise ValueError("cap must be a positive integer")
-    needed = _derived(scenario)[2]
+    joints = leaf_joints(scenario)
+    needed = joints[4] // math.gcd(*joints)
     return needed if needed <= cap else None

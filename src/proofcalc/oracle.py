@@ -45,7 +45,9 @@ import math
 import sys
 from collections import namedtuple
 
-from .core import DegenerateEvidence, Probability, Scenario, _Checked, _check_count, _check_population, _reduced
+from .core import (
+    DegenerateEvidence, Probability, Scenario, _as_int, _Checked, _check_count, _check_population, _reduced,
+)
 
 GOLDEN_GAMMA = 0x9E3779B97F4A7C15
 _MIX_1 = 0xBF58476D1CE4E5B9
@@ -317,9 +319,11 @@ def monte_carlo_posterior(scenario: Scenario, samples: int, seed: int = 0) -> Si
 
     Raises NoConditionedSamples when no draw satisfied the evidence,
     ValueError when samples is below 1 or above 10^9, and TypeError when
-    it is not an integer (a NumPy integer is one).
+    samples or seed is not an integer (a NumPy integer is one). Every int
+    is a seed, taken mod 2^64.
     """
     samples = _check_count("samples", samples, _MAX_SAMPLES)
+    seed = _as_int("seed", seed)
     # The three rates, each read as the double nearest it: int / int rounds correctly, as float() of a Fraction does.
     thresholds = [_threshold53(rate._numerator / rate._denominator) for rate in scenario[:3]]
     # get() is None both when NumPy is not loaded and when a None entry blocks its import.

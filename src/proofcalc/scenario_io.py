@@ -246,8 +246,7 @@ def parse_scenario(text: str) -> ScenarioDocument:
     read = {key: reader(key, values[key], lines[key]) for key, reader in READERS.items() if key in values}
     # Without the version and the two run parameters, what is left is the Scenario's fields: rates and labels.
     population, threshold = read.pop("population", None), read.pop("threshold", None)
-    # The values are checked, so namedtuple's __new__ is skipped; Scenario is still called (bench/spans.py wraps it).
-    return tuple.__new__(ScenarioDocument, (Scenario(**read), population, threshold))
+    return ScenarioDocument(Scenario(**read), population, threshold)
 
 
 def serialize_scenario(document: ScenarioDocument) -> str:

@@ -111,7 +111,8 @@ def grid_points(start: Fraction, stop: Fraction, steps: int) -> Iterator[Fractio
     step count that is not an integer raises TypeError.
     """
     steps = _check_count("steps", steps, MAX_STEPS)
-    start, stop = Fraction(start), Fraction(stop)
+    # A float is read as Probability reads one, through its shortest decimal, so 0.1 is 1/10.
+    start, stop = (Fraction(str(end) if isinstance(end, float) else end) for end in (start, stop))
     if steps > 1 and not start < stop:
         raise ValueError("sweep grid values must be strictly increasing")
     # Point k is (p·s·(K - k) + r·q·k) / (q·s·K) for start p/q, stop r/s and K = steps - 1 intervals.

@@ -409,6 +409,26 @@ def test_a_numpy_integer_count_is_taken_as_its_int():
         monte_carlo_posterior(scenario, flag)
 
 
+@pytest.mark.parametrize("seed", [3.0, "3", None, True, False], ids=repr)
+def test_a_seed_that_is_not_an_integer_is_refused_by_name(seed):
+    with pytest.raises(TypeError, match=f"^seed must be an int, got {type(seed).__name__}$"):
+        monte_carlo_posterior(Scenario("0.4", "0.8", "0.1"), 10, seed)
+
+
+def test_every_int_is_a_seed_taken_mod_2_to_the_64():
+    scenario = Scenario("0.4", "0.8", "0.1")
+    assert monte_carlo_posterior(scenario, 100, -1) == monte_carlo_posterior(scenario, 100, 2**64 - 1)
+    assert monte_carlo_posterior(scenario, 100, 2**70 + 3) == monte_carlo_posterior(scenario, 100, 3)
+
+
+def test_a_numpy_integer_seed_is_taken_as_its_int():
+    numpy = pytest.importorskip("numpy")  # loaded, so every call below takes the NumPy kernel
+    scenario = Scenario("0.4", "0.8", "0.1")
+    for seed in (numpy.int64(3), numpy.int8(-5), numpy.uint64(2**64 - 1)):
+        for samples in (10, 10**4):
+            assert monte_carlo_posterior(scenario, samples, seed) == monte_carlo_posterior(scenario, samples, int(seed))
+
+
 def own_joints(scenario):
     """What `leaf_joints` must return for `scenario`: the kernel on its rates, with no cache in between."""
     (b, d_base), (h, d_hit), (a, d_alarm) = (rate.as_integer_ratio() for rate in scenario[:3])
@@ -448,7 +468,18 @@ def test_the_derivation_cache_keeps_its_key_alive():
         del scenario
 
 
+def test_the_derivation_cache_is_one_entry_of_the_scenario_and_its_joints():
+    for scenario in (Scenario("0.4", "0.8", "0.1"), Scenario("1/3", "0.5", "0.25"), Scenario("0.4", "0.8", "0.1")):
+        joints = core.leaf_joints(scenario)
+        assert core._last_derived == (scenario, joints)
+        assert core._last_derived[0] is scenario
+
+
 def test_threads_each_see_their_own_scenarios_joints():
+    """Each thread gets its own scenarios' joints while others replace the entry. This checks results only: it
+    does not reach into the window between two stores, so a cache kept in two globals can pass it, and the
+    entry's layout is pinned by `test_the_derivation_cache_is_one_entry_of_the_scenario_and_its_joints`."""
+
     def work(worker, failures, barrier):
         rng = random.Random(worker)
         scenarios = [Scenario(*(Fraction(rng.randint(0, d), d) for d in (10, 97, 10**9 + 7))) for _ in range(8)]

@@ -127,8 +127,8 @@ def test_build_tree_rejects_bad_arguments(monkeypatch):
     def never_count(*_):
         raise AssertionError("the population cap let a count be computed")
 
-    # What build_tree derives through, the cached entry, and the kernel a cache miss runs.
-    monkeypatch.setattr(freqtree, "_derived", never_count)
+    # What build_tree derives through, and the kernel a cache miss runs.
+    monkeypatch.setattr(freqtree, "leaf_joints", never_count)
     monkeypatch.setattr(core, "leaf_joints_of", never_count)
     for rounding in ROUNDING_POLICIES:
         with pytest.raises(ValueError, match="population may have at most 1000 digits"):

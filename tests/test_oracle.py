@@ -104,9 +104,10 @@ def test_enumeration_refuses_a_population_above_its_cap(monkeypatch):
     def never(*_):
         raise AssertionError("the oracle called the code it checks")
 
-    # Every route into core's derivation: the public accessor, the cached entry and the kernel a cache miss runs.
-    for name in ("leaf_joints", "_derived", "_derive", "leaf_joints_of"):
+    # Every route into core's derivation: the cached accessor, the kernel a cache miss runs, and the cache itself.
+    for name in ("leaf_joints", "leaf_joints_of"):
         monkeypatch.setattr(core, name, never)
+    monkeypatch.setattr(core, "_last_derived", None)
     for population in (2 * 10**6, 10**999):
         assert enumerate_posterior(Scenario(0.5, 0.5, 0.5), population) == Fraction(1, 2)
     with pytest.raises(ValueError, match="population may have at most 1000 digits"):

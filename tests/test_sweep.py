@@ -281,3 +281,13 @@ def test_a_sweep_at_the_caps_stays_within_its_time_a_point():
     seconds, text = min(timed() for _ in range(3))
     assert text.count("\n") == 501 and len(text) == 2_016_593
     assert seconds / 500 < 3e-3
+
+
+def test_a_float_endpoint_is_read_through_its_shortest_decimal():
+    assert list(grid_points(0.1, 0.5, 3)) == [Fraction(1, 10), Fraction(3, 10), Fraction(1, 2)]
+    assert list(grid_points(0.1, 0.5, 3)) == list(grid_points(Probability(0.1), Probability(0.5), 3))
+    scenario = Scenario("0.4", "0.8", "0.1")
+    swept = [row.value for row in sweep_rows(scenario, "base_rate", grid_points(0.1, 0.3, 3))]
+    assert swept == [row.value for row in sweep_rows(scenario, "base_rate", [0.1, 0.2, 0.3])]
+    # No range check here: sweep_rows refuses what lies outside [0, 1].
+    assert list(grid_points(-0.5, 1.5, 2)) == [Fraction(-1, 2), Fraction(3, 2)]
